@@ -25,6 +25,7 @@ from .errors import AlignmentError, DivergenceError, FormatError, InsufficientDa
 from .gmm import DEFAULT_COMPONENTS, fit_em, load_gmm, save_gmm
 from .metrics import mean_chamfer
 from .pointcloud import atomic_write_text, load_corpus, load_manifest, write_corpus
+from .rng import philox
 from .sampling import SamplingConfig, lidar_to_radar
 from .synth import SceneSpec, gen_feature_batch, gen_scene
 from .tensor import Tensor, finite_diff_check
@@ -309,8 +310,7 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
     def local_scalar(_):
         f_rad = FeatureMap(rad, "radar", "bev")
         f_img = FeatureMap(img, "image", "bev")
-        r = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-        return local_loss(f_rad, f_img, cfg, params, r)
+        return local_loss(f_rad, f_img, cfg, params, philox(seed, 1))
 
     errors["local_loss"] = max(
         finite_diff_check(local_scalar, rad),
@@ -341,8 +341,7 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
         t.requires_grad = True
 
     def total_scalar(_):
-        r = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
-        return total_loss(batch2.scenes, cfg, params, r)
+        return total_loss(batch2.scenes, cfg, params, philox(seed, 2))
 
     errors["total_loss"] = max(
         finite_diff_check(total_scalar, maps2[0]),

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DivergenceError
+from .rng import philox
 from .tensor import Tensor
 
 MODALITIES = ("radar", "image")
@@ -158,8 +159,7 @@ class GlobalAggParams:
 
     @classmethod
     def init(cls, channels: int, seed: int = 0) -> "GlobalAggParams":
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [seed % 2**64, 0x67], dtype=np.uint64)))
+        rng = philox(seed, 0x67)
         return cls(
             row_proj=Tensor(rng.normal(0.0, 0.02, size=2 * channels), requires_grad=True),
             col_proj=Tensor(rng.normal(0.0, 0.02, size=2 * channels), requires_grad=True),
@@ -519,8 +519,7 @@ def toy_pretrain(
 
     losses: list[float] = []
     for step in range(steps):
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [seed % 2**64, 0xC0], dtype=np.uint64)))
+        rng = philox(seed, 0xC0)
         T.zero_grad(*learnables)
         loss = total_loss(scenes, config, params, rng)
         value = loss.item()

@@ -31,6 +31,14 @@ class AlignmentError(ValueError):
         super().__init__(message)
 
 
+class PipelineError(ValueError):
+    """A pipeline stage failed; carries the frame id for context."""
+
+    def __init__(self, frame_id: str, message: str):
+        self.frame_id = frame_id
+        super().__init__(f"frame {frame_id!r}: {message}")
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 

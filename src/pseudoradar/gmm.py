@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParseError, SchemaError
 from .pointcloud import atomic_write_text
+from .rng import philox
 
 VAR_FLOOR = 1e-6
 DEFAULT_COMPONENTS = 5
@@ -110,8 +111,7 @@ def fit_em(counts, k: int, tol: float = 1e-6, max_iter: int = 200,
     if len(x) < k:
         raise InsufficientDataError(f"{len(x)} counts cannot support {k} components")
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0],
-                                                            dtype=np.uint64)))
+    rng = philox(seed, 0)
     centers = _seed_centers(x, k, rng)
     assign = np.argmin(np.abs(x.reshape(-1, 1) - centers.reshape(1, -1)), axis=1)
     global_var = max(float(x.var()), VAR_FLOOR)

@@ -35,11 +35,10 @@ def chamfer(p, q) -> float:
     q = _as_xyz(q)
     if len(p) == 0 or len(q) == 0:
         raise ValueError("chamfer distance is undefined for empty point sets")
-    tree_q = KdTree(q)
-    tree_p = KdTree(p)
-    term_p = sum(tree_q.nearest_sqdist(pt)[1] for pt in p) / len(p)
-    term_q = sum(tree_p.nearest_sqdist(pt)[1] for pt in q) / len(q)
-    return term_p + term_q
+    _, d2_p = KdTree(q).query(p, 1)
+    _, d2_q = KdTree(p).query(q, 1)
+    # Python float sums in point order, as a per-point loop would add them
+    return sum(d2_p[:, 0].tolist()) / len(p) + sum(d2_q[:, 0].tolist()) / len(q)
 
 
 def chamfer_bruteforce(p, q) -> float:

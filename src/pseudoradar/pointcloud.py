@@ -1,4 +1,4 @@
-"""Point cloud frame types and frame / corpus I/O.
+"""Point cloud frame type and frame / corpus I/O.
 
 Frames store coordinates, intensity, and optional planar velocity as
 read-only float64 arrays and are immutable after construction; pipeline
@@ -12,8 +12,9 @@ stages always return new frames. Three on-disk formats are supported:
 * Compact native binary: 8-byte magic ``L2RPCF01``, a little-endian u64
   point count, then float64 x6 per point (x, y, z, intensity, vx, vy).
 
-A corpus is a directory of frame files plus a ``manifest.json`` listing
-``{"frame_id", "timestamp", "path"}`` per frame.
+A corpus is a directory of frame files plus a ``manifest.json`` giving the
+format (``csv`` or ``bin``) and listing ``{"frame_id", "timestamp", "path"}``
+per frame, each path inside the corpus directory.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,24 +32,6 @@ from .errors import FormatError, ParseError, SchemaError
 
 COMPACT_MAGIC = b"L2RPCF01"
 _NUSCENES_RECORD = 20  # five little-endian float32 per point
-
-
-@dataclass(frozen=True)
-class LidarPoint:
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-
-@dataclass(frozen=True)
-class RadarPoint:
-    x: float
-    y: float
-    z: float
-    intensity: float
-    vx: float
-    vy: float
 
 
 @dataclass(frozen=True)
@@ -100,60 +83,11 @@ class PointCloudFrame:
             return self.velocity
         return np.zeros((self.n_points, 2))
 
-    @property
-    def points(self) -> tuple:
-        """Point objects in storage order: RadarPoint when velocity is present."""
-        if self.velocity is None:
-            return tuple(
-                LidarPoint(float(x), float(y), float(z), float(i))
-                for (x, y, z), i in zip(self.xyz, self.intensity)
-            )
-        return tuple(
-            RadarPoint(float(x), float(y), float(z), float(i), float(vx), float(vy))
-            for (x, y, z), i, (vx, vy) in zip(self.xyz, self.intensity, self.velocity)
-        )
-
-    @classmethod
-    def from_points(cls, frame_id: str, timestamp: float,
-                    points: Iterable[LidarPoint | RadarPoint]) -> "PointCloudFrame":
-        pts = list(points)
-        xyz = np.array([[p.x, p.y, p.z] for p in pts], dtype=np.float64)
-        inten = np.array([p.intensity for p in pts], dtype=np.float64)
-        has_vel = any(isinstance(p, RadarPoint) for p in pts)
-        vel = None
-        if has_vel:
-            vel = np.array(
-                [[getattr(p, "vx", 0.0), getattr(p, "vy", 0.0)] for p in pts],
-                dtype=np.float64,
-            )
-        return cls(frame_id, timestamp, xyz, inten, vel)
-
     def select(self, indices: np.ndarray) -> "PointCloudFrame":
         idx = np.asarray(indices, dtype=np.intp)
         vel = None if self.velocity is None else self.velocity[idx]
         return PointCloudFrame(self.frame_id, self.timestamp,
                                self.xyz[idx], self.intensity[idx], vel)
-
-
-@dataclass(frozen=True)
-class FrameStats:
-    count: int
-    centroid: tuple[float, float, float] | None
-    mean_distance_to_origin: float | None
-    intensity_range: tuple[float, float] | None
-
-
-def frame_stats(frame: PointCloudFrame) -> FrameStats:
-    if frame.n_points == 0:
-        return FrameStats(0, None, None, None)
-    c = frame.xyz.mean(axis=0)
-    dist = np.sqrt((frame.xyz**2).sum(axis=1)).mean()
-    return FrameStats(
-        frame.n_points,
-        (float(c[0]), float(c[1]), float(c[2])),
-        float(dist),
-        (float(frame.intensity.min()), float(frame.intensity.max())),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +232,20 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
         raise ParseError(f"{manifest_path}: {exc}") from exc
     if "frames" not in manifest or "format" not in manifest:
         raise SchemaError(f"{manifest_path}: manifest needs 'format' and 'frames'")
+    if manifest["format"] not in ("csv", "bin"):
+        raise SchemaError(f"{manifest_path}: format must be 'csv' or 'bin', "
+                          f"got {manifest['format']!r}")
     reader = read_frame_csv if manifest["format"] == "csv" else read_frame_bin
+    root = dirpath.resolve()
     frames = []
     for entry in manifest["frames"]:
         try:
             fid, ts, rel = entry["frame_id"], entry["timestamp"], entry["path"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{manifest_path}: bad frame entry {entry!r}") from exc
+        if (not isinstance(rel, str) or Path(rel).is_absolute()
+                or not (dirpath / rel).resolve().is_relative_to(root)):
+            raise SchemaError(f"{manifest_path}: frame path {rel!r} is not inside {dirpath}")
         frames.append(reader(dirpath / rel, frame_id=fid, timestamp=float(ts)))
     return frames
 

@@ -18,17 +18,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .errors import PipelineError
 from .gmm import Gmm1D, sample_count
 from .pointcloud import PointCloudFrame
+from .rng import philox as frame_rng
 from .spatial import KdTree, thin_redundant
-
-
-class PipelineError(ValueError):
-    """A stage failed; carries the frame id for context."""
-
-    def __init__(self, frame_id: str, message: str):
-        self.frame_id = frame_id
-        super().__init__(f"frame {frame_id!r}: {message}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +89,6 @@ class TwoStageResult:
     truncated: bool
 
 
-def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, frame_index): portable and order-free."""
-    key = np.array([seed % 2**64, frame_index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 # ---------------------------------------------------------------------------
 # weight families; each returns a vector that is non-negative and sums to 1
 
@@ -135,11 +123,13 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
         raise ValueError("sparsity_weights needs at least one point")
     if n == 1:
         return np.ones(1)
-    tree = KdTree(pts)
-    raw = np.empty(n)
-    for i in range(n):
-        neighbors = tree.k_nearest(pts[i], k=j_max, exclude_self=True)
-        raw[i] = sum(d * d for _, d in neighbors)
+    idx, d2 = KdTree(pts).query(pts, min(j_max, n - 1), exclude_self=True)
+    # sum d * d of d = sqrt(d2), one neighbor at a time: the order and rounding
+    # of a per-point running sum, so the weights match it bit for bit
+    d = np.sqrt(np.where(idx >= 0, d2, 0.0))
+    raw = np.zeros(n)
+    for col in d.T:
+        raw += col * col
     total = raw.sum()
     if total == 0.0:
         # all points coincident
@@ -247,12 +237,8 @@ def nn_flow_estimate(frame_t: PointCloudFrame, frame_next: PointCloudFrame,
     n = frame_t.n_points
     if n == 0 or frame_next.n_points == 0:
         return np.zeros((n, 3))
-    tree = KdTree(frame_next.xyz)
-    vel = np.empty((n, 3))
-    for i in range(n):
-        j, _ = tree.nearest_sqdist(frame_t.xyz[i])
-        vel[i] = (frame_next.xyz[j] - frame_t.xyz[i]) / dt
-    return vel
+    idx, _ = KdTree(frame_next.xyz).query(frame_t.xyz, 1)
+    return (frame_next.xyz[idx[:, 0]] - frame_t.xyz) / dt
 
 
 class NearestNeighborFlow:

@@ -1,36 +1,30 @@
 """Static 3-D kd-tree with exact, index-tie-broken nearest neighbors.
 
-Queries agree with the brute-force oracle bit for bit: leaf scans use the
-same vectorized squared-distance expression the oracle uses, ties on equal
-distance resolve to the lower point index, and subtree pruning is strict so
-boundary ties are never lost.
+The tree indexes the distinct coordinates of its input, each keeping its point
+indices in ascending order, as a complete binary tree in heap layout: node i
+has children 2i and 2i + 1, and leaves are padded rows of coordinates. One
+batched query serves every caller. Per block of queries, each query scans its
+home leaf, widens one ancestor at a time while it has fewer than k neighbors,
+then scans every other leaf whose box lies within its k-th distance.
+
+Distances use the brute-force oracle's expression, so they agree with it bit
+for bit. Box bounds round the same way, so they never exceed the distance of a
+point in the box, and only boxes strictly beyond the k-th distance are pruned:
+an equal-distance, lower-index point is never lost.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class _Node:
-    axis: int
-    split: float
-    left: "_Node | _Leaf"
-    right: "_Node | _Leaf"
-
-
-@dataclass
-class _Leaf:
-    indices: np.ndarray
+_LEAF = 16  # most distinct coordinates per leaf
+_BLOCK = 1024  # queries per block, and (query, node) pairs per frontier piece
 
 
 class KdTree:
     """Immutable balanced kd-tree over an (N, 3) coordinate array."""
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 32):
+    def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, 3)
@@ -39,99 +33,160 @@ class KdTree:
         if not np.isfinite(pts).all():
             raise ValueError("kd-tree input contains non-finite coordinates")
         self.points = pts
-        self.leaf_size = int(leaf_size)
-        self._root = self._build(np.arange(len(pts), dtype=np.intp)) if len(pts) else None
+        if len(pts) == 0:
+            return
+        # group exact duplicates; the stable sort keeps each group's indices ascending
+        self._members = np.lexsort(pts.T)
+        srt = pts[self._members]
+        self._first = np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
+        self._count = np.diff(np.r_[self._first, len(pts)])
+        distinct = srt[self._first]
+        n = len(distinct)
+
+        # each level splits every node at its median along its widest axis
+        depth = (-(-n // _LEAF) - 1).bit_length()
+        self._leaves = leaves = 1 << depth
+        self._axis = np.zeros(leaves, dtype=np.intp)
+        self._split = np.zeros(leaves)
+        self._lo = np.empty((2 * leaves, 3))
+        self._hi = np.empty((2 * leaves, 3))
+        perm = np.arange(n)
+        bounds = np.array([0, n])
+        for level in range(depth + 1):
+            nodes = np.arange(1 << level, 2 << level)
+            sub = distinct[perm]
+            self._lo[nodes] = np.minimum.reduceat(sub, bounds[:-1])
+            self._hi[nodes] = np.maximum.reduceat(sub, bounds[:-1])
+            seg = np.repeat(np.arange(len(nodes)), np.diff(bounds))
+            if level == depth:
+                break
+            axis = (self._hi[nodes] - self._lo[nodes]).argmax(axis=1)
+            perm = perm[np.lexsort((sub[np.arange(n), axis[seg]], seg))]
+            mid = (bounds[:-1] + bounds[1:]) // 2
+            self._axis[nodes] = axis
+            self._split[nodes] = distinct[perm[mid], axis]
+            bounds = np.insert(bounds, np.arange(1, len(bounds)), mid)
+        slot = np.arange(n) - bounds[seg]
+        width = int(np.diff(bounds).max())
+        # padding slots sit at infinity and hold coordinate id -1
+        self._leaf_ids = np.full((leaves, width), -1, dtype=np.intp)
+        self._leaf_ids[seg, slot] = perm
+        self._leaf_pts = np.full((leaves, width, 3), np.inf)
+        self._leaf_pts[seg, slot] = distinct[perm]
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def _build(self, idx: np.ndarray):
-        if len(idx) <= self.leaf_size:
-            return _Leaf(idx)
-        sub = self.points[idx]
-        axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
-        order = np.argsort(sub[:, axis], kind="stable")
-        mid = len(idx) // 2
-        idx = idx[order]
-        split = float(self.points[idx[mid], axis])
-        return _Node(axis, split, self._build(idx[:mid]), self._build(idx[mid:]))
+    def query(self, queries, k: int,
+              exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Exact k nearest neighbors of each row of an (M, 3) query array.
+
+        Returns ``(idx, d2)``, both (M, k): point indices (intp) and squared
+        distances (float64), each row ascending by (distance, index). Slots
+        with no neighbor hold index -1 and distance inf. ``exclude_self``
+        drops every stored point at distance exactly 0, so a query placed on
+        an indexed member skips itself (and any duplicates).
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        qs = np.asarray(queries, dtype=np.float64)
+        if qs.ndim != 2 or qs.shape[1] != 3:
+            raise ValueError(f"expected (M, 3) queries, got shape {qs.shape}")
+        if not np.isfinite(qs).all():
+            raise ValueError("kd-tree query contains non-finite coordinates")
+        idx = np.full((len(qs), k), -1, dtype=np.intp)
+        d2 = np.full((len(qs), k), np.inf)
+        if len(self.points):
+            for lo in range(0, len(qs), _BLOCK):
+                hi = lo + _BLOCK
+                self._search(qs[lo:hi], idx[lo:hi], d2[lo:hi], exclude_self)
+        return idx, d2
 
     def k_nearest(
         self, query, k: int, exclude_self: bool = False
     ) -> list[tuple[int, float]]:
-        """The min(k, available) nearest points, ascending by (distance, index).
+        """The min(k, available) nearest points as (index, distance) pairs,
+        ascending by (distance, index); a single-query view of ``query``."""
+        idx, d2 = self.query(np.reshape(query, (1, 3)), min(k, max(len(self), 1)),
+                             exclude_self)
+        return [(j, float(np.sqrt(d))) for j, d in zip(idx[0].tolist(), d2[0]) if j >= 0]
 
-        ``exclude_self`` drops every stored point at distance exactly 0, so a
-        query placed on an indexed member skips itself (and any duplicates).
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if self._root is None:
-            return []
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        qx, qy, qz = float(q[0]), float(q[1]), float(q[2])
-        push, replace = heapq.heappush, heapq.heapreplace
-        # max-heap of the best candidates, keyed so heap[0] is the worst kept
-        heap: list[tuple[float, int]] = []
-        # stack entries carry a lower bound on squared distance to the subtree;
-        # pruning is strict so an equal-distance, lower-index point is never lost
-        stack: list[tuple] = [(self._root, 0.0)]
-        while stack:
-            node, bound = stack.pop()
-            if len(heap) == k and bound > -heap[0][0]:
-                continue
-            if isinstance(node, _Leaf):
-                pts = self.points[node.indices]
-                d2s = ((pts - q) ** 2).sum(axis=1).tolist()
-                for j, dist2 in zip(node.indices.tolist(), d2s):
-                    if exclude_self and dist2 == 0.0:
-                        continue
-                    if len(heap) < k:
-                        push(heap, (-dist2, -j))
-                    else:
-                        wd2, wj = heap[0]
-                        if dist2 < -wd2 or (dist2 == -wd2 and j < -wj):
-                            replace(heap, (-dist2, -j))
-                continue
-            axis = node.axis
-            plane = (qx if axis == 0 else qy if axis == 1 else qz) - node.split
-            near, far = (node.left, node.right) if plane < 0 else (node.right, node.left)
-            fb = plane * plane
-            stack.append((far, fb if fb > bound else bound))
-            stack.append((near, bound))
-        out = sorted((-d2, -j) for d2, j in heap)
-        return [(j, float(np.sqrt(d2))) for d2, j in out]
+    def _search(self, q, best_i, best_d, exclude_self):
+        """Fill one block's (best_i, best_d) rows in place."""
+        rows = np.arange(len(q))
+        home = np.ones(len(q), dtype=np.intp)
+        while home[0] < self._leaves:
+            home = 2 * home + (q[rows, self._axis[home]] >= self._split[home])
+        # done[r]: root of the subtree already scanned for query r
+        done = home.copy()
+        self._descend(q, rows, home, done, best_i, best_d, exclude_self)
+        while True:
+            short = np.flatnonzero((best_i[:, -1] < 0) & (done > 1))
+            if not len(short):
+                break
+            sibling = done[short] ^ 1
+            done[short] >>= 1
+            self._descend(q, short, sibling, done, best_i, best_d, exclude_self)
+        rest = np.flatnonzero(done > 1)
+        self._descend(q, rest, np.ones(len(rest), dtype=np.intp), done,
+                      best_i, best_d, exclude_self)
 
-    def nearest_sqdist(self, query) -> tuple[int, float]:
-        """Index and squared distance of the single nearest point."""
-        if self._root is None:
-            raise ValueError("query on an empty tree")
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        qx, qy, qz = float(q[0]), float(q[1]), float(q[2])
-        best_d2 = np.inf
-        best_j = -1
-        stack: list[tuple] = [(self._root, 0.0)]
+    def _descend(self, q, rows, nodes, done, best_i, best_d, exclude_self):
+        """Scan every leaf under (rows, nodes) pairs, all on one level, whose
+        box is within the row's current k-th distance, skipping ``done``."""
+        stack = [(rows, nodes)] if len(rows) else []
         while stack:
-            node, bound = stack.pop()
-            if bound > best_d2:
+            rows, nodes = stack.pop()
+            if nodes[0] >= self._leaves:
+                self._scan(q, rows, nodes - self._leaves, best_i, best_d, exclude_self)
                 continue
-            if isinstance(node, _Leaf):
-                pts = self.points[node.indices]
-                d2 = ((pts - q) ** 2).sum(axis=1)
-                lo = float(d2.min())
-                # leaf order is not index order, so resolve distance ties explicitly
-                j = int(node.indices[d2 == lo].min())
-                if lo < best_d2 or (lo == best_d2 and j < best_j):
-                    best_d2 = lo
-                    best_j = j
-                continue
-            axis = node.axis
-            plane = (qx if axis == 0 else qy if axis == 1 else qz) - node.split
-            near, far = (node.left, node.right) if plane < 0 else (node.right, node.left)
-            fb = plane * plane
-            stack.append((far, fb if fb > bound else bound))
-            stack.append((near, bound))
-        return best_j, best_d2
+            rows = np.repeat(rows, 2)
+            nodes = np.repeat(2 * nodes, 2)
+            nodes[1::2] += 1
+            qr = q[rows]
+            gap = np.maximum(np.maximum(self._lo[nodes] - qr, qr - self._hi[nodes]), 0.0)
+            keep = ((gap ** 2).sum(axis=1) <= best_d[rows, -1]) & (nodes != done[rows])
+            rows, nodes = rows[keep], nodes[keep]
+            stack.extend((rows[s:s + _BLOCK], nodes[s:s + _BLOCK])
+                         for s in range(0, len(rows), _BLOCK))
+
+    def _scan(self, q, rows, leaves, best_i, best_d, exclude_self):
+        """Merge the points of leaf ``leaves[p]`` into row ``rows[p]``'s best k."""
+        ids = self._leaf_ids[leaves]
+        d2 = ((self._leaf_pts[leaves] - q[rows][:, None, :]) ** 2).sum(axis=2)
+        keep = (ids >= 0) & (d2 <= best_d[rows, -1][:, None])
+        if exclude_self:
+            keep &= d2 != 0.0
+        k = best_i.shape[1]
+        if k <= keep.shape[1]:
+            # k kept coordinates of one leaf bound the row's k-th distance
+            bound = np.full(len(best_d), np.inf)
+            np.minimum.at(bound, rows, np.partition(np.where(keep, d2, np.inf), k - 1)[:, k - 1])
+            keep &= d2 <= bound[rows][:, None]
+        if not keep.any():
+            return
+        # expand each coordinate into its first (at most k) point indices
+        ids, d2 = ids[keep], d2[keep]
+        take = np.minimum(self._count[ids], k)
+        rep = np.repeat(np.arange(len(ids)), take)
+        offset = np.arange(len(rep)) - np.repeat(np.cumsum(take) - take, take)
+        u, r = np.unique(np.broadcast_to(rows[:, None], keep.shape)[keep][rep],
+                         return_inverse=True)
+        old_i, old_d = best_i[u], best_d[u]
+        have = old_i >= 0
+        r = np.concatenate([np.nonzero(have)[0], r])
+        ci = np.concatenate([old_i[have], self._members[self._first[ids[rep]] + offset]])
+        cd = np.concatenate([old_d[have], d2[rep]])
+        order = np.lexsort((ci, cd, r))
+        r, ci, cd = r[order], ci[order], cd[order]
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        top = rank < k
+        old_i.fill(-1)
+        old_d.fill(np.inf)
+        old_i[r[top], rank[top]] = ci[top]
+        old_d[r[top], rank[top]] = cd[top]
+        best_i[u] = old_i
+        best_d[u] = old_d
 
 
 def brute_force_k_nearest(

@@ -19,12 +19,8 @@ import numpy as np
 
 from .contrastive import FeatureMap, SceneMaps
 from .pointcloud import PointCloudFrame
+from .rng import philox
 from .tensor import Tensor
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def gen_scene(spec: SceneSpec) -> SceneData:
     on them has real spread.
     """
     area = np.pi * spec.world_radius**2
-    base_rng = _rng(spec.seed, 0)
+    base_rng = philox(spec.seed, 0)
 
     n_lidar_bg = max(1, int(round(spec.lidar_density * area)))
     lidar_bg_xy = _disc_center_heavy(base_rng, n_lidar_bg, spec.world_radius)
@@ -132,7 +128,7 @@ def gen_scene(spec: SceneSpec) -> SceneData:
     for i in range(spec.n_frames):
         t = i * spec.frame_dt
         fid = f"frame_{i:04d}"
-        jitter = _rng(spec.seed, 1000 + i)
+        jitter = philox(spec.seed, 1000 + i)
 
         xy_parts = [lidar_bg_xy]
         z_parts = [lidar_bg_z]
@@ -196,7 +192,7 @@ def gen_feature_batch(
     scenes: list[SceneMaps] = []
     offsets: list[np.ndarray] = []
     for s in range(batch):
-        rng = _rng(seed, 2_000_000 + s)
+        rng = philox(seed, 2_000_000 + s)
         latent = rng.normal(0.0, 1.0, (channels, height, width))
         delta = int(rng.choice(np.asarray(offset_choices)))
         src = np.clip(np.arange(width) + delta, 0, width - 1)

@@ -198,6 +198,22 @@ class TestChamfer:
                      "--b", str(tmp_path / "solo"),
                      "--report", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("change", [{"format": "nuscenes"},
+                                        {"path": "../outside.csv"}])
+    def test_bad_manifest_exits_two(self, corpus, tmp_path, change):
+        import shutil
+        bad = tmp_path / "bad"
+        shutil.copytree(corpus / "radar", bad)
+        shutil.copy(bad / "frame_0000.csv", tmp_path / "outside.csv")
+        manifest = read_json(bad / "manifest.json")
+        if "format" in change:
+            manifest["format"] = change["format"]
+        else:
+            manifest["frames"][0]["path"] = change["path"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["chamfer", "--a", str(bad), "--b", str(corpus / "radar"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+
     def test_svg_plot_is_well_formed_xml(self, corpus, tmp_path):
         report, plot = tmp_path / "r.json", tmp_path / "p.svg"
         assert main(["chamfer", "--a", str(corpus / "radar"),

@@ -49,6 +49,16 @@ class TestChamfer:
         q3 = np.column_stack([q2, np.zeros(30)])
         assert chamfer(p2, q2) == chamfer(p3, q3)
 
+    def test_equals_per_point_python_sum_exactly(self):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-20, 20, (300, 3))
+        q = rng.integers(-20, 20, (200, 3)).astype(float)
+
+        def term(a, b):
+            return sum(float(((b - x) ** 2).sum(axis=1).min()) for x in a) / len(a)
+
+        assert chamfer(p, q) == term(p, q) + term(q, p)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_kd_tree_equals_brute_force(self, seed):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoradar.errors import FormatError, ParseError, SchemaError
-from pseudoradar.pointcloud import (COMPACT_MAGIC, LidarPoint, PointCloudFrame,
-                                    RadarPoint, frame_stats, load_corpus,
+from pseudoradar.pointcloud import (COMPACT_MAGIC, PointCloudFrame, load_corpus,
                                     read_frame_bin, read_frame_csv,
                                     read_frame_nuscenes_bin, write_corpus,
                                     write_frame_bin, write_frame_csv)
@@ -32,43 +31,6 @@ class TestFrame:
         frame = random_frame(5)
         with pytest.raises(ValueError):
             frame.xyz[0, 0] = 9.0
-
-    def test_points_roundtrip_objects(self):
-        pts = [LidarPoint(1, 2, 3, 0.5), LidarPoint(4, 5, 6, 2.0)]
-        frame = PointCloudFrame.from_points("f", 0.0, pts)
-        assert frame.points == tuple(pts)
-        rpts = [RadarPoint(1, 2, 0, 0.5, 3.0, -1.0)]
-        rframe = PointCloudFrame.from_points("r", 0.0, rpts)
-        assert rframe.points == tuple(rpts)
-
-
-class TestFrameStats:
-    def test_single_point(self):
-        frame = PointCloudFrame("f", 0.0, np.array([[1.0, 0.0, 0.0]]), np.array([2.0]))
-        s = frame_stats(frame)
-        assert s.count == 1
-        assert s.centroid == (1.0, 0.0, 0.0)
-        assert s.mean_distance_to_origin == 1.0
-        assert s.intensity_range == (2.0, 2.0)
-
-    def test_symmetric_pair_centroid_at_origin(self):
-        frame = PointCloudFrame("f", 0.0,
-                                np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
-        assert frame_stats(frame).centroid == (0.0, 0.0, 0.0)
-
-    def test_empty_frame_reports_absent(self):
-        frame = PointCloudFrame("f", 0.0, np.zeros((0, 3)), np.zeros(0))
-        s = frame_stats(frame)
-        assert (s.count, s.centroid, s.mean_distance_to_origin, s.intensity_range) == \
-            (0, None, None, None)
-
-    def test_three_points_vs_hand_sums(self):
-        xyz = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [2.0, 1.0, 2.0]])
-        frame = PointCloudFrame("f", 0.0, xyz, np.array([1.0, 5.0, 3.0]))
-        s = frame_stats(frame)
-        assert s.centroid == pytest.approx((1.0, 1.0, 4.0 / 3.0))
-        assert s.mean_distance_to_origin == pytest.approx((3.0 + 0.0 + 3.0) / 3.0)
-        assert s.intensity_range == (1.0, 5.0)
 
 
 class TestCsv:
@@ -216,6 +178,27 @@ class TestCorpus:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(ParseError):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("fmt", ["nuscenes", "CSV", ""])
+    def test_unknown_format_is_schema_error(self, tmp_path, fmt):
+        write_corpus(tmp_path, [random_frame(3)], fmt="bin")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["format"] = fmt
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="format"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("escape", ["../outside.csv", "sub/../../outside.csv", "abs"])
+    def test_path_outside_corpus_is_schema_error(self, tmp_path, escape):
+        corpus = tmp_path / "corpus"
+        write_frame_csv(random_frame(3), tmp_path / "outside.csv")
+        write_corpus(corpus, [random_frame(3)])
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["frames"][0]["path"] = (str(tmp_path / "outside.csv") if escape == "abs"
+                                         else escape)
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="not inside"):
+            load_corpus(corpus)
 
     def test_manifest_missing_fields(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{}]}))

@@ -10,6 +10,7 @@ from pseudoradar.sampling import (NearestNeighborFlow, PipelineError, SamplingCo
                                   intensity_weights, lidar_to_radar, map_to_plane,
                                   nn_flow_estimate, sparsity_weights, two_stage_sample,
                                   weighted_sample_without_replacement, with_velocity)
+from pseudoradar.spatial import brute_force_k_nearest
 from pseudoradar.synth import SceneSpec, gen_scene
 
 
@@ -92,6 +93,16 @@ class TestSparsityWeights:
             d2 = np.sort(d2[d2 != 0.0])[:j]
             raw[i] = d2.sum()
         assert np.allclose(w, raw / raw.sum(), atol=1e-12)
+
+    @pytest.mark.parametrize("j", [1, 8, 500])
+    def test_bit_identical_to_per_point_oracle_sum(self, j):
+        # per point, sum d * d over the oracle's neighbors in (distance, index)
+        # order, as a running Python sum: the weights must match exactly
+        rng = np.random.default_rng(j)
+        pts = np.vstack([rng.uniform(-5, 5, (300, 3)), rng.integers(0, 3, (100, 3))])
+        raw = np.array([sum(d * d for _, d in brute_force_k_nearest(pts, p, j, exclude_self=True))
+                        for p in pts])
+        assert sparsity_weights(pts, j).tolist() == (raw / raw.sum()).tolist()
 
 
 class TestDistanceWeights:
@@ -251,6 +262,15 @@ class TestFlow:
         f1 = frame_of(rng.normal(0, 30, (25, 3)), t=0.2, frame_id="f1")
         assert np.array_equal(NearestNeighborFlow().estimate(f0, f1, 0.2),
                               nn_flow_estimate(f0, f1, 0.2))
+
+    def test_equals_per_point_oracle_exactly(self):
+        rng = np.random.default_rng(12)
+        f0 = frame_of(rng.integers(0, 4, (200, 3)).astype(float))
+        nxt = np.vstack([rng.integers(0, 4, (150, 3)), rng.uniform(0, 3, (150, 3))])
+        f1 = frame_of(nxt, t=0.3, frame_id="f1")
+        want = np.array([(nxt[brute_force_k_nearest(nxt, p, 1)[0][0]] - p) / 0.3
+                         for p in f0.xyz])
+        assert nn_flow_estimate(f0, f1, 0.3).tolist() == want.tolist()
 
     def test_non_positive_dt_rejected(self):
         f = frame_of(np.ones((2, 3)))

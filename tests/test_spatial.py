@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,13 +72,89 @@ def test_k_nearest_on_clustered_duplicates_matches_brute_force():
 def test_nearest_sqdist_matches_brute_force():
     rng = np.random.default_rng(44)
     pts = rng.uniform(-10, 10, (700, 3))
-    tree = KdTree(pts)
-    idx = np.arange(len(pts))
-    for q in rng.uniform(-10, 10, (150, 3)):
-        j, d2 = tree.nearest_sqdist(q)
+    queries = rng.uniform(-10, 10, (150, 3))
+    idx, d2 = KdTree(pts).query(queries, 1)
+    order = np.arange(len(pts))
+    for q, j, d in zip(queries, idx[:, 0], d2[:, 0]):
         d2_all = ((pts - q) ** 2).sum(axis=1)
-        jb = int(np.lexsort((idx, d2_all))[0])
-        assert j == jb and d2 == d2_all[jb]
+        jb = int(np.lexsort((order, d2_all))[0])
+        assert j == jb and d == d2_all[jb]
+
+
+def assert_query_matches_brute_force(pts, queries, k, exclude_self):
+    idx, d2 = KdTree(pts).query(queries, k, exclude_self=exclude_self)
+    assert idx.shape == d2.shape == (len(queries), k)
+    assert idx.dtype == np.intp and d2.dtype == np.float64
+    for row, q in enumerate(queries):
+        want = brute_force_k_nearest(pts, q, k, exclude_self=exclude_self)
+        n = len(want)
+        assert idx[row, :n].tolist() == [j for j, _ in want]
+        # the oracle's own expression, bit for bit
+        assert d2[row, :n].tolist() == ((pts[idx[row, :n]] - q) ** 2).sum(axis=1).tolist()
+        assert np.sqrt(d2[row, :n]).tolist() == [d for _, d in want]
+        assert (idx[row, n:] == -1).all() and (d2[row, n:] == np.inf).all()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 12), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_query_matches_brute_force_on_random_clouds(seed, n, k, exclude_self):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0, 10, (n, 3)) * rng.uniform(0.01, 1, 3)  # uneven axes
+    queries = np.vstack([pts[:20], rng.uniform(-30, 30, (20, 3))])
+    assert_query_matches_brute_force(pts, queries, k, exclude_self)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 4), st.integers(1, 40),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_query_matches_brute_force_on_lattices_with_ties(seed, n, side, k, exclude_self):
+    # integer lattices: exact distance ties and duplicates everywhere, and k
+    # often larger than the cloud or than its distinct points
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, (n, 3)).astype(float)
+    queries = np.vstack([pts[:25], rng.integers(-1, side + 1, (25, 3)) * 0.5])
+    assert_query_matches_brute_force(pts, queries, k, exclude_self)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 9))
+@settings(max_examples=30, deadline=None)
+def test_query_matches_brute_force_far_outside_the_cloud(seed, n, k):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 3))
+    direction = rng.normal(size=(15, 3))
+    queries = 1e4 * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    assert_query_matches_brute_force(pts, queries, k, False)
+
+
+def test_query_on_empty_tree_and_empty_queries():
+    idx, d2 = KdTree(np.zeros((0, 3))).query(np.zeros((3, 3)), 2, exclude_self=True)
+    assert (idx == -1).all() and (d2 == np.inf).all() and idx.shape == (3, 2)
+    idx, d2 = KdTree(np.ones((4, 3))).query(np.zeros((0, 3)), 2)
+    assert idx.shape == d2.shape == (0, 2)
+
+
+def test_query_rejects_bad_arguments():
+    tree = KdTree(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        tree.query(np.zeros((1, 3)), 0)
+    with pytest.raises(ValueError):
+        tree.query(np.zeros((1, 2)), 1)
+    with pytest.raises(ValueError):
+        tree.query(np.array([[np.nan, 0, 0]]), 1)
+
+
+def test_duplicate_heavy_self_query_is_fast_and_exact():
+    # 200 copies of each of 100 sites: every query must skip its own copies
+    rng = np.random.default_rng(8)
+    sites = rng.uniform(-20, 20, (100, 3))
+    pts = sites[rng.integers(0, 100, 20_000)]
+    start = time.perf_counter()
+    idx, d2 = KdTree(pts).query(pts, 8, exclude_self=True)
+    assert time.perf_counter() - start < 20.0
+    for row in rng.integers(0, len(pts), 40):
+        want = brute_force_k_nearest(pts, pts[row], 8, exclude_self=True)
+        assert idx[row].tolist() == [j for j, _ in want]
+        assert np.sqrt(d2[row]).tolist() == [d for _, d in want]
 
 
 class TestThinRedundant:
