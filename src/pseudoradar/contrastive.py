@@ -9,6 +9,13 @@ attention over the channel-concatenated pair, and sums InfoNCE terms over
 the six modality/view pairings. The combined objective is
 ``lambda_global * global + local``.
 
+Each stage runs once on stacked tensors rather than once per column, window
+or scene: the matcher scores every window of every sampled column without a
+tape and gathers only the winners on it, BCSA runs on N x C x H stacks,
+InfoNCE is one matmul of row-normalized N x D matrices, and the global path
+aggregates all scenes of a pair at once. The tape size therefore does not
+depend on the number of sampled columns.
+
 Everything here is differentiable end to end; the gradcheck command and the
 test suite verify every gradient against central finite differences.
 """
@@ -28,6 +35,7 @@ from .tensor import Tensor
 
 MODALITIES = ("radar", "image")
 VIEWS = ("bev", "fv")
+MAP_NAMES = ("img_bev", "img_fv", "rad_bev", "rad_fv")
 
 # the six aggregated pairings scored by the global loss
 GLOBAL_PAIRS = (
@@ -186,39 +194,95 @@ class ContrastiveParams:
 # InfoNCE
 
 
-def info_nce(anchors: Sequence[Tensor], candidates: Sequence[Tensor],
+def _rows(vectors: Tensor | Sequence[Tensor]) -> Tensor:
+    """An N x D tensor as given, or a list of N D-vectors stacked into one."""
+    if isinstance(vectors, Tensor):
+        return vectors
+    if not vectors:
+        raise ValueError("info_nce needs at least one pair")
+    return T.concat([T.reshape(v, (1, *v.shape)) for v in vectors], axis=0)
+
+
+def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[Tensor],
              tau: float) -> Tensor:
     """-(1/N) sum_i log( exp(sim(a_i, c_i)/tau) / sum_j exp(sim(a_i, c_j)/tau) ).
 
+    ``anchors`` and ``candidates`` are N x D tensors or lists of N D-vectors.
     sim is cosine similarity, so the loss is invariant to positive rescaling
     of any single vector. Always >= 0; exactly ln N when all similarities
-    coincide; 0 for N = 1.
+    coincide; 0 for N = 1. Computed in matrix form: S = A_n B_n^T / tau on
+    the row-normalized inputs, then mean(logsumexp(S) - diag(S)).
     """
-    if len(anchors) != len(candidates):
-        raise ValueError(f"{len(anchors)} anchors vs {len(candidates)} candidates")
-    n = len(anchors)
-    if n < 1:
-        raise ValueError("info_nce needs at least one pair")
-    dim = anchors[0].shape
-    for v in list(anchors) + list(candidates):
-        if v.data.ndim != 1 or v.shape != dim:
-            raise ValueError(f"expected 1-D vectors of shape {dim}, got {v.shape}")
-    inv_tau = Tensor(1.0 / tau)
-    terms = []
-    for i in range(n):
-        row = T.stack_scalars(
-            [T.mul(T.cosine_sim(anchors[i], candidates[j]), inv_tau) for j in range(n)]
-        )
-        pos = T.take(row, i, axis=0)
-        terms.append(T.sub(pos, T.logsumexp(row, axis=0)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.mul(total, Tensor(-1.0 / n))
+    a, b = _rows(anchors), _rows(candidates)
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"expected matching N x D anchors and candidates, "
+                         f"got {a.shape} and {b.shape}")
+    n = a.shape[0]
+    sims = T.mul(T.matmul(T.normalize(a), T.transpose_last2(T.normalize(b))),
+                 Tensor(1.0 / tau))
+    pos = T.tsum(T.mul(sims, Tensor(np.eye(n))), axis=-1)
+    return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1))), Tensor(-1.0 / n))
 
 
 # ---------------------------------------------------------------------------
 # sliding-window positive matching
+
+
+def _columns(fmap: Tensor, index: np.ndarray) -> Tensor:
+    """The columns ``fmap[:, :, index]`` of a C x H x W map, flattened: one
+    gather, shape ``index.shape + (C * H,)``."""
+    c, h, _ = fmap.shape
+    cols = T.take(fmap, index.reshape(-1), axis=-1)  # C x H x M
+    flat = T.transpose_last2(T.reshape(cols, (c * h, index.size)))  # M x CH
+    return T.reshape(flat, (*index.shape, c * h))
+
+
+def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Tensor:
+    """Collapse windows of flat columns (..., r, D) to (..., D).
+
+    Each window attends over its columns with softmax of their cosine
+    similarity to the label column (slot ``label``); slots outside the map
+    (``inside`` False) get zero weight.
+    """
+    select = np.arange(inside.shape[-1]) == label[..., None]
+    query = T.tsum(T.mul(cols, Tensor(select[..., None])), axis=-2, keepdims=True)
+    sims = T.cosine_sim(query, cols)
+    attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
+    return T.tsum(T.mul(cols, T.reshape(attn, (*attn.shape, 1))), axis=-2)
+
+
+def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
+                   search_width: int, window_width: int) -> tuple[np.ndarray, Tensor]:
+    """Best window of ``search_map`` for each flat anchor column (N x C*H)
+    sampled at ``columns``: the offsets (N,) and the aggregates (N x C*H).
+
+    Every candidate window of every column is scored at once without a
+    tape; only the winners are aggregated again on the tape.
+    """
+    w = search_map.shape[-1]
+    # a window with no column inside the map is replaced by the window at
+    # that border, which is a candidate already
+    starts = np.clip(columns[:, None] - (search_width - 1) // 2
+                     + np.arange(search_width - window_width + 1),
+                     1 - window_width, w - 1)  # N x K
+    cols = starts[..., None] + np.arange(window_width)  # N x K x r
+    inside = (cols >= 0) & (cols < w)
+    # a clipped border window is represented (and labeled) by the surviving
+    # column nearest its nominal center
+    center = starts + (window_width - 1) // 2
+    label = np.argmin(np.where(inside, np.abs(cols - center[..., None]), window_width),
+                      axis=-1)
+    delta = np.take_along_axis(cols, label[..., None], axis=-1)[..., 0] - columns[:, None]
+    cols = np.clip(cols, 0, w - 1)
+
+    aggs = _window_aggregates(_columns(Tensor(search_map.data), cols), inside, label)
+    score = T.cosine_sim(Tensor(anchors.data[:, None, :]), aggs).data
+    # highest score, then smaller |offset|, then smaller offset, then the
+    # earlier window (lexsort is stable)
+    best = np.lexsort((delta, np.abs(delta), -score), axis=-1)[:, 0]
+    rows = np.arange(len(columns))
+    return delta[rows, best], _window_aggregates(_columns(search_map, cols[rows, best]),
+                                                 inside[rows, best], label[rows, best])
 
 
 def sliding_window_match(
@@ -240,6 +304,8 @@ def sliding_window_match(
     windows that share the matching column statistically indistinguishable.
     The window whose aggregate is most cosine-similar to the anchor wins;
     ties prefer smaller |offset|, then the smaller offset.
+
+    This is a single-column view of the batched matcher ``local_loss`` uses.
     """
     if not (1 <= window_width < search_width):
         raise ValueError(f"need 1 <= r < R, got r={window_width}, R={search_width}")
@@ -248,35 +314,9 @@ def sliding_window_match(
         raise ValueError(f"anchor shape {anchor_col.shape} does not match map {search_map.shape}")
     if not (0 <= j < w):
         raise ValueError(f"column index {j} outside [0, {w})")
-
-    anchor_flat = T.reshape(anchor_col, (c * h,))
-    half_span = search_width - window_width  # candidate start positions - 1
-    base = j - (search_width - 1) // 2
-    best: tuple[float, int, int] | None = None  # (-score, |delta|, delta)
-    best_agg: Tensor | None = None
-    for start in range(base, base + half_span + 1):
-        center = start + (window_width - 1) // 2
-        cols = [col for col in range(start, start + window_width) if 0 <= col < w]
-        if not cols:
-            continue
-        col_tensors = [T.reshape(T.take(search_map, col, axis=2), (c * h,)) for col in cols]
-        # a clipped border window is represented (and labeled) by the surviving
-        # column nearest its nominal center
-        query_col = min(cols, key=lambda col: (abs(col - center), col))
-        query = col_tensors[cols.index(query_col)]
-        sims = T.stack_scalars([T.cosine_sim(query, ct) for ct in col_tensors])
-        attn = T.softmax(sims, axis=0)
-        agg = T.mul(T.take(attn, 0, axis=0), col_tensors[0])
-        for t in range(1, len(cols)):
-            agg = T.add(agg, T.mul(T.take(attn, t, axis=0), col_tensors[t]))
-        delta = query_col - j
-        score = T.cosine_sim(anchor_flat, agg).item()
-        key = (-score, abs(delta), delta)
-        if best is None or key < best:
-            best = key
-            best_agg = agg
-    assert best is not None and best_agg is not None
-    return best[2], T.reshape(best_agg, (c, h))
+    delta, agg = _match_windows(T.reshape(anchor_col, (1, c * h)), search_map,
+                                np.array([j]), search_width, window_width)
+    return int(delta[0]), T.reshape(agg, (c, h))
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +324,25 @@ def sliding_window_match(
 
 
 def mat_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """softmax(q k^T / sqrt(d_k)) v for 2-D (sequence x feature) operands.
+    """softmax(q k^T / sqrt(d_k)) v over the trailing (sequence x feature)
+    axes; leading axes are a batch and must agree.
 
     Returns (output, attention); every attention row sums to 1.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ValueError("mat_attention expects 2-D operands")
-    d_k = q.shape[1]
-    if k.shape[1] != d_k or k.shape[0] != v.shape[0]:
+    if q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim:
+        raise ValueError("mat_attention expects operands of one rank >= 2")
+    d_k = q.shape[-1]
+    if k.shape[-1] != d_k or k.shape[-2] != v.shape[-2]:
         raise ValueError(f"attention shapes do not align: {q.shape}, {k.shape}, {v.shape}")
     scores = T.mul(T.matmul(q, T.transpose_last2(k)), Tensor(1.0 / math.sqrt(d_k)))
-    attn = T.softmax(scores, axis=1)
+    attn = T.softmax(scores, axis=-1)
     return T.matmul(attn, v), attn
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over the channel axis of a C x D slab, per-channel affine."""
-    normed = T.layer_norm(x, axis=0)
-    c = x.shape[0]
+    """Layer norm over the channel axis of (..., C, D), per-channel affine."""
+    normed = T.layer_norm(x, axis=-2)
+    c = x.shape[-2]
     return T.add(T.mul(normed, T.reshape(gain, (c, 1))), T.reshape(bias, (c, 1)))
 
 
@@ -314,23 +355,25 @@ def _bcsa_one(fi: Tensor, fj: Tensor, params: BcsaParams) -> Tensor:
     # channel branch: channels attend over the partner's channels
     ch_out, _ = mat_attention(fi, fj, fj)
     channel = _ln_affine(ch_out, params.ln_channel_gain, params.ln_channel_bias)
-    gate = T.reshape(T.sigmoid(params.gate_logits), (fi.shape[0], 1))
+    gate = T.reshape(T.sigmoid(params.gate_logits), (fi.shape[-2], 1))
     return T.add(T.mul(gate, spatial), T.mul(T.sub(Tensor(1.0), gate), channel))
 
 
 def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
-    """Bidirectional channel-spatial attention over a C x D feature pair.
+    """Bidirectional channel-spatial attention over a C x D feature pair, or
+    over a batch of them stacked as N x C x D.
 
     Each side is refined by cross-attending to the other along the spatial
     axis and, transposed, along the channel axis; both branches are
     layer-normed and fused by a per-channel sigmoid gate into a convex
     combination. Output shapes equal input shapes.
     """
-    if f1.data.ndim != 2 or f1.shape != f2.shape:
-        raise ValueError(f"bcsa needs matching C x D inputs, got {f1.shape} and {f2.shape}")
-    if f1.shape[0] != params.gate_logits.shape[0]:
+    if f1.data.ndim not in (2, 3) or f1.shape != f2.shape:
+        raise ValueError(f"bcsa needs matching C x D or N x C x D inputs, "
+                         f"got {f1.shape} and {f2.shape}")
+    if f1.shape[-2] != params.gate_logits.shape[0]:
         raise ValueError(
-            f"params sized for {params.gate_logits.shape[0]} channels, input has {f1.shape[0]}"
+            f"params sized for {params.gate_logits.shape[0]} channels, input has {f1.shape[-2]}"
         )
     return _bcsa_one(f1, f2, params), _bcsa_one(f2, f1, params)
 
@@ -345,7 +388,8 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
 
     batch_size columns are drawn uniformly without replacement; each radar
     column anchors a sliding-window match into the image map, both sides are
-    refined by BCSA, and the flattened refined pairs feed InfoNCE.
+    refined by BCSA, and the flattened refined pairs feed InfoNCE. All
+    columns go through each stage together.
     """
     if f_rad.shape != f_img.shape:
         raise ValueError(f"shape mismatch: radar {f_rad.shape} vs image {f_img.shape}")
@@ -354,16 +398,12 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
     if n > w:
         raise ValueError(f"batch_size {n} exceeds map width {w}")
     columns = rng.choice(w, size=n, replace=False)
-    anchors: list[Tensor] = []
-    candidates: list[Tensor] = []
-    for j in columns:
-        anchor = T.take(f_rad.tensor, int(j), axis=2)
-        _, cand = sliding_window_match(anchor, f_img.tensor, int(j),
-                                       config.search_width, config.window_width)
-        a_ref, c_ref = bcsa(anchor, cand, params.bcsa)
-        anchors.append(T.reshape(a_ref, (c * h,)))
-        candidates.append(T.reshape(c_ref, (c * h,)))
-    return info_nce(anchors, candidates, config.tau)
+    anchors = _columns(f_rad.tensor, columns)
+    _, cands = _match_windows(anchors, f_img.tensor, columns,
+                              config.search_width, config.window_width)
+    a_ref, c_ref = bcsa(T.reshape(anchors, (n, c, h)), T.reshape(cands, (n, c, h)),
+                        params.bcsa)
+    return info_nce(T.reshape(a_ref, (n, c * h)), T.reshape(c_ref, (n, c * h)), config.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -372,32 +412,38 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
 
 def aggregate_global(f_a: Tensor, f_b: Tensor,
                      params: GlobalAggParams) -> tuple[Tensor, Tensor]:
-    """Collapse two C x H x W maps to C-vectors with shared attention.
+    """Collapse two C x H x W maps to C-vectors with shared attention; a
+    stack of S map pairs (S x C x H x W) collapses to S x C at once.
 
     Row scores come from projecting the mean-over-width descriptors of the
     channel-concatenated pair and softmax over H; the weighted row sum gives
     each map a C x W slab. Column scores repeat the trick over W. Both
     weight vectors sum to 1, so a constant map aggregates to its cell value.
     """
-    if f_a.data.ndim != 3 or f_a.shape != f_b.shape:
-        raise ValueError(f"aggregate_global needs matching C x H x W maps, "
-                         f"got {f_a.shape} and {f_b.shape}")
-    c, h, w = f_a.shape
+    if f_a.data.ndim not in (3, 4) or f_a.shape != f_b.shape:
+        raise ValueError(f"aggregate_global needs matching C x H x W maps or stacks "
+                         f"of them, got {f_a.shape} and {f_b.shape}")
+    c, h, w = f_a.shape[-3:]
     if params.row_proj.shape != (2 * c,):
         raise ValueError(f"params sized for {params.row_proj.shape[0] // 2} channels, "
                          f"maps have {c}")
-    cat = T.concat([f_a, f_b], axis=0)
-    row_desc = T.tmean(cat, axis=2)  # 2C x H
-    row_scores = T.reshape(T.matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
-    row_w = T.reshape(T.softmax(row_scores, axis=0), (1, h, 1))
-    a_cols = T.tsum(T.mul(f_a, row_w), axis=1)  # C x W
-    b_cols = T.tsum(T.mul(f_b, row_w), axis=1)
-    cat_cols = T.concat([a_cols, b_cols], axis=0)  # 2C x W
-    col_scores = T.reshape(T.matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
-    col_w = T.reshape(T.softmax(col_scores, axis=0), (1, w))
-    g_a = T.tsum(T.mul(a_cols, col_w), axis=1)
-    g_b = T.tsum(T.mul(b_cols, col_w), axis=1)
-    return g_a, g_b
+    row_desc = T.concat([T.tmean(f_a, axis=-1), T.tmean(f_b, axis=-1)], axis=-2)  # .. 2C x H
+    row_scores = T.tsum(T.mul(row_desc, T.reshape(params.row_proj, (2 * c, 1))), axis=-2)
+    row_w = T.softmax(row_scores, axis=-1)
+    row_w = T.reshape(row_w, (*row_w.shape[:-1], 1, h, 1))
+    a_cols = T.tsum(T.mul(f_a, row_w), axis=-2)  # .. C x W
+    b_cols = T.tsum(T.mul(f_b, row_w), axis=-2)
+    cat_cols = T.concat([a_cols, b_cols], axis=-2)  # .. 2C x W
+    col_scores = T.tsum(T.mul(cat_cols, T.reshape(params.col_proj, (2 * c, 1))), axis=-2)
+    col_w = T.softmax(col_scores, axis=-1)
+    col_w = T.reshape(col_w, (*col_w.shape[:-1], 1, w))
+    return T.tsum(T.mul(a_cols, col_w), axis=-1), T.tsum(T.mul(b_cols, col_w), axis=-1)
+
+
+def _stacked(scenes: Sequence[SceneMaps], name: str) -> Tensor:
+    """The ``name`` map of every scene as one S x C x H x W tensor."""
+    maps = [getattr(scene, name).tensor for scene in scenes]
+    return T.concat([T.reshape(m, (1, *m.shape)) for m in maps], axis=0)
 
 
 def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
@@ -405,16 +451,11 @@ def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
     """One batch InfoNCE term per entry of GLOBAL_PAIRS."""
     if len(scenes) < 2:
         raise ValueError(f"global loss needs a batch of >= 2 scenes, got {len(scenes)}")
+    stacks = {name: _stacked(scenes, name) for name in MAP_NAMES}
     terms = []
     for name_a, name_b in GLOBAL_PAIRS:
-        g_as, g_bs = [], []
-        for scene in scenes:
-            g_a, g_b = aggregate_global(getattr(scene, name_a).tensor,
-                                        getattr(scene, name_b).tensor,
-                                        params.global_agg)
-            g_as.append(g_a)
-            g_bs.append(g_b)
-        terms.append(info_nce(g_as, g_bs, config.tau))
+        g_a, g_b = aggregate_global(stacks[name_a], stacks[name_b], params.global_agg)
+        terms.append(info_nce(g_a, g_b, config.tau))
     return terms
 
 
@@ -453,19 +494,15 @@ def similarity_stats(scenes: Sequence[SceneMaps],
                      params: ContrastiveParams) -> tuple[float, float]:
     """Mean same-scene and cross-scene cosine similarity of the aggregated
     global vectors, over the six pairings. Gradient-free."""
+    stacks = {name: _stacked(scenes, name).detach() for name in MAP_NAMES}
+    same = np.eye(len(scenes), dtype=bool)
     pos, neg = [], []
     for name_a, name_b in GLOBAL_PAIRS:
-        gs = []
-        for scene in scenes:
-            g_a, g_b = aggregate_global(getattr(scene, name_a).tensor.detach(),
-                                        getattr(scene, name_b).tensor.detach(),
-                                        params.global_agg)
-            gs.append((g_a.data, g_b.data))
-        for i, (ga_i, _) in enumerate(gs):
-            for k, (_, gb_k) in enumerate(gs):
-                denom = (np.linalg.norm(ga_i) + 1e-12) * (np.linalg.norm(gb_k) + 1e-12)
-                sim = float(np.dot(ga_i, gb_k) / denom)
-                (pos if i == k else neg).append(sim)
+        g_a, g_b = aggregate_global(stacks[name_a], stacks[name_b], params.global_agg)
+        sims = T.cosine_sim(T.reshape(g_a, (g_a.shape[0], 1, -1)),
+                            T.reshape(g_b, (1, *g_b.shape))).data
+        pos.extend(sims[same])
+        neg.extend(sims[~same])
     return float(np.mean(pos)), float(np.mean(neg))
 
 
@@ -512,7 +549,7 @@ def toy_pretrain(
     learnables = params.tensors()
     if train_features:
         for scene in scenes:
-            for name in ("img_bev", "img_fv", "rad_bev", "rad_fv"):
+            for name in MAP_NAMES:
                 t = getattr(scene, name).tensor
                 t.requires_grad = True
                 learnables.append(t)

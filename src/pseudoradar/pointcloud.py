@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -262,11 +263,21 @@ def load_manifest(dirpath: str | Path) -> dict:
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a uniquely named temp file in
+    the same directory, so concurrent writers never share a temp file and
+    readers see the old or the new content, never a partial one. The temp
+    file is created with the same mode (0o666 less the umask) as a plain
+    ``open``, and is removed if the write fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

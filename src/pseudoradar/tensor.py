@@ -2,13 +2,14 @@
 
 Covers exactly the operations the loss stack needs: elementwise arithmetic
 with numpy-style broadcasting, matmul, softmax, layer norm, trailing-axis
-transposition, concatenation, gathering, and reductions. Every gradient is
-verifiable against central finite differences via :func:`finite_diff_check`.
+transposition, concatenation, gathering, L2 normalization, batched cosine
+similarity, and reductions. Every gradient is verifiable against central
+finite differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
-the leaves. Calling backward again on a fresh graph over the same leaves
-accumulates into ``.grad``; call :func:`zero_grad` between steps when
-accumulation is not wanted.
+the leaves; intermediate nodes get none. Calling backward again on a fresh
+graph over the same leaves accumulates into ``.grad``; call
+:func:`zero_grad` between steps when accumulation is not wanted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class ShapeError(ValueError):
 class Tensor:
     """A float64 ndarray plus optional gradient and a backward closure.
 
-    ``data`` is always a contiguous float64 array. ``grad`` is lazily
+    ``data`` is always a contiguous float64 array. On a leaf, ``grad`` is
     allocated by :func:`backward` and has the same shape as ``data``.
     """
 
@@ -333,9 +334,55 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack single-element tensors into a vector."""
-    return concat([reshape(s, (1,)) for s in scalars], axis=0)
+def _norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """L2 norms of the slices along ``axis``, which is kept with length 1."""
+    return np.sqrt((x * x).sum(axis=axis, keepdims=True))
+
+
+def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """``x / norm`` for norms kept from ``x``, and 0 where the norm is 0 (a
+    subgradient of the norm)."""
+    return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
+
+
+def normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """``a / (||a|| + eps)`` for every slice along ``axis``.
+
+    A zero slice maps to zero, and its gradient stays finite.
+    """
+    if a.data.ndim == 0:
+        raise ShapeError("normalize needs at least rank 1")
+    norm = _norm(a.data, axis)
+    den = norm + eps
+    data = a.data / den
+
+    def bw(g, grads):
+        radial = (g * data).sum(axis=axis, keepdims=True)
+        _accum(grads, a, (g - radial * _unit(a.data, norm)) / den)
+
+    return _make(data, (a,), bw)
+
+
+def cosine_sim(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """Cosine similarity of the slices along ``axis``, which is reduced.
+
+    The other axes broadcast, so one call scores many pairs. ``eps`` is
+    added to both norms, so a zero vector has similarity 0 to everything
+    and the value always lies strictly inside [-1, 1].
+    """
+    if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[axis] != b.shape[axis]:
+        raise ShapeError(f"cosine_sim needs equal lengths along axis {axis}, "
+                         f"got {a.shape} and {b.shape}")
+    na, nb = _norm(a.data, axis), _norm(b.data, axis)
+    den = (na + eps) * (nb + eps)
+    full = (a.data * b.data).sum(axis=axis, keepdims=True) / den
+
+    def bw(g, grads):
+        g = np.expand_dims(g, axis)
+        _accum(grads, a, g * (b.data / den - full / (na + eps) * _unit(a.data, na)))
+        _accum(grads, b, g * (a.data / den - full / (nb + eps) * _unit(b.data, nb)))
+
+    return _make(np.squeeze(full, axis=axis), (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +417,6 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     return div(centered, sqrt(add(var, Tensor(eps))))
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot needs equal-length vectors, got {a.shape} and {b.shape}")
-    return tsum(mul(a, b))
-
-
-def cosine_sim(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity of two vectors as a scalar tensor.
-
-    ``eps`` is added to both norms, so a zero vector has similarity 0 to
-    everything and the value always lies strictly inside [-1, 1].
-    """
-    num = dot(a, b)
-    na = sqrt(tsum(mul(a, a)))
-    nb = sqrt(tsum(mul(b, b)))
-    return div(num, mul(add(na, Tensor(eps)), add(nb, Tensor(eps))))
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -412,10 +441,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` of every reachable node.
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    ``loss`` must hold a single element. Gradients add onto whatever is in
-    ``.grad`` already; reset with :func:`zero_grad` between evaluations.
+    A leaf is a tensor created with ``requires_grad=True``, not computed by
+    an op; intermediate nodes keep ``.grad`` as it was. ``loss`` must hold a
+    single element. Gradients add onto whatever is in ``.grad`` already;
+    reset with :func:`zero_grad` between evaluations.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -427,12 +458,12 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
+        if node._backward is not None:
+            node._backward(g, grads)
+        elif node.grad is None:
             node.grad = g.copy()
         else:
             node.grad = node.grad + g
-        if node._backward is not None:
-            node._backward(g, grads)
 
 
 def zero_grad(*tensors: Tensor) -> None:

@@ -1,0 +1,170 @@
+"""Reference implementation of the contrastive losses, built one scalar at
+a time: every cosine is its own subgraph, every window of every sampled
+column is matched on its own, and every scene is aggregated on its own.
+
+This is the loss stack as it was before the matrix form, kept only so that
+tests can compare the batched code in ``pseudoradar.contrastive`` against
+it. It is slow by design and is not part of the package.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from pseudoradar import tensor as T
+from pseudoradar.contrastive import (GLOBAL_PAIRS, BcsaParams, ContrastiveConfig,
+                                     ContrastiveParams, FeatureMap, GlobalAggParams,
+                                     SceneMaps)
+from pseudoradar.tensor import Tensor
+
+
+def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
+    return T.concat([T.reshape(s, (1,)) for s in scalars], axis=0)
+
+
+def cosine_sim(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
+    num = T.tsum(T.mul(a, b))
+    na = T.sqrt(T.tsum(T.mul(a, a)))
+    nb = T.sqrt(T.tsum(T.mul(b, b)))
+    return T.div(num, T.mul(T.add(na, Tensor(eps)), T.add(nb, Tensor(eps))))
+
+
+def info_nce(anchors: Sequence[Tensor], candidates: Sequence[Tensor], tau: float) -> Tensor:
+    n = len(anchors)
+    inv_tau = Tensor(1.0 / tau)
+    terms = []
+    for i in range(n):
+        row = stack_scalars(
+            [T.mul(cosine_sim(anchors[i], candidates[j]), inv_tau) for j in range(n)]
+        )
+        pos = T.take(row, i, axis=0)
+        terms.append(T.sub(pos, T.logsumexp(row, axis=0)))
+    total = terms[0]
+    for t in terms[1:]:
+        total = T.add(total, t)
+    return T.mul(total, Tensor(-1.0 / n))
+
+
+def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
+                         search_width: int, window_width: int) -> tuple[int, Tensor]:
+    c, h, w = search_map.shape
+    anchor_flat = T.reshape(anchor_col, (c * h,))
+    half_span = search_width - window_width
+    base = j - (search_width - 1) // 2
+    best = None  # (-score, |delta|, delta)
+    best_agg = None
+    for start in range(base, base + half_span + 1):
+        center = start + (window_width - 1) // 2
+        cols = [col for col in range(start, start + window_width) if 0 <= col < w]
+        if not cols:
+            continue
+        col_tensors = [T.reshape(T.take(search_map, col, axis=2), (c * h,)) for col in cols]
+        query_col = min(cols, key=lambda col: (abs(col - center), col))
+        query = col_tensors[cols.index(query_col)]
+        sims = stack_scalars([cosine_sim(query, ct) for ct in col_tensors])
+        attn = T.softmax(sims, axis=0)
+        agg = T.mul(T.take(attn, 0, axis=0), col_tensors[0])
+        for t in range(1, len(cols)):
+            agg = T.add(agg, T.mul(T.take(attn, t, axis=0), col_tensors[t]))
+        delta = query_col - j
+        score = cosine_sim(anchor_flat, agg).item()
+        key = (-score, abs(delta), delta)
+        if best is None or key < best:
+            best = key
+            best_agg = agg
+    return best[2], T.reshape(best_agg, (c, h))
+
+
+def mat_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    scores = T.mul(T.matmul(q, T.transpose_last2(k)), Tensor(1.0 / math.sqrt(q.shape[1])))
+    return T.matmul(T.softmax(scores, axis=1), v)
+
+
+def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    normed = T.layer_norm(x, axis=0)
+    c = x.shape[0]
+    return T.add(T.mul(normed, T.reshape(gain, (c, 1))), T.reshape(bias, (c, 1)))
+
+
+def _bcsa_one(fi: Tensor, fj: Tensor, params: BcsaParams) -> Tensor:
+    sp_out = mat_attention(T.transpose_last2(fi), T.transpose_last2(fj),
+                           T.transpose_last2(fj))
+    spatial = _ln_affine(T.transpose_last2(sp_out),
+                         params.ln_spatial_gain, params.ln_spatial_bias)
+    channel = _ln_affine(mat_attention(fi, fj, fj),
+                         params.ln_channel_gain, params.ln_channel_bias)
+    gate = T.reshape(T.sigmoid(params.gate_logits), (fi.shape[0], 1))
+    return T.add(T.mul(gate, spatial), T.mul(T.sub(Tensor(1.0), gate), channel))
+
+
+def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
+    return _bcsa_one(f1, f2, params), _bcsa_one(f2, f1, params)
+
+
+def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
+               params: ContrastiveParams, rng: np.random.Generator) -> Tensor:
+    c, h, w = f_rad.shape
+    columns = rng.choice(w, size=config.batch_size, replace=False)
+    anchors, candidates = [], []
+    for j in columns:
+        anchor = T.take(f_rad.tensor, int(j), axis=2)
+        _, cand = sliding_window_match(anchor, f_img.tensor, int(j),
+                                       config.search_width, config.window_width)
+        a_ref, c_ref = bcsa(anchor, cand, params.bcsa)
+        anchors.append(T.reshape(a_ref, (c * h,)))
+        candidates.append(T.reshape(c_ref, (c * h,)))
+    return info_nce(anchors, candidates, config.tau)
+
+
+def aggregate_global(f_a: Tensor, f_b: Tensor,
+                     params: GlobalAggParams) -> tuple[Tensor, Tensor]:
+    c, h, w = f_a.shape
+    cat = T.concat([f_a, f_b], axis=0)
+    row_desc = T.tmean(cat, axis=2)
+    row_scores = T.reshape(T.matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
+    row_w = T.reshape(T.softmax(row_scores, axis=0), (1, h, 1))
+    a_cols = T.tsum(T.mul(f_a, row_w), axis=1)
+    b_cols = T.tsum(T.mul(f_b, row_w), axis=1)
+    cat_cols = T.concat([a_cols, b_cols], axis=0)
+    col_scores = T.reshape(T.matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
+    col_w = T.reshape(T.softmax(col_scores, axis=0), (1, w))
+    return T.tsum(T.mul(a_cols, col_w), axis=1), T.tsum(T.mul(b_cols, col_w), axis=1)
+
+
+def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+                      params: ContrastiveParams) -> list[Tensor]:
+    terms = []
+    for name_a, name_b in GLOBAL_PAIRS:
+        g_as, g_bs = [], []
+        for scene in scenes:
+            g_a, g_b = aggregate_global(getattr(scene, name_a).tensor,
+                                        getattr(scene, name_b).tensor, params.global_agg)
+            g_as.append(g_a)
+            g_bs.append(g_b)
+        terms.append(info_nce(g_as, g_bs, config.tau))
+    return terms
+
+
+def global_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+                params: ContrastiveParams) -> Tensor:
+    terms = global_loss_terms(scenes, config, params)
+    total = terms[0]
+    for t in terms[1:]:
+        total = T.add(total, t)
+    return total
+
+
+def total_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+               params: ContrastiveParams, rng: np.random.Generator) -> Tensor:
+    locals_ = [local_loss(s.rad_bev, s.img_bev, config, params, rng) for s in scenes]
+    local_mean = locals_[0]
+    for t in locals_[1:]:
+        local_mean = T.add(local_mean, t)
+    local_mean = T.mul(local_mean, Tensor(1.0 / len(locals_)))
+    if config.lambda_global == 0.0:
+        return local_mean
+    lg = global_loss(scenes, config, params)
+    return T.add(T.mul(lg, Tensor(config.lambda_global)), local_mean)

@@ -58,6 +58,16 @@ class TestInfoNce:
         with pytest.raises(ValueError):
             info_nce(vecs(2, 3), vecs(2, 4), 0.07)
 
+    def test_matrix_input_equals_vector_lists(self):
+        anchors, cands = vecs(4, 6, 5), vecs(4, 6, 6)
+        stack = lambda vs: Tensor(np.stack([v.data for v in vs]))
+        assert (info_nce(stack(anchors), stack(cands), 0.07).item()
+                == info_nce(anchors, cands, 0.07).item())
+        with pytest.raises(ValueError):
+            info_nce(stack(anchors), Tensor(np.zeros((3, 6))), 0.07)
+        with pytest.raises(ValueError):
+            info_nce([], [], 0.07)
+
     def test_gradient_matches_finite_differences(self):
         anchors, cands = vecs(3, 5, 3, grad=True), vecs(3, 5, 4, grad=True)
         f = lambda t: info_nce(anchors, cands, 1.0)
@@ -109,6 +119,14 @@ class TestSlidingWindowMatch:
         for j in (0, 5):
             d, cand = sliding_window_match(Tensor(rng.normal(size=(2, 3))), m, j, 5, 3)
             assert cand.shape == (2, 3)
+
+    def test_wide_search_at_the_border(self):
+        # R=7, r=2 at column 0: the two leftmost windows hold no map column
+        rng = np.random.default_rng(4)
+        m = Tensor(rng.normal(size=(2, 3, 6)))
+        for j in (0, 5):
+            d, cand = sliding_window_match(Tensor(m.data[:, :, j]), m, j, 7, 2)
+            assert 0 <= j + d < 6 and cand.shape == (2, 3)
 
     def test_invalid_geometry_rejected(self):
         m = Tensor(np.zeros((2, 2, 8)))
@@ -168,6 +186,17 @@ class TestBcsa:
         for p in params.tensors():
             assert finite_diff_check(f, p) < 1e-5
 
+    def test_batch_equals_each_pair_alone(self):
+        rng = np.random.default_rng(3)
+        params = BcsaParams.init(4)
+        params.gate_logits.data[:] = rng.normal(size=4)
+        f1, f2 = rng.normal(size=(5, 4, 6)), rng.normal(size=(5, 4, 6))
+        r1, r2 = bcsa(Tensor(f1), Tensor(f2), params)
+        for i in range(5):
+            s1, s2 = bcsa(Tensor(f1[i]), Tensor(f2[i]), params)
+            assert np.allclose(r1.data[i], s1.data, rtol=0, atol=1e-12)
+            assert np.allclose(r2.data[i], s2.data, rtol=0, atol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         params = BcsaParams.init(3)
         with pytest.raises(ValueError):
@@ -211,6 +240,17 @@ class TestAggregateGlobal:
         row_w = np.exp(row_scores - row_scores.max())
         row_w /= row_w.sum()
         assert abs(row_w.sum() - 1.0) < 1e-12
+
+    def test_scene_stack_equals_each_scene_alone(self):
+        rng = np.random.default_rng(5)
+        params = GlobalAggParams.init(3, seed=4)
+        fa, fb = rng.normal(size=(4, 3, 5, 6)), rng.normal(size=(4, 3, 5, 6))
+        g_a, g_b = aggregate_global(Tensor(fa), Tensor(fb), params)
+        assert g_a.shape == (4, 3) and g_b.shape == (4, 3)
+        for s in range(4):
+            one_a, one_b = aggregate_global(Tensor(fa[s]), Tensor(fb[s]), params)
+            assert np.allclose(g_a.data[s], one_a.data, rtol=0, atol=1e-12)
+            assert np.allclose(g_b.data[s], one_b.data, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -1,0 +1,165 @@
+"""The batched loss stack against the scalar reference in scalar_losses.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_losses as ref
+from pseudoradar import contrastive as C
+from pseudoradar import tensor as T
+from pseudoradar.synth import gen_feature_batch
+from pseudoradar.tensor import Tensor
+
+LOSS_RTOL = 1e-12
+GRAD_TOL = 1e-10
+
+
+def philox(*key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def tape_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def value_and_grads(build, leaves):
+    T.zero_grad(*leaves)
+    loss = build()
+    T.backward(loss)
+    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for t in leaves]
+
+
+def assert_same(build_new, build_ref, leaves):
+    new, new_grads = value_and_grads(build_new, leaves)
+    old, old_grads = value_and_grads(build_ref, leaves)
+    assert abs(new - old) <= LOSS_RTOL * abs(old)
+    for g_new, g_old in zip(new_grads, old_grads):
+        assert np.abs(g_new - g_old).max() <= GRAD_TOL * max(np.abs(g_old).max(), 1e-300)
+
+
+# (scenes, C, H, W, columns, search width, batch seed): the criterion-10 batch,
+# the criterion-11 and gradcheck sizes, and every column of a narrow map
+# under a search wide enough to hold windows with no column inside the map
+BATCHES = [(3, 6, 6, 12, 4, 5, 42), (2, 4, 4, 9, 3, 5, 70), (2, 4, 6, 8, 3, 5, 0),
+           (3, 3, 5, 7, 7, 7, 5)]
+
+
+@pytest.fixture(params=BATCHES, ids=lambda b: "B{}C{}H{}W{}N{}R{}".format(*b[:6]))
+def batch(request):
+    b, c, h, w, n, search_width, seed = request.param
+    scenes = gen_feature_batch(seed, b, c, h, w, noise_sigma=2.0).scenes
+    params = C.ContrastiveParams.init(c, seed=seed)
+    leaves = params.tensors()
+    for scene in scenes:
+        for name in C.MAP_NAMES:
+            getattr(scene, name).tensor.requires_grad = True
+            leaves.append(getattr(scene, name).tensor)
+    cfg = C.ContrastiveConfig(batch_size=n, search_width=search_width)
+    return scenes, cfg, params, leaves
+
+
+class TestAgainstScalarReference:
+    def test_total_loss(self, batch):
+        scenes, cfg, params, leaves = batch
+        assert_same(lambda: C.total_loss(scenes, cfg, params, philox(7, 7)),
+                    lambda: ref.total_loss(scenes, cfg, params, philox(7, 7)), leaves)
+
+    def test_local_loss(self, batch):
+        scenes, cfg, params, leaves = batch
+        s = scenes[0]
+        assert_same(lambda: C.local_loss(s.rad_bev, s.img_bev, cfg, params, philox(1, 2)),
+                    lambda: ref.local_loss(s.rad_bev, s.img_bev, cfg, params, philox(1, 2)),
+                    leaves)
+
+    def test_global_loss_and_terms(self, batch):
+        scenes, cfg, params, leaves = batch
+        assert_same(lambda: C.global_loss(scenes, cfg, params),
+                    lambda: ref.global_loss(scenes, cfg, params), leaves)
+        for new, old in zip(C.global_loss_terms(scenes, cfg, params),
+                            ref.global_loss_terms(scenes, cfg, params)):
+            assert abs(new.item() - old.item()) <= LOSS_RTOL * abs(old.item())
+
+    def test_aggregate_global(self, batch):
+        scenes, cfg, params, leaves = batch
+        s = scenes[-1]
+        proj = Tensor(np.linspace(-1.0, 1.0, s.shape[0]))
+
+        def readout(agg):
+            def build():
+                g_a, g_b = agg(s.img_fv.tensor, s.rad_bev.tensor, params.global_agg)
+                return T.add(T.tsum(T.mul(g_a, proj)), T.tsum(T.mul(g_b, proj)))
+            return build
+
+        assert_same(readout(C.aggregate_global), readout(ref.aggregate_global), leaves)
+
+    def test_info_nce_on_vector_lists(self):
+        rng = np.random.default_rng(0)
+        for n, d, tau in ((1, 3, 0.07), (3, 6, 1.0), (5, 7, 0.07), (8, 2, 0.5)):
+            anchors = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(n)]
+            cands = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(n)]
+            assert_same(lambda: C.info_nce(anchors, cands, tau),
+                        lambda: ref.info_nce(anchors, cands, tau), anchors + cands)
+
+
+def test_matcher_on_every_column_of_the_recovery_batch():
+    batch = gen_feature_batch(seed=909, batch=4, channels=6, height=6, width=24,
+                              noise_sigma=0.05, offset_choices=(-1, 0, 1))
+    for scene in batch.scenes:
+        for j in range(scene.shape[2]):
+            anchor = Tensor(scene.rad_bev.tensor.data[:, :, j])
+            new_delta, new_agg = C.sliding_window_match(anchor, scene.img_bev.tensor, j, 5, 3)
+            old_delta, old_agg = ref.sliding_window_match(anchor, scene.img_bev.tensor, j, 5, 3)
+            assert new_delta == old_delta, f"column {j}"
+            assert np.allclose(new_agg.data, old_agg.data, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def match_cases(draw):
+    c, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = draw(st.integers(1, 9))
+    search_width = draw(st.integers(2, 7))
+    window_width = draw(st.integers(1, search_width - 1))
+    kind = draw(st.sampled_from(["random", "constant", "duplicated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        m = rng.normal(size=(c, h, w))
+    elif kind == "constant":
+        m = np.full((c, h, w), rng.normal())
+    else:  # columns drawn with repetition from a few distinct ones
+        m = rng.normal(size=(c, h, 2))[:, :, rng.integers(0, 2, size=w)]
+    j = draw(st.sampled_from(sorted({0, w - 1, draw(st.integers(0, w - 1))})))
+    anchor = m[:, :, j] if draw(st.booleans()) else rng.normal(size=(c, h))
+    return anchor, m, j, search_width, window_width
+
+
+@given(match_cases())
+@settings(max_examples=200, deadline=None)
+def test_matcher_matches_scalar_reference(case):
+    anchor, m, j, search_width, window_width = case
+    new_delta, new_agg = C.sliding_window_match(Tensor(anchor), Tensor(m), j,
+                                                search_width, window_width)
+    old_delta, old_agg = ref.sliding_window_match(Tensor(anchor), Tensor(m), j,
+                                                  search_width, window_width)
+    assert new_delta == old_delta
+    assert np.allclose(new_agg.data, old_agg.data, rtol=1e-12, atol=1e-300)
+
+
+def test_tape_size_does_not_grow_with_sampled_columns():
+    scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
+    params = C.ContrastiveParams.init(4, seed=0)
+    for scene in scenes:
+        for name in C.MAP_NAMES:
+            getattr(scene, name).tensor.requires_grad = True
+    counts = [tape_nodes(C.total_loss(scenes, C.ContrastiveConfig(batch_size=n), params,
+                                      philox(4, 0)))
+              for n in (4, 8)]
+    assert counts[0] == counts[1]

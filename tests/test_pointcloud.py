@@ -1,13 +1,15 @@
 import json
+import stat
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pseudoradar.errors import FormatError, ParseError, SchemaError
-from pseudoradar.pointcloud import (COMPACT_MAGIC, PointCloudFrame, load_corpus,
-                                    read_frame_bin, read_frame_csv,
-                                    read_frame_nuscenes_bin, write_corpus,
+from pseudoradar.pointcloud import (COMPACT_MAGIC, PointCloudFrame, atomic_write_bytes,
+                                    atomic_write_text, load_corpus, read_frame_bin,
+                                    read_frame_csv, read_frame_nuscenes_bin, write_corpus,
                                     write_frame_bin, write_frame_csv)
 
 
@@ -204,3 +206,40 @@ class TestCorpus:
         (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{}]}))
         with pytest.raises(SchemaError):
             load_corpus(tmp_path)
+
+
+class TestAtomicWrite:
+    def test_leftover_tmp_directory_does_not_block_writes(self, tmp_path):
+        target = tmp_path / "f.bin"
+        (tmp_path / "f.bin.tmp").mkdir()
+        atomic_write_bytes(target, b"payload")
+        assert target.read_bytes() == b"payload"
+
+    def test_overwrite_leaves_no_temp_file_and_keeps_open_mode(self, tmp_path):
+        plain = tmp_path / "plain"
+        with open(plain, "wb"):
+            pass
+        target = tmp_path / "f.txt"
+        atomic_write_text(target, "old")
+        atomic_write_text(target, "new")
+        assert target.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "plain"]
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_failed_write_removes_temp_file_and_keeps_target(self, tmp_path):
+        target = tmp_path / "f.txt"
+        atomic_write_text(target, "old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(target, "not bytes")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        target = tmp_path / "f.bin"
+        payloads = [bytes([i]) * 65536 for i in range(8)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(atomic_write_bytes, target, p)
+                           for p in payloads * 4]:
+                future.result(timeout=30)
+        assert target.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]

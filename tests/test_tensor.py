@@ -110,6 +110,52 @@ class TestCosineSim:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             T.cosine_sim(Tensor([1.0]), Tensor([1.0, 2.0]))
+        with pytest.raises(ShapeError):
+            T.cosine_sim(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+    def test_batched_broadcast_equals_pairwise(self):
+        a, b = rand((3, 5), seed=20), rand((4, 5), seed=21)
+        out = T.cosine_sim(Tensor(a[:, None, :]), Tensor(b[None, :, :])).data
+        assert out.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                assert out[i, k] == T.cosine_sim(Tensor(a[i]), Tensor(b[k])).item()
+
+    def test_other_axis(self):
+        a, b = rand((5, 3), seed=22), rand((5, 3), seed=23)
+        out = T.cosine_sim(Tensor(a), Tensor(b), axis=0).data
+        assert np.allclose(out, [T.cosine_sim(Tensor(a[:, k]), Tensor(b[:, k])).item()
+                                 for k in range(3)], rtol=1e-15, atol=0)
+
+    def test_zero_vector_gradient_is_finite(self):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor([1.0, 2.0, -1.0], requires_grad=True)
+        backward(T.cosine_sim(a, b))
+        assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()
+        assert np.array_equal(b.grad, np.zeros(3))
+
+
+class TestNormalize:
+    def test_rows_have_unit_norm(self):
+        out = T.normalize(Tensor(rand((4, 6), seed=24))).data
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+    def test_hand_value(self):
+        out = T.normalize(Tensor([[3.0, 4.0], [0.0, -2.0]])).data
+        assert np.allclose(out, [[0.6, 0.8], [0.0, -1.0]], atol=1e-12)
+
+    def test_zero_row_stays_zero_with_finite_gradient(self):
+        x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
+        out = T.normalize(x)
+        assert np.array_equal(out.data[0], [0.0, 0.0])
+        backward(T.tsum(T.mul(out, Tensor([[1.0, -1.0], [2.0, 0.5]]))))
+        assert np.isfinite(x.grad).all()
+
+    def test_products_are_cosines(self):
+        a, b = rand((3, 5), seed=25), rand((3, 5), seed=26)
+        dots = (T.normalize(Tensor(a)).data * T.normalize(Tensor(b)).data).sum(axis=1)
+        cos = T.cosine_sim(Tensor(a), Tensor(b)).data
+        assert np.allclose(dots, cos, rtol=1e-14, atol=0)
 
 
 class TestConcatAndTake:
@@ -148,6 +194,19 @@ class TestBackward:
         assert x.grad.tolist() == 12.0
         zero_grad(x)
         assert x.grad is None
+
+    def test_only_leaves_get_grad(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.25, -1.0], requires_grad=True)
+        c = Tensor([2.0, 2.0, 2.0])
+        prod = T.mul(x, w)
+        shifted = T.add(prod, c)
+        loss = T.tsum(T.mul(shifted, shifted))
+        backward(loss)
+        assert prod.grad is None and shifted.grad is None and loss.grad is None
+        assert c.grad is None
+        assert np.array_equal(x.grad, 2.0 * (x.data * w.data + 2.0) * w.data)
+        assert np.array_equal(w.grad, 2.0 * (x.data * w.data + 2.0) * x.data)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -193,6 +252,8 @@ OPS = {
     "mean": lambda t, u: T.tmean(t, axis=0),
     "concat": lambda t, u: T.concat([t, u], axis=0),
     "take": lambda t, u: T.take(t, np.array([1, 3, 1]), axis=1),
+    "normalize": lambda t, u: T.normalize(t, axis=1),
+    "cosine_sim": lambda t, u: T.cosine_sim(T.reshape(t, (4, 1, 6)), T.reshape(u, (1, 4, 6))),
 }
 
 
