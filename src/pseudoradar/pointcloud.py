@@ -23,6 +23,7 @@ import json
 import os
 import struct
 import uuid
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -95,17 +96,20 @@ class PointCloudFrame:
 # CSV
 
 
+_CSV_WIDTH = {"x,y,z,intensity": 4, "x,y,z,intensity,vx,vy": 6}
+_CSV_ROWS = 1024  # rows formatted per block
+
+
 def write_frame_csv(frame: PointCloudFrame, path: str | Path) -> None:
-    with_vel = frame.velocity is not None
-    lines = ["x,y,z,intensity,vx,vy" if with_vel else "x,y,z,intensity"]
-    vel = frame.velocity_or_zero()
-    for i in range(frame.n_points):
-        x, y, z = frame.xyz[i]
-        cols = [repr(float(x)), repr(float(y)), repr(float(z)),
-                repr(float(frame.intensity[i]))]
-        if with_vel:
-            cols += [repr(float(vel[i, 0])), repr(float(vel[i, 1]))]
-        lines.append(",".join(cols))
+    header, columns = "x,y,z,intensity", [frame.xyz, frame.intensity[:, None]]
+    if frame.velocity is not None:
+        header, columns = header + ",vx,vy", columns + [frame.velocity]
+    lines = [header]
+    # a block of rows at a time, so that the whole frame never exists as
+    # Python floats at once
+    for lo in range(0, frame.n_points, _CSV_ROWS):
+        block = np.hstack([c[lo:lo + _CSV_ROWS] for c in columns]).tolist()
+        lines += [",".join(map(repr, row)) for row in block]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -114,20 +118,47 @@ def read_frame_csv(path: str | Path, frame_id: str | None = None,
     path = Path(path)
     if frame_id is None:
         frame_id = path.stem
+    data = _parse_csv_table(path)
+    if data is None:
+        data = _parse_csv_lines(path)
+    vel = data[:, 4:6] if data.shape[1] == 6 else None
+    try:
+        return PointCloudFrame(frame_id, timestamp, data[:, 0:3], data[:, 3], vel)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _parse_csv_table(path: Path) -> np.ndarray | None:
+    """The (N, 4 or 6) body parsed from the open file in one pass, or None
+    when the header, the text or a row is not as expected."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            width = _CSV_WIDTH.get(fh.readline().strip())
+            if width is None:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no rows
+                data = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                                  ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if data.size == 0:
+        return np.empty((0, width))
+    return data if data.shape[1] == width else None
+
+
+def _parse_csv_lines(path: Path) -> np.ndarray:
+    """Line-by-line parse that names the cause of a failure and its line."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     header = lines[0].strip() if lines else ""
-    if header == "x,y,z,intensity":
-        with_vel = False
-    elif header == "x,y,z,intensity,vx,vy":
-        with_vel = True
-    elif header == "":
+    if header == "":
         raise SchemaError(f"{path}: empty file, expected a CSV header")
-    else:
+    if header not in _CSV_WIDTH:
         raise SchemaError(f"{path}: unexpected header {header!r}")
-    width = 6 if with_vel else 4
+    width = _CSV_WIDTH[header]
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         raw = raw.strip()
@@ -141,12 +172,7 @@ def read_frame_csv(path: str | Path, frame_id: str | None = None,
             rows.append([float(c) for c in cols])
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
-    vel = data[:, 4:6] if with_vel else None
-    try:
-        return PointCloudFrame(frame_id, timestamp, data[:, 0:3], data[:, 3], vel)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 # ---------------------------------------------------------------------------

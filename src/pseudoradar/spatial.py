@@ -11,6 +11,11 @@ Distances use the brute-force oracle's expression, so they agree with it bit
 for bit. Box bounds round the same way, so they never exceed the distance of a
 point in the box, and only boxes strictly beyond the k-th distance are pruned:
 an equal-distance, lower-index point is never lost.
+
+Keep-first thinning has no per-point loop either. Points are sorted into grid
+cells of the threshold's pitch, candidate pairs come from each cell and its 13
+forward neighbors, and the greedy choice among the conflicting pairs resolves
+in a few parallel rounds, block by block under a pair budget.
 """
 
 from __future__ import annotations
@@ -19,6 +24,14 @@ import numpy as np
 
 _LEAF = 16  # most distinct coordinates per leaf
 _BLOCK = 1024  # queries per block, and (query, node) pairs per frontier piece
+_PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                dtype=np.uint64)  # odd multipliers that hash the coordinate bits
+_ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
+# the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
+# itself they reach every adjacent pair of cells exactly once
+_FORWARD = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1) if (dx, dy, dz) > (0, 0, 0)]
 
 
 class KdTree:
@@ -211,8 +224,9 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     iff it is at least ``d_threshold`` away from every point kept so far.
 
     Guarantees all pairwise distances among kept points are >= d_threshold
-    and is idempotent. Uses a uniform cell grid of pitch d_threshold, so any
-    conflicting kept point lies in the 27-cell neighborhood.
+    and is idempotent. Points sit in ``floor(p / d_threshold)`` cells, so any
+    conflicting pair lies in one cell or in two adjacent ones. Raises
+    ``ValueError`` when those cell indices would leave the int64 range.
     """
     pts = np.asarray(points, dtype=np.float64)
     if d_threshold < 0:
@@ -222,30 +236,197 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
         return np.arange(n, dtype=np.intp)
     if not np.isfinite(pts).all():
         raise ValueError("thin_redundant input contains non-finite coordinates")
+    with np.errstate(over="ignore"):
+        cells = np.floor(pts / d_threshold)
+    if not ((cells >= -2.0**63) & (cells < 2.0**63)).all():
+        raise ValueError(
+            f"d_threshold={d_threshold!r} is too small for coordinates up to "
+            f"|p| = {float(np.abs(pts).max())!r}: cell indices p / d_threshold "
+            f"leave the int64 range")
     thr2 = d_threshold * d_threshold
-    cells = np.floor(pts / d_threshold).astype(np.int64).tolist()
-    coords = pts.tolist()
-    # buckets hold kept point coordinates directly; candidates only need them
-    grid: dict[tuple[int, int, int], list[list[float]]] = {}
-    get = grid.get
-    kept: list[int] = []
-    neighborhood = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                    for dz in (-1, 0, 1)]
-    for i in range(n):
-        cx, cy, cz = cells[i]
-        x, y, z = coords[i]
-        ok = True
-        for dx, dy, dz in neighborhood:
-            bucket = get((cx + dx, cy + dy, cz + dz))
-            if bucket is None:
+    if thr2 == 0.0:  # d * d underflows, so no distance falls below it
+        return np.arange(n, dtype=np.intp)
+
+    # an exact duplicate of an earlier point is never kept: the earlier point
+    # or the kept point that removed it removes the duplicate as well. Equal
+    # rows hash alike; a run of equal rows in hash order keeps its lowest index
+    bits = np.ascontiguousarray(pts).view(np.uint64)
+    srt = np.argsort(bits[:, 0] * _MIX[0] ^ bits[:, 1] * _MIX[1] ^ bits[:, 2] * _MIX[2])
+    runs = np.flatnonzero(np.r_[True, (pts[srt[1:]] != pts[srt[:-1]]).any(axis=1)])
+    ids = np.sort(np.minimum.reduceat(srt, runs))
+    del bits, srt, runs
+    cells = cells[ids].astype(np.int64)
+    cell, nbr = _cell_graph(cells)
+    del cells
+    pts = pts[ids]
+
+    # blocks of consecutive points: first close every point that conflicts
+    # with a point kept before the block, then resolve the rest in rounds
+    kept = np.empty(0, dtype=np.intp)
+    lo, size = 0, len(ids)
+    while lo < len(ids):
+        hi = min(len(ids), lo + size)
+        todo = np.arange(lo, hi)
+        if len(kept):
+            act = np.concatenate([kept, todo])
+            a, b = _candidate_pairs(cell[act], len(kept), nbr)
+            if a is None:
+                size = (hi - lo) // 2
                 continue
-            for qx, qy, qz in bucket:
-                if (x - qx) ** 2 + (y - qy) ** 2 + (z - qz) ** 2 < thr2:
-                    ok = False
-                    break
-            if not ok:
+            closed = np.zeros(len(act), dtype=bool)
+            closed[b[_conflicts(pts[act], a, b, thr2)]] = True
+            todo = todo[~closed[len(kept):]]
+        # the rest resolve in rounds, in a prefix halved until its pairs fit
+        take = len(todo)
+        while take:
+            a, b = _candidate_pairs(cell[todo[:take]], 0, nbr)
+            if a is not None:
+                blk = todo[:take]
+                hit = _conflicts(pts[blk], a, b, thr2)
+                kept = np.concatenate([kept, blk[_greedy(take, a[hit], b[hit])]])
                 break
-        if ok:
-            kept.append(i)
-            grid.setdefault((cx, cy, cz), []).append(coords[i])
-    return np.asarray(kept, dtype=np.intp)
+            take //= 2
+        nxt = todo[take] if take < len(todo) else hi
+        lo, size = nxt, 2 * (nxt - lo)
+    return ids[kept]
+
+
+def _axis_rank(values):
+    """Ranks of int64 values, from 1, that keep consecutive integers 1 apart
+    and close every other gap to 2, and a span of at most 2N + 1 that leaves
+    room for +-1 around every rank."""
+    u, inv = np.unique(values, return_inverse=True)
+    rank = np.cumsum(np.r_[1, 2 - (u[1:] == u[:-1] + 1)])
+    return rank[inv], int(rank[-1]) + 2
+
+
+def _cell_graph(cells):
+    """Number the distinct rows of the (N, 3) int64 ``cells`` and find the 13
+    forward neighbors of each; returns ``(cell id per row, (13, C) int32
+    neighbor ids or -1)``. Ranked axes keep every key within int64."""
+    x, _ = _axis_rank(cells[:, 0])
+    y, sy = _axis_rank(cells[:, 1])
+    z, sz = _axis_rank(cells[:, 2])
+    # a key is (rank of the (x, y) column) * sz + z: at most N * (2N + 1)
+    cols, col = np.unique(x * sy + y, return_inverse=True)
+    keys, cell = np.unique(col * sz + z, return_inverse=True)
+    home_col, home_z = np.divmod(keys, sz)
+    nbr = np.full((len(_FORWARD), len(keys)), -1, dtype=np.int32)
+    for dx, dy in dict.fromkeys((dx, dy) for dx, dy, _ in _FORWARD):
+        want = cols + (dx * sy + dy)
+        at = np.minimum(np.searchsorted(cols, want), len(cols) - 1)
+        at = np.where(cols[at] == want, at, -1)[home_col]
+        # cells (at, z - 1), (at, z) and (at, z + 1) hold consecutive keys
+        pos = np.searchsorted(keys, at * sz + (home_z - 1))
+        for dz in (-1, 0, 1):
+            hit = (at >= 0) & (keys[np.minimum(pos, len(keys) - 1)] == at * sz + (home_z + dz))
+            if (dx, dy, dz) in _FORWARD:
+                nbr[_FORWARD.index((dx, dy, dz))] = np.where(hit, pos, -1)
+            pos += hit
+    return cell, nbr
+
+
+def _candidate_pairs(cell, nk, nbr):
+    """Pairs (a, b), a < b, of points with cell ids ``cell`` that share a cell
+    or sit in adjacent cells: all of them if ``nk`` is 0, else those that
+    join one of the first ``nk`` points to one of the rest. Returns
+    (None, None) when there are more than _PAIR_BUDGET pairs to generate and
+    more than one point after the first ``nk``."""
+    # sort by cell, then by index within a cell: the keys are all distinct
+    order = np.argsort(cell * len(cell) + np.arange(len(cell))).astype(np.int32)
+    sc = cell[order]
+    first = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]]).astype(np.int32)
+    count = np.diff(np.r_[first, len(sc)]).astype(np.int32)
+    home = sc[first]
+    old = np.add.reduceat((order < nk).astype(np.int32), first)  # the first nk lead each cell
+    new, fresh = first + old, count - old
+    lead = old if nk else count
+    local = np.full(nbr.shape[1] + 1, -1, dtype=np.int32)  # slot -1 stays -1
+    local[home] = np.arange(len(home))
+
+    def ranges():
+        """(start, count) ranges whose cross products hold the pairs: a cell
+        with its own later points, then each adjacent cell both ways round."""
+        yield first, lead, new, fresh
+        for j in range(len(nbr)):
+            at = local[nbr[j, home]]
+            i = np.flatnonzero(at >= 0)
+            at = at[i]
+            yield first[i], lead[i], new[at], fresh[at]
+            if nk:
+                yield new[i], fresh[i], first[at], old[at]
+
+    if sum(int(na.astype(np.intp) @ nb) for _, na, _, nb in ranges()) > _PAIR_BUDGET \
+            and len(cell) - nk > 1:
+        return None, None
+    sa, na, sb, nb = map(np.concatenate, zip(*(
+        [v[(r[1] > 0) & (r[3] > 0)] for v in r] for r in ranges())))
+    size = na * nb
+    rep = np.repeat(np.arange(len(size), dtype=np.int32), size)
+    t = np.arange(len(rep), dtype=np.int32)
+    t -= np.repeat((np.cumsum(size) - size).astype(np.int32), size)
+    a, b = np.divmod(t, nb[rep])
+    a += sa[rep]
+    b += sb[rep]
+    del rep, t
+    # adjacent cells come later in sort order, so this only drops the pairs
+    # within a cell that are listed twice or pair a point with itself
+    ok = a < b
+    a = order[a[ok]]
+    b = order[b[ok]]
+    lo = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    return lo, b
+
+
+def _conflicts(pts, a, b, thr2):
+    """Mask of pairs (a, b), a < b, closer than sqrt(thr2), with the distance
+    summed over the axes left to right as in ``(x - qx) ** 2 + ...``."""
+    cols = [np.ascontiguousarray(c) for c in pts.T]
+    d2 = cols[0][b] - cols[0][a]
+    d2 *= d2
+    t = np.empty_like(d2)
+    for c in cols[1:]:
+        np.subtract(c[b], c[a], out=t)
+        t *= t
+        d2 += t
+    # Python's float ** calls the C library's pow, which may differ from
+    # x * x in the last bit; redo the sums near enough the threshold to flip
+    near = np.flatnonzero(np.abs(d2 - thr2) <= thr2 * 2.0**-40 + np.finfo(float).tiny)
+    if len(near):
+        sq = np.float_power(pts[b[near]] - pts[a[near]], 2)
+        d2[near] = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    return d2 < thr2
+
+
+def _greedy(size, a, b):
+    """Indices of the points that keep-first greedy thinning keeps among
+    ``size`` points, given their conflict pairs (a, b), a < b.
+
+    Each round closes every open point with a kept earlier neighbor, then
+    keeps every open point with no open earlier neighbor (Blelloch, Fineman
+    and Shun, SPAA 2012). A long chain resolves only two points per round, so
+    after _ROUNDS rounds an index-order pass finishes what is left.
+    """
+    kept = np.zeros(size, dtype=bool)
+    open_ = np.ones(size, dtype=bool)
+    for rounds_left in range(_ROUNDS, -1, -1):
+        open_[b[kept[a]]] = False
+        live = open_[a] & open_[b]
+        a, b = a[live], b[live]
+        if not len(a):
+            return np.flatnonzero(kept | open_)
+        if not rounds_left:
+            break
+        free = open_.copy()
+        free[b] = False
+        kept |= free
+        open_ ^= free
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    bounds = np.searchsorted(a, np.arange(size + 1)).tolist()
+    for i in np.flatnonzero(open_).tolist():
+        if open_[i]:
+            kept[i] = True
+            open_[b[bounds[i]:bounds[i + 1]]] = False
+    return np.flatnonzero(kept)

@@ -2,10 +2,12 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudoradar import __version__
 from pseudoradar.cli import main
+from pseudoradar.pointcloud import PointCloudFrame, write_corpus
 
 
 def read_json(path):
@@ -151,6 +153,18 @@ class TestSample:
         assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
                      str(gmm_model), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_tiny_threshold_exits_two(self, gmm_model, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        write_corpus(tmp_path / "lidar", [
+            PointCloudFrame(f"f{i}", float(i), rng.normal(0, 20, (300, 3)),
+                            rng.uniform(1, 20, 300)) for i in range(2)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d_threshold": 1e-18}))
+        assert main(["sample", "--input", str(tmp_path / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "d_threshold=1e-18" in capsys.readouterr().err
 
     def test_config_file_applies_and_flags_override(self, corpus, gmm_model, tmp_path):
         cfg = tmp_path / "cfg.json"

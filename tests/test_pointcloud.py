@@ -89,6 +89,61 @@ class TestCsv:
         with pytest.raises(SchemaError):
             read_frame_csv(path)
 
+    @pytest.mark.parametrize("velocity", [False, True])
+    def test_writer_bytes_match_the_per_point_loop(self, tmp_path, velocity):
+        special = np.array([-0.0, 0.0, 1e-5, 1e16, 5e-324, -1e16, 0.1, 1 / 3])
+        frame = random_frame(60, seed=8, velocity=velocity)
+        xyz = frame.xyz.copy()
+        xyz[:len(special)] = special[:, None]
+        vel = None if frame.velocity is None else frame.velocity.copy()
+        if vel is not None:
+            vel[:len(special)] = special[::-1, None]
+        frame = PointCloudFrame("f", 0.0, xyz, np.abs(special[np.arange(60) % 8]), vel)
+        # the writer as it was: repr of each value, one point at a time
+        lines = ["x,y,z,intensity,vx,vy" if velocity else "x,y,z,intensity"]
+        for i in range(frame.n_points):
+            x, y, z = frame.xyz[i]
+            cols = [repr(float(x)), repr(float(y)), repr(float(z)),
+                    repr(float(frame.intensity[i]))]
+            if velocity:
+                cols += [repr(float(frame.velocity[i, 0])), repr(float(frame.velocity[i, 1]))]
+            lines.append(",".join(cols))
+        write_frame_csv(frame, tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("x,y,z,intensity\n\n1,2,3,4\n   \n5,6,7,8\n\n")
+        assert read_frame_csv(path).xyz.tolist() == [[1, 2, 3], [5, 6, 7]]
+
+    def test_values_the_table_parser_rejects_parse_as_before(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("x,y,z,intensity\n1_000,2,3,4\n")
+        assert read_frame_csv(path).xyz.tolist() == [[1000, 2, 3]]
+
+    @pytest.mark.parametrize("body, line", [("1,2,3,4\n# note\n", 3),
+                                            ("1,2,3,4\n5,6,7\n", 3),
+                                            ("1,2,3\n5,6,7\n", 2),
+                                            ("1,2,3,4\n\n1,2,3,4,5\n", 4)])
+    def test_bad_row_reports_its_line(self, tmp_path, body, line):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z,intensity\n" + body)
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_frame_csv(path)
+
+    def test_non_utf8_body_is_parse_error(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_bytes(b"x,y,z,intensity\n1,2,3,4\n1,2,3,\xff\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_frame_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "x,y,z,i\n1,2,3,4\n"])
+    def test_missing_or_bad_header_is_schema_error(self, tmp_path, text):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            read_frame_csv(path)
+
 
 class TestNuscenesBin:
     def test_empty_file(self, tmp_path):

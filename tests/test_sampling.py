@@ -343,6 +343,12 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="'a'"):
             lidar_to_radar([f0, f1], model, SamplingConfig())
 
+    def test_tiny_threshold_reported_with_frame_id(self, model):
+        frames = [frame_of(np.random.default_rng(i).normal(0, 20, (500, 3)), t=float(i),
+                           frame_id=name) for i, name in enumerate("ab")]
+        with pytest.raises(PipelineError, match="'a'.*d_threshold=1e-18"):
+            lidar_to_radar(frames, model, SamplingConfig(d_threshold=1e-18))
+
     def test_custom_flow_estimator_is_used(self, scene, model):
         class ConstantFlow:
             def estimate(self, frame_t, frame_next, dt):

@@ -1,11 +1,16 @@
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_thinning
+from pseudoradar import spatial
 from pseudoradar.spatial import KdTree, brute_force_k_nearest, thin_redundant
+from pseudoradar.synth import SceneSpec, gen_scene
 
 
 def test_empty_tree_returns_nothing():
@@ -201,3 +206,116 @@ class TestThinRedundant:
         kept = thin_redundant(pts, thr)
         again = thin_redundant(pts[kept], thr)
         assert again.tolist() == list(range(len(kept)))
+
+
+# thin_redundant against the frozen per-point loop in tests/scalar_thinning.py;
+# a small pair budget forces many blocks, and zero or one round forces the
+# index-order pass that finishes a block whose rounds stall
+PATHS = st.sampled_from([(1 << 18, 16), (16, 16), (1 << 18, 0), (40, 1)])
+
+
+def thin_both_ways(pts, thr, budget, rounds):
+    with mock.patch.object(spatial, "_PAIR_BUDGET", budget), \
+            mock.patch.object(spatial, "_ROUNDS", rounds):
+        got = thin_redundant(pts, thr)
+    assert got.dtype == np.intp
+    assert got.tolist() == scalar_thinning.thin_redundant(pts, thr).tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from([0.5, 2.0, 10.0]),
+       st.sampled_from([0.0, -7.3, 1e4]), st.floats(0.05, 1.0), PATHS)
+@settings(max_examples=150, deadline=None)
+def test_thinning_matches_the_loop_on_random_clouds(seed, n, extent, shift, thr, path):
+    pts = np.random.default_rng(seed).uniform(-extent, extent, (n, 3)) + shift
+    thin_both_ways(pts, thr, *path)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 8),
+       st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.05, 1.0)), PATHS)
+@settings(max_examples=150, deadline=None)
+def test_thinning_matches_the_loop_on_quarter_lattices(seed, n, side, thr, path):
+    # small sides give many exact duplicates; quarter steps give distances
+    # exactly at the threshold, which must not count as conflicts
+    pts = np.random.default_rng(seed).integers(-side, side + 1, (n, 3)) / 4.0
+    thin_both_ways(pts, thr, *path)
+
+
+def test_small_budget_and_no_rounds_take_the_block_and_chain_paths():
+    pts = np.random.default_rng(3).uniform(0, 3, (400, 3))
+    calls = []
+    real = spatial._candidate_pairs
+
+    def spy(cell, nk, nbr):
+        pairs = real(cell, nk, nbr)
+        calls.append((nk, pairs[0] is None))
+        return pairs
+
+    with mock.patch.object(spatial, "_candidate_pairs", spy):
+        thin_both_ways(pts, 0.4, 40, 0)
+    assert any(nk for nk, _ in calls)  # later blocks checked against kept points
+    assert any(over for _, over in calls)  # over-budget blocks halved
+
+
+def test_squares_round_like_the_loops_power_operator():
+    # the loop squares with Python's **, which calls the C library's pow; where
+    # pow(dx, 2) rounds below dx * dx, the loop counts a pair dx apart as a
+    # conflict at threshold dx, which a product alone would not
+    cands = np.random.default_rng(4).uniform(0.05, 1.0, 200_000).tolist()
+    dx = next((v for v in cands if v ** 2 < v * v), None)
+    if dx is None:
+        pytest.skip("this C library's pow squares exactly")
+    pts = np.array([[0.0, 0.0, 0.0], [dx, 0.0, 0.0], [0.0, 5.0, 5.0], [0.0, 5.0, 5.0 + dx]])
+    assert thin_redundant(pts, dx).tolist() == [0, 2]
+    assert scalar_thinning.thin_redundant(pts, dx).tolist() == [0, 2]
+
+
+def test_tiny_threshold_fails_with_a_named_cause():
+    pts = np.array([[0.0, 0.0, 0.0], [12.5, -3.0, 1.0]])
+    with pytest.raises(ValueError, match=r"d_threshold=1e-18 .*\|p\| = 12\.5"):
+        thin_redundant(pts, 1e-18)
+    with pytest.raises(ValueError, match="int64"):
+        thin_redundant(pts, 1e-300)
+
+
+def test_cells_spread_over_the_whole_int64_range():
+    # cell indices near both ends of int64: a combined key of the raw indices
+    # would overflow, so the axes are ranked first
+    rng = np.random.default_rng(9)
+    near = rng.uniform(-1, 1, (200, 3))
+    far = np.array([[-9.2e18, 0, 0], [9.2e18, 9.2e18, -9.2e18], [9.2e18, 9.2e18, -9.2e18 + 1],
+                    [0, -9.2e18, 9.2e18], [0, 4.6e18, 0]])
+    pts = np.concatenate([near, far, near[:50] * 1e17])
+    assert thin_redundant(pts, 1.0).tolist() == scalar_thinning.thin_redundant(pts, 1.0).tolist()
+
+
+def test_underflowing_threshold_keeps_every_point():
+    pts = np.zeros((5, 3))
+    assert thin_redundant(pts, 1e-200).tolist() == list(range(5))
+    assert scalar_thinning.thin_redundant(pts, 1e-200).tolist() == list(range(5))
+
+
+@pytest.mark.parametrize("case", ["tight_cluster", "duplicate_sites", "index_chain"])
+def test_worst_cases_are_exact_and_bounded(case):
+    rng = np.random.default_rng(11)
+    n = 20_000
+    pts = {
+        "tight_cluster": rng.normal(0.0, 0.02, (n, 3)),
+        "duplicate_sites": rng.uniform(-5, 5, (100, 3))[rng.permutation(n) % 100],
+        "index_chain": np.c_[np.arange(n) * 0.27, np.zeros(n), np.zeros(n)],
+    }[case]
+    start = time.perf_counter()
+    got = thin_redundant(pts, 0.3)
+    assert time.perf_counter() - start < 10.0
+    assert got.tolist() == scalar_thinning.thin_redundant(pts, 0.3).tolist()
+
+
+def test_nuscenes_scale_frame_matches_the_loop_in_less_memory():
+    pts = gen_scene(SceneSpec(seed=7, lidar_density=7.0)).lidar_frames[0].xyz
+    tracemalloc.start()
+    try:
+        got = thin_redundant(pts, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == scalar_thinning.thin_redundant(pts, 0.3).tolist()
+    assert peak < 13.3e6  # the per-point loop peaks at about 14 MB here

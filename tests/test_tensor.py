@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ OPS = {
 def test_op_gradient_matches_finite_differences(name):
     # random inputs of size <= 64, magnitudes <= 10, projection readout
     op = OPS[name]
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    rng = np.random.default_rng(_seed(name))
     x = Tensor(rng.uniform(-5, 5, size=(4, 6)), requires_grad=True)
     u = Tensor(rng.uniform(-5, 5, size=(4, 6)))
 
@@ -274,7 +275,12 @@ def test_op_gradient_matches_finite_differences(name):
 
 
 def _proj_for(shape, name):
-    return np.random.default_rng(abs(hash(name + "p")) % 2**32).normal(size=shape)
+    return np.random.default_rng(_seed(name + "p")).normal(size=shape)
+
+
+def _seed(name):
+    # str hash() is salted per process; crc32 gives every run the same inputs
+    return zlib.crc32(name.encode())
 
 
 @given(st.integers(0, 2**32 - 1))
