@@ -21,7 +21,8 @@ from . import tensor as T
 from .contrastive import (ContrastiveConfig, ContrastiveParams, FeatureMap,
                           aggregate_global, bcsa, global_loss, info_nce,
                           local_loss, total_loss, toy_pretrain)
-from .errors import AlignmentError, DivergenceError, FormatError, InsufficientDataError
+from .errors import (AlignmentError, DivergenceError, EmptyFrameError, FormatError,
+                     InsufficientDataError)
 from .gmm import DEFAULT_COMPONENTS, fit_em, load_gmm, save_gmm
 from .metrics import mean_chamfer
 from .pointcloud import atomic_write_text, load_corpus, load_manifest, write_corpus
@@ -216,6 +217,9 @@ def cmd_chamfer(args) -> int:
         report = mean_chamfer(frames_a, frames_b)
     except AlignmentError as exc:
         raise CliError(str(exc)) from exc
+    except EmptyFrameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     doc = _report_header({"a": str(args.a), "b": str(args.b)})
     doc.update(report.to_dict())
     _write_json(args.report, doc)
@@ -225,10 +229,9 @@ def cmd_chamfer(args) -> int:
     return 0
 
 
-def chamfer_scatter_svg(per_frame: list[tuple[str, float]],
-                        width: int = 640, height: int = 360) -> str:
+def chamfer_scatter_svg(per_frame: list[tuple[str, float]]) -> str:
     """Per-frame scatter with axes, no external plotting dependency."""
-    pad = 48
+    width, height, pad = 640, 360, 48
     values = [v for _, v in per_frame] or [0.0]
     vmax = max(values) or 1.0
     n = max(len(values), 1)
@@ -373,10 +376,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_pretrain_toy(args) -> int:
     corpus = Path(args.corpus)
-    if not (corpus / "manifest.json").exists():
-        raise CliError(f"no manifest.json in {corpus}")
     manifest = load_manifest(corpus)
     frame_ids = manifest.get("frames", [])
+    if not isinstance(frame_ids, list):
+        raise CliError(f"{corpus / 'manifest.json'}: 'frames' must be a list")
     # the corpus supplies scene identities; features are synthetic
     # planted-correspondence stand-ins keyed on (seed, corpus size)
     n_scenes = max(2, min(4, len(frame_ids))) if frame_ids else 3

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -523,36 +523,31 @@ class PretrainTrace:
 
 
 def toy_pretrain(
-    batch: Sequence[SceneMaps] | Callable[[], Sequence[SceneMaps]],
+    batch: Sequence[SceneMaps],
     config: ContrastiveConfig,
     steps: int,
     learning_rate: float,
     seed: int = 0,
-    train_features: bool = True,
-    params: ContrastiveParams | None = None,
 ) -> tuple[PretrainTrace, ContrastiveParams]:
     """Plain gradient descent on the combined loss over a fixed batch.
 
-    Updates the attention and BCSA parameters and, by default, the feature
-    maps themselves. Column selection is redrawn from the same seed every
-    step, so with learning_rate 0 the trace is flat. Raises DivergenceError
-    if the loss goes non-finite.
+    Updates the feature maps themselves and the attention and BCSA
+    parameters, which are initialised from ``seed``. Column selection is
+    redrawn from the same seed every step, so with learning_rate 0 the trace
+    is flat. Raises DivergenceError if the loss goes non-finite.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    scenes = list(batch() if callable(batch) else batch)
+    scenes = list(batch)
     if not scenes:
         raise ValueError("empty batch")
-    channels = scenes[0].shape[0]
-    if params is None:
-        params = ContrastiveParams.init(channels, seed)
+    params = ContrastiveParams.init(scenes[0].shape[0], seed)
     learnables = params.tensors()
-    if train_features:
-        for scene in scenes:
-            for name in MAP_NAMES:
-                t = getattr(scene, name).tensor
-                t.requires_grad = True
-                learnables.append(t)
+    for scene in scenes:
+        for name in MAP_NAMES:
+            t = getattr(scene, name).tensor
+            t.requires_grad = True
+            learnables.append(t)
 
     losses: list[float] = []
     for step in range(steps):

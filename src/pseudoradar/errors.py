@@ -31,6 +31,15 @@ class AlignmentError(ValueError):
         super().__init__(message)
 
 
+class EmptyFrameError(ValueError):
+    """Paired frames with no points on one side; Chamfer is undefined there."""
+
+    def __init__(self, frame_ids: list[str]):
+        self.frame_ids = list(frame_ids)
+        super().__init__(f"Chamfer distance is undefined for frames with no points: "
+                         f"{', '.join(self.frame_ids)}")
+
+
 class PipelineError(ValueError):
     """A pipeline stage failed; carries the frame id for context."""
 

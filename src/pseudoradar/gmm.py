@@ -55,9 +55,6 @@ class Gmm1D:
     def mean(self) -> float:
         return float((self.weights * self.means).sum())
 
-    def log_likelihood(self, values: np.ndarray) -> float:
-        return float(_log_densities(values, self.weights, self.means, self.variances)[1].sum())
-
 
 @dataclass(frozen=True)
 class FitResult:

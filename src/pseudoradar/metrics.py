@@ -8,15 +8,13 @@ used by the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError
-from .pointcloud import PointCloudFrame, atomic_write_text
+from .errors import AlignmentError, EmptyFrameError
+from .pointcloud import PointCloudFrame
 from .spatial import KdTree
 
 
@@ -64,30 +62,24 @@ class ChamferReport:
             "per_frame": [{"frame_id": fid, "value": val} for fid, val in self.per_frame],
         }
 
-    def save(self, path: str | Path, extra: dict | None = None) -> None:
-        doc = dict(extra or {})
-        doc.update(self.to_dict())
-        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
-
 
 def mean_chamfer(frames_a: Sequence[PointCloudFrame],
                  frames_b: Sequence[PointCloudFrame]) -> ChamferReport:
     """Pair frames by frame_id and average their Chamfer distances.
 
     Ids present on only one side abort with an AlignmentError listing them.
+    Pairs with an empty side abort, before any distance is computed, with an
+    EmptyFrameError listing every such id in ``frames_a`` order.
     """
     by_id_b = {f.frame_id: f for f in frames_b}
     ids_a = {f.frame_id for f in frames_a}
     orphans = sorted(ids_a.symmetric_difference(by_id_b))
     if orphans:
         raise AlignmentError(f"unpaired frame ids: {', '.join(orphans)}", orphans=orphans)
-    per_frame = []
-    for fa in frames_a:
-        fb = by_id_b[fa.frame_id]
-        try:
-            value = chamfer(fa.xyz, fb.xyz)
-        except ValueError as exc:
-            raise ValueError(f"frame {fa.frame_id!r}: {exc}") from exc
-        per_frame.append((fa.frame_id, value))
+    pairs = [(fa, by_id_b[fa.frame_id]) for fa in frames_a]
+    empty = [fa.frame_id for fa, fb in pairs if fa.n_points == 0 or fb.n_points == 0]
+    if empty:
+        raise EmptyFrameError(empty)
+    per_frame = [(fa.frame_id, chamfer(fa.xyz, fb.xyz)) for fa, fb in pairs]
     mean = float(np.mean([v for _, v in per_frame])) if per_frame else 0.0
     return ChamferReport(per_frame=per_frame, mean=mean, count=len(per_frame))

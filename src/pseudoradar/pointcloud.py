@@ -250,18 +250,16 @@ def write_corpus(dirpath: str | Path, frames: Sequence[PointCloudFrame],
 
 def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     dirpath = Path(dirpath)
+    manifest = load_manifest(dirpath)
     manifest_path = dirpath / "manifest.json"
-    if not manifest_path.exists():
-        raise SchemaError(f"{dirpath}: no manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
     if "frames" not in manifest or "format" not in manifest:
         raise SchemaError(f"{manifest_path}: manifest needs 'format' and 'frames'")
     if manifest["format"] not in ("csv", "bin"):
         raise SchemaError(f"{manifest_path}: format must be 'csv' or 'bin', "
                           f"got {manifest['format']!r}")
+    if not isinstance(manifest["frames"], list):
+        raise SchemaError(f"{manifest_path}: 'frames' must be a list, "
+                          f"got {type(manifest['frames']).__name__}")
     reader = read_frame_csv if manifest["format"] == "csv" else read_frame_bin
     root = dirpath.resolve()
     frames = []
@@ -278,10 +276,18 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
 
 
 def load_manifest(dirpath: str | Path) -> dict:
+    """Decode ``dirpath/manifest.json``, which must hold a JSON object."""
     manifest_path = Path(dirpath) / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"{dirpath}: no manifest.json")
-    return json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: expected a JSON object, "
+                          f"got {type(manifest).__name__}")
+    return manifest
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Per frame: draw a target count from a fitted count mixture, thin redundant
 points with a distance threshold, compute intensity / sparsity / distance
 sampling weights on the thinned cloud, draw the survivors in two stages
 (half from outside a central radius, the rest globally), attach velocities
-from a pluggable scene-flow estimator, and flatten onto the z = 0 plane.
+from a pluggable scene-flow callable, and flatten onto the z = 0 plane.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, frame_index), so frames are independent and reruns are bit-identical
@@ -14,14 +14,14 @@ regardless of processing order.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PipelineError
 from .gmm import Gmm1D, sample_count
 from .pointcloud import PointCloudFrame
-from .rng import philox as frame_rng
+from .rng import philox
 from .spatial import KdTree, thin_redundant
 
 
@@ -55,13 +55,6 @@ class SamplingConfig:
             raise ValueError(f"d_threshold must be >= 0, got {self.d_threshold}")
         if self.neighbor_count < 1:
             raise ValueError(f"neighbor_count must be >= 1, got {self.neighbor_count}")
-
-
-class FlowEstimator(Protocol):
-    """Seam for scene-flow models: per-point (vx, vy, vz) for frame_t."""
-
-    def estimate(self, frame_t: PointCloudFrame, frame_next: PointCloudFrame,
-                 dt: float) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -241,14 +234,6 @@ def nn_flow_estimate(frame_t: PointCloudFrame, frame_next: PointCloudFrame,
     return (frame_next.xyz[idx[:, 0]] - frame_t.xyz) / dt
 
 
-class NearestNeighborFlow:
-    """Default FlowEstimator backed by nn_flow_estimate."""
-
-    def estimate(self, frame_t: PointCloudFrame, frame_next: PointCloudFrame,
-                 dt: float) -> np.ndarray:
-        return nn_flow_estimate(frame_t, frame_next, dt)
-
-
 def with_velocity(frame: PointCloudFrame, velocities: np.ndarray) -> PointCloudFrame:
     """Attach per-point velocities; only the planar (vx, vy) part is kept."""
     vel = np.asarray(velocities, dtype=np.float64)
@@ -274,17 +259,19 @@ def lidar_to_radar(
     frames: Sequence[PointCloudFrame],
     model: Gmm1D,
     config: SamplingConfig,
-    flow: FlowEstimator | None = None,
+    flow: Callable[[PointCloudFrame, PointCloudFrame, float], np.ndarray] | None = None,
 ) -> tuple[list[PointCloudFrame], list[FrameReport]]:
     """Convert a LiDAR frame sequence into pseudo-radar frames plus reports.
 
-    Velocities are estimated after sampling, on the selected points only;
-    the last frame has no successor and gets zero velocities, flagged in its
-    report. Deterministic given (config.seed, model, input).
+    Velocities are estimated after sampling, on the selected points only, by
+    ``flow(frame_t, frame_next, dt) -> (N, 3)``; it defaults to
+    :func:`nn_flow_estimate`, looked up at call time. The last frame has no
+    successor and gets zero velocities, flagged in its report. Deterministic
+    given (config.seed, model, input).
     """
     if len(frames) < 2:
         raise ValueError(f"need at least 2 frames for flow estimation, got {len(frames)}")
-    flow = flow if flow is not None else NearestNeighborFlow()
+    flow = flow if flow is not None else nn_flow_estimate
     outputs: list[PointCloudFrame] = []
     reports: list[FrameReport] = []
     for i, frame in enumerate(frames):
@@ -301,7 +288,7 @@ def lidar_to_radar(
 
 
 def _process_frame(frame, frame_next, index, model, config, flow):
-    rng = frame_rng(config.seed, index)
+    rng = philox(config.seed, index)
     n_target = sample_count(model, rng)
     kept = thin_redundant(frame.xyz, config.d_threshold)
     thinned = frame.select(kept)
@@ -314,8 +301,7 @@ def _process_frame(frame, frame_next, index, model, config, flow):
         return empty, report
 
     w_int, _ = intensity_weights(thinned.intensity)
-    w_spa = sparsity_weights(thinned.xyz, config.neighbor_count) \
-        if thinned.n_points > 1 else np.ones(1)
+    w_spa = sparsity_weights(thinned.xyz, config.neighbor_count)
     w_dist = distance_weights(thinned.xyz, config.dist_epsilon)
     w = combine_weights(w_int, w_dist, w_spa, config)
 
@@ -326,7 +312,7 @@ def _process_frame(frame, frame_next, index, model, config, flow):
         dt = frame_next.timestamp - frame.timestamp
         if dt <= 0:
             raise ValueError(f"timestamps must strictly increase, got dt={dt}")
-        vel = np.asarray(flow.estimate(chosen, frame_next, dt), dtype=np.float64)
+        vel = np.asarray(flow(chosen, frame_next, dt), dtype=np.float64)
         if vel.shape != (chosen.n_points, 3):
             raise ValueError(f"flow estimator returned shape {vel.shape}, "
                              f"expected ({chosen.n_points}, 3)")

@@ -48,12 +48,9 @@ class KdTree:
         self.points = pts
         if len(pts) == 0:
             return
-        # group exact duplicates; the stable sort keeps each group's indices ascending
-        self._members = np.lexsort(pts.T)
-        srt = pts[self._members]
-        self._first = np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
+        self._members, self._first = _equal_rows(pts)
         self._count = np.diff(np.r_[self._first, len(pts)])
-        distinct = srt[self._first]
+        distinct = pts[self._members[self._first]]
         n = len(distinct)
 
         # each level splits every node at its median along its widest axis
@@ -202,6 +199,22 @@ class KdTree:
         best_d[u] = old_d
 
 
+def _equal_rows(pts):
+    """Group the equal rows of a finite (N, 3) array: returns ``(order,
+    first)``, the row indices with equal rows adjacent and each group's
+    indices ascending, and the position in ``order`` where each group starts.
+
+    Rows are stably sorted by a hash of their coordinate bits. A hash
+    collision, or equal rows with different bits (0.0 and -0.0), can split a
+    group; both callers stay exact when one is split.
+    """
+    bits = np.ascontiguousarray(pts).view(np.uint64)
+    order = np.argsort(bits[:, 0] * _MIX[0] ^ bits[:, 1] * _MIX[1] ^ bits[:, 2] * _MIX[2],
+                       kind="stable")
+    srt = pts[order]
+    return order, np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
+
+
 def brute_force_k_nearest(
     points: np.ndarray, query, k: int, exclude_self: bool = False
 ) -> list[tuple[int, float]]:
@@ -248,13 +261,10 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
         return np.arange(n, dtype=np.intp)
 
     # an exact duplicate of an earlier point is never kept: the earlier point
-    # or the kept point that removed it removes the duplicate as well. Equal
-    # rows hash alike; a run of equal rows in hash order keeps its lowest index
-    bits = np.ascontiguousarray(pts).view(np.uint64)
-    srt = np.argsort(bits[:, 0] * _MIX[0] ^ bits[:, 1] * _MIX[1] ^ bits[:, 2] * _MIX[2])
-    runs = np.flatnonzero(np.r_[True, (pts[srt[1:]] != pts[srt[:-1]]).any(axis=1)])
-    ids = np.sort(np.minimum.reduceat(srt, runs))
-    del bits, srt, runs
+    # or the kept point that removed it removes the duplicate as well
+    order, first = _equal_rows(pts)
+    ids = np.sort(order[first])
+    del order, first
     cells = cells[ids].astype(np.int64)
     cell, nbr = _cell_graph(cells)
     del cells
@@ -380,8 +390,8 @@ def _candidate_pairs(cell, nk, nbr):
 
 
 def _conflicts(pts, a, b, thr2):
-    """Mask of pairs (a, b), a < b, closer than sqrt(thr2), with the distance
-    summed over the axes left to right as in ``(x - qx) ** 2 + ...``."""
+    """Mask of pairs (a, b), a < b, closer than sqrt(thr2), with the squared
+    distance ``dx * dx + dy * dy + dz * dz`` summed left to right."""
     cols = [np.ascontiguousarray(c) for c in pts.T]
     d2 = cols[0][b] - cols[0][a]
     d2 *= d2
@@ -390,12 +400,6 @@ def _conflicts(pts, a, b, thr2):
         np.subtract(c[b], c[a], out=t)
         t *= t
         d2 += t
-    # Python's float ** calls the C library's pow, which may differ from
-    # x * x in the last bit; redo the sums near enough the threshold to flip
-    near = np.flatnonzero(np.abs(d2 - thr2) <= thr2 * 2.0**-40 + np.finfo(float).tiny)
-    if len(near):
-        sq = np.float_power(pts[b[near]] - pts[a[near]], 2)
-        d2[near] = sq[:, 0] + sq[:, 1] + sq[:, 2]
     return d2 < thr2
 
 

@@ -3,7 +3,9 @@ checked against the kept points in the 27 grid cells around it.
 
 This is the thinning as it was before the pair-and-round form, kept only so
 that tests can compare ``pseudoradar.spatial.thin_redundant`` against it. It
-is slow by design and is not part of the package.
+is slow by design and is not part of the package. Distances are squared with
+products, ``e * e``, as the package squares them: Python's ``e ** 2`` calls the
+C library's ``pow``, whose last bit differs between platforms.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
             if bucket is None:
                 continue
             for qx, qy, qz in bucket:
-                if (x - qx) ** 2 + (y - qy) ** 2 + (z - qz) ** 2 < thr2:
+                ex, ey, ez = x - qx, y - qy, z - qz
+                if ex * ex + ey * ey + ez * ez < thr2:
                     ok = False
                     break
             if not ok:

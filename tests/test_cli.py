@@ -228,6 +228,32 @@ class TestChamfer:
         assert main(["chamfer", "--a", str(bad), "--b", str(corpus / "radar"),
                      "--report", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["chamfer", "sample"])
+    def test_frames_not_a_list_exits_two(self, corpus, gmm_model, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps({"format": "csv", "frames": 5}))
+        args = (["chamfer", "--a", str(bad), "--b", str(corpus / "radar"),
+                 "--report", str(tmp_path / "r.json")] if command == "chamfer" else
+                ["sample", "--input", str(bad), "--gmm", str(gmm_model),
+                 "--out", str(tmp_path / "out")])
+        assert main(args) == 2
+        assert "'frames' must be a list" in capsys.readouterr().err
+
+    def test_empty_frames_exit_one_and_write_no_report(self, tmp_path, capsys):
+        full, empty = np.ones((2, 3)), np.zeros((0, 3))
+        write_corpus(tmp_path / "a", [PointCloudFrame("f0", 0.0, full, np.ones(2)),
+                                      PointCloudFrame("f1", 1.0, empty, np.ones(0)),
+                                      PointCloudFrame("f2", 2.0, full, np.ones(2))])
+        write_corpus(tmp_path / "b", [PointCloudFrame("f0", 0.0, full, np.ones(2)),
+                                      PointCloudFrame("f1", 1.0, full, np.ones(2)),
+                                      PointCloudFrame("f2", 2.0, empty, np.ones(0))])
+        report, plot = tmp_path / "r.json", tmp_path / "p.svg"
+        assert main(["chamfer", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                     "--report", str(report), "--plot", str(plot)]) == 1
+        assert "f1, f2" in capsys.readouterr().err
+        assert not report.exists() and not plot.exists()
+
     def test_svg_plot_is_well_formed_xml(self, corpus, tmp_path):
         report, plot = tmp_path / "r.json", tmp_path / "p.svg"
         assert main(["chamfer", "--a", str(corpus / "radar"),
@@ -290,3 +316,15 @@ class TestPretrainToy:
     def test_missing_manifest_exits_two(self, tmp_path):
         assert main(["pretrain-toy", "--corpus", str(tmp_path), "--steps", "2",
                      "--lr", "0.1", "--report", str(tmp_path / "t.json")]) == 2
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"[1, 2]", "expected a JSON object, got list"),
+        (b'{"frames": 5}', "'frames' must be a list"),
+        (b'{"frames": [', "manifest.json: Expecting"),
+        (b'{"frames": "\xff"}', "manifest.json: 'utf-8' codec"),
+    ])
+    def test_bad_manifest_exits_two_naming_it(self, tmp_path, capsys, blob, message):
+        (tmp_path / "manifest.json").write_bytes(blob)
+        assert main(["pretrain-toy", "--corpus", str(tmp_path), "--steps", "2",
+                     "--lr", "0.1", "--report", str(tmp_path / "t.json")]) == 2
+        assert message in capsys.readouterr().err

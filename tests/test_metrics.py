@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoradar.errors import AlignmentError
+from pseudoradar.errors import AlignmentError, EmptyFrameError
 from pseudoradar.metrics import ChamferReport, chamfer, chamfer_bruteforce, mean_chamfer
 from pseudoradar.pointcloud import PointCloudFrame
 
@@ -92,11 +94,23 @@ class TestMeanChamfer:
             mean_chamfer(a, b)
         assert err.value.orphans == ["a", "c"]
 
-    def test_report_json_roundtrip(self, tmp_path):
+    def test_every_empty_frame_listed_before_any_distance(self, monkeypatch):
+        # f1 is empty on one side, f2 on the other; both are named, in order
+        full, empty = np.ones((2, 3)), np.zeros((0, 3))
+        a = [frame_of(full, frame_id="f0"), frame_of(empty, frame_id="f1"),
+             frame_of(full, frame_id="f2")]
+        b = [frame_of(empty, frame_id="f2"), frame_of(full, frame_id="f1"),
+             frame_of(full, frame_id="f0")]
+        calls = []
+        monkeypatch.setattr("pseudoradar.metrics.chamfer", lambda p, q: calls.append(1))
+        with pytest.raises(EmptyFrameError) as err:
+            mean_chamfer(a, b)
+        assert err.value.frame_ids == ["f1", "f2"]
+        assert "f1, f2" in str(err.value)
+        assert calls == []
+
+    def test_report_json_roundtrip(self):
         report = ChamferReport([("f0", 1.5), ("f1", 2.5)], 2.0, 2)
-        path = tmp_path / "r.json"
-        report.save(path, extra={"version": "test"})
-        import json
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["mean"] == 2.0 and doc["count"] == 2
         assert doc["per_frame"][0] == {"frame_id": "f0", "value": 1.5}

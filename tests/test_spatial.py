@@ -256,17 +256,14 @@ def test_small_budget_and_no_rounds_take_the_block_and_chain_paths():
     assert any(over for _, over in calls)  # over-budget blocks halved
 
 
-def test_squares_round_like_the_loops_power_operator():
-    # the loop squares with Python's **, which calls the C library's pow; where
-    # pow(dx, 2) rounds below dx * dx, the loop counts a pair dx apart as a
-    # conflict at threshold dx, which a product alone would not
-    cands = np.random.default_rng(4).uniform(0.05, 1.0, 200_000).tolist()
-    dx = next((v for v in cands if v ** 2 < v * v), None)
-    if dx is None:
-        pytest.skip("this C library's pow squares exactly")
-    pts = np.array([[0.0, 0.0, 0.0], [dx, 0.0, 0.0], [0.0, 5.0, 5.0], [0.0, 5.0, 5.0 + dx]])
-    assert thin_redundant(pts, dx).tolist() == [0, 2]
-    assert scalar_thinning.thin_redundant(pts, dx).tolist() == [0, 2]
+def test_pair_exactly_the_threshold_apart_is_kept():
+    # distances are squared with products, never the C library's pow: at
+    # dx = 0.0397, glibc 2.36 gives 0.0397 ** 2 one ulp below 0.0397 * 0.0397,
+    # which would count each axis pair below as a conflict at threshold dx
+    dx = 0.0397
+    pts = np.array([[0.0, 0.0, 0.0], [dx, 0.0, 0.0], [0.0, dx, 0.0], [0.0, 0.0, dx]])
+    assert thin_redundant(pts, dx).tolist() == [0, 1, 2, 3]
+    assert scalar_thinning.thin_redundant(pts, dx).tolist() == [0, 1, 2, 3]
 
 
 def test_tiny_threshold_fails_with_a_named_cause():
