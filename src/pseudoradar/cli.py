@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,9 @@ GRADCHECK_TOL = 1e-5
 
 _SAMPLING_KEYS = {f.name for f in dataclasses.fields(SamplingConfig)}
 _CONTRASTIVE_KEYS = {f.name for f in dataclasses.fields(ContrastiveConfig)}
-KNOWN_CONFIG_KEYS = _SAMPLING_KEYS | _CONTRASTIVE_KEYS
+# the declared type of every config key, resolved from the string annotations
+_CONFIG_TYPES = {**typing.get_type_hints(SamplingConfig),
+                 **typing.get_type_hints(ContrastiveConfig)}
 
 
 class CliError(Exception):
@@ -54,9 +57,16 @@ def load_config_file(path: str | None) -> dict:
         raise CliError(f"config file {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"config file {p}: expected a flat JSON object")
-    unknown = sorted(set(doc) - KNOWN_CONFIG_KEYS)
+    unknown = sorted(set(doc) - _CONFIG_TYPES.keys())
     if unknown:
         raise CliError(f"config file {p}: unknown keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        # an int field takes only an int, a float field an int or a float;
+        # JSON true and false load as bool, which is an int subclass
+        want = (int,) if _CONFIG_TYPES[key] is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, want):
+            kind = "an integer" if want == (int,) else "a number"
+            raise CliError(f"config file {p}: {key} must be {kind}, got {value!r}")
     return doc
 
 
@@ -270,87 +280,47 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
     c, h, w = 4, 6, 8
     cfg = ContrastiveConfig(tau=1.0, batch_size=3)
     params = ContrastiveParams.init(c, seed=seed)
-    errors: dict[str, float] = {}
 
-    anchors = [Tensor(rng.normal(size=6), requires_grad=True) for _ in range(3)]
-    cands = [Tensor(rng.normal(size=6), requires_grad=True) for _ in range(3)]
-    errors["info_nce"] = max(
-        finite_diff_check(lambda t: info_nce(anchors, cands, cfg.tau), anchors[0]),
-        finite_diff_check(lambda t: info_nce(anchors, cands, cfg.tau), cands[1]),
-    )
+    def draw(*shape, leaf=True):
+        return Tensor(rng.normal(size=shape), requires_grad=leaf)
 
-    f1 = Tensor(rng.normal(size=(c, h)), requires_grad=True)
-    f2 = Tensor(rng.normal(size=(c, h)), requires_grad=True)
-    readout = Tensor(rng.normal(size=(c, h)))
+    def scene_maps(batch_seed, height, width):
+        batch = gen_feature_batch(batch_seed, batch=2, channels=c, height=height,
+                                  width=width, noise_sigma=0.6)
+        maps = [getattr(s, n).tensor for s in batch.scenes
+                for n in ("img_bev", "img_fv", "rad_bev", "rad_fv")]
+        for t in maps:
+            t.requires_grad = True
+        return batch.scenes, maps
 
-    def bcsa_scalar(_):
-        r1, r2 = bcsa(f1, f2, params.bcsa)
-        return T.add(T.tsum(T.mul(r1, readout)), T.tsum(T.mul(r2, readout)))
+    def readout(pair, weights):
+        return T.add(T.tsum(T.mul(pair[0], weights)), T.tsum(T.mul(pair[1], weights)))
 
-    errors["bcsa"] = max(
-        finite_diff_check(bcsa_scalar, f1),
-        finite_diff_check(bcsa_scalar, f2),
-        max(finite_diff_check(bcsa_scalar, p) for p in params.bcsa.tensors()),
-    )
+    anchors = [draw(6) for _ in range(3)]
+    cands = [draw(6) for _ in range(3)]
+    f1, f2, f_read = draw(c, h), draw(c, h), draw(c, h, leaf=False)
+    fa, fb, proj = draw(c, h, w), draw(c, h, w), draw(c, leaf=False)
+    rad, img = draw(c, h, w), draw(c, h, w)
+    scenes, maps = scene_maps(seed + 7, 3, 3)
+    scenes2, maps2 = scene_maps(seed + 11, 4, 8)
 
-    fa = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
-    fb = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
-    proj = Tensor(rng.normal(size=c))
-
-    def agg_scalar(_):
-        g_a, g_b = aggregate_global(fa, fb, params.global_agg)
-        return T.add(T.tsum(T.mul(g_a, proj)), T.tsum(T.mul(g_b, proj)))
-
-    errors["aggregate_global"] = max(
-        finite_diff_check(agg_scalar, fa),
-        finite_diff_check(agg_scalar, fb),
-        max(finite_diff_check(agg_scalar, p) for p in params.global_agg.tensors()),
-    )
-
-    rad = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
-    img = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
-
-    def local_scalar(_):
-        f_rad = FeatureMap(rad, "radar", "bev")
-        f_img = FeatureMap(img, "image", "bev")
-        return local_loss(f_rad, f_img, cfg, params, philox(seed, 1))
-
-    errors["local_loss"] = max(
-        finite_diff_check(local_scalar, rad),
-        finite_diff_check(local_scalar, img),
-    )
-
-    batch = gen_feature_batch(seed + 7, batch=2, channels=c, height=3, width=3,
-                              noise_sigma=0.6)
-    maps = [getattr(s, n).tensor for s in batch.scenes
-            for n in ("img_bev", "img_fv", "rad_bev", "rad_fv")]
-    for t in maps:
-        t.requires_grad = True
-
-    def global_scalar(_):
-        return global_loss(batch.scenes, cfg, params)
-
-    errors["global_loss"] = max(
-        finite_diff_check(global_scalar, maps[0]),
-        finite_diff_check(global_scalar, maps[-1]),
-        max(finite_diff_check(global_scalar, p) for p in params.global_agg.tensors()),
-    )
-
-    batch2 = gen_feature_batch(seed + 11, batch=2, channels=c, height=4, width=8,
-                               noise_sigma=0.6)
-    maps2 = [getattr(s, n).tensor for s in batch2.scenes
-             for n in ("img_bev", "img_fv", "rad_bev", "rad_fv")]
-    for t in maps2:
-        t.requires_grad = True
-
-    def total_scalar(_):
-        return total_loss(batch2.scenes, cfg, params, philox(seed, 2))
-
-    errors["total_loss"] = max(
-        finite_diff_check(total_scalar, maps2[0]),
-        finite_diff_check(total_scalar, maps2[2]),
-    )
-    return errors
+    # (component, scalar function, leaves checked)
+    table = [
+        ("info_nce", lambda: info_nce(anchors, cands, cfg.tau), [anchors[0], cands[1]]),
+        ("bcsa", lambda: readout(bcsa(f1, f2, params.bcsa), f_read),
+         [f1, f2, *params.bcsa.tensors()]),
+        ("aggregate_global", lambda: readout(aggregate_global(fa, fb, params.global_agg), proj),
+         [fa, fb, *params.global_agg.tensors()]),
+        ("local_loss", lambda: local_loss(FeatureMap(rad, "radar", "bev"),
+                                          FeatureMap(img, "image", "bev"),
+                                          cfg, params, philox(seed, 1)), [rad, img]),
+        ("global_loss", lambda: global_loss(scenes, cfg, params),
+         [maps[0], maps[-1], *params.global_agg.tensors()]),
+        ("total_loss", lambda: total_loss(scenes2, cfg, params, philox(seed, 2)),
+         [maps2[0], maps2[2]]),
+    ]
+    return {name: max(finite_diff_check(lambda _: fn(), x) for x in leaves)
+            for name, fn, leaves in table}
 
 
 def cmd_gradcheck(args) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import uuid
 import warnings
 from dataclasses import dataclass
@@ -263,11 +264,19 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     reader = read_frame_csv if manifest["format"] == "csv" else read_frame_bin
     root = dirpath.resolve()
     frames = []
-    for entry in manifest["frames"]:
+    for i, entry in enumerate(manifest["frames"]):
         try:
             fid, ts, rel = entry["frame_id"], entry["timestamp"], entry["path"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{manifest_path}: bad frame entry {entry!r}") from exc
+        if not isinstance(fid, str):
+            raise SchemaError(f"{manifest_path}: frame {i}: frame_id must be a string, "
+                              f"got {fid!r}")
+        # abs(ts) <= max fails for NaN, infinities and ints past the float range
+        if (isinstance(ts, bool) or not isinstance(ts, (int, float))
+                or not abs(ts) <= sys.float_info.max):
+            raise SchemaError(f"{manifest_path}: frame {i}: timestamp must be a finite "
+                              f"number, got {ts!r}")
         if (not isinstance(rel, str) or Path(rel).is_absolute()
                 or not (dirpath / rel).resolve().is_relative_to(root)):
             raise SchemaError(f"{manifest_path}: frame path {rel!r} is not inside {dirpath}")

@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Covers exactly the operations the loss stack needs: elementwise arithmetic
-with numpy-style broadcasting, matmul, softmax, layer norm, trailing-axis
-transposition, concatenation, gathering, L2 normalization, batched cosine
-similarity, and reductions. Every gradient is verifiable against central
-finite differences via :func:`finite_diff_check`.
+Covers exactly the operations the loss stack needs: add, sub, mul and div
+with numpy-style broadcasting, sqrt, sigmoid, matmul, trailing-axis
+transposition, reshaping, concatenation, gathering, sums and means. The
+composite functions (softmax, logsumexp, layer norm, L2 normalization and
+batched cosine similarity) are single tape nodes, each with a closed-form
+backward. Every gradient is verifiable against central finite differences
+via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -135,34 +137,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    p = float(exponent)
-    data = a.data**p
-
-    def bw(g, grads):
-        _accum(grads, a, g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), bw)
-
-
 def sqrt(a: Tensor) -> Tensor:
-    return power(a, 0.5)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
+    data = np.sqrt(a.data)
 
     def bw(g, grads):
-        _accum(grads, a, g * data)
-
-    return _make(data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bw(g, grads):
-        _accum(grads, a, g / a.data)
+        _accum(grads, a, g * 0.5 * a.data ** -0.5)
 
     return _make(data, (a,), bw)
 
@@ -328,36 +307,53 @@ def cosine_sim(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tens
     return _make(np.squeeze(full, axis=axis), (a, b), bw)
 
 
-# ---------------------------------------------------------------------------
-# composites
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` using max subtraction for overflow safety.
+    """Softmax along ``axis``, max-shifted so no exponent overflows.
 
-    The subtracted maximum is held constant; softmax is shift invariant so
-    the composed gradient equals the true one.
+    Masked slots set to -inf get probability 0 and gradient 0.
     """
     if a.data.ndim == 0:
         raise ShapeError("softmax needs at least rank 1")
-    shift = Tensor(a.data.max(axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g, grads):
+        _accum(grads, a, data * (g - (g * data).sum(axis=axis, keepdims=True)))
+
+    return _make(data, (a,), bw)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     """log(sum(exp(a))) along ``axis``, max-shifted; keeps the axis collapsed."""
-    shift_arr = a.data.max(axis=axis, keepdims=True)
-    e = exp(sub(a, Tensor(shift_arr)))
-    return add(log(tsum(e, axis=axis)), Tensor(np.squeeze(shift_arr, axis=axis)))
+    shift = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - shift)
+    total = e.sum(axis=axis)
+    data = np.log(total) + np.squeeze(shift, axis=axis)
+
+    def bw(g, grads):
+        # d logsumexp / da is softmax(a), which is e / total
+        _accum(grads, a, np.expand_dims(g / total, axis) * e)
+
+    return _make(data, (a,), bw)
 
 
 def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization of each slice along ``axis``."""
-    mu = tmean(a, axis=axis, keepdims=True)
-    centered = sub(a, mu)
-    var = tmean(mul(centered, centered), axis=axis, keepdims=True)
-    return div(centered, sqrt(add(var, Tensor(eps))))
+    """Zero-mean unit-variance normalization of each slice along ``axis``.
+
+    The variance is the biased one (divided by n); the backward is the
+    closed form of Ba, Kiros and Hinton (arXiv:1607.06450).
+    """
+    inv_n = 1.0 / a.data.shape[axis]
+    centered = a.data - a.data.sum(axis=axis, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + eps)
+    data = centered / std
+
+    def bw(g, grads):
+        mean_g = g.sum(axis=axis, keepdims=True) * inv_n
+        mean_gx = (g * data).sum(axis=axis, keepdims=True) * inv_n
+        _accum(grads, a, (g - mean_g - data * mean_gx) / std)
+
+    return _make(data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,32 @@ class TestSample:
                      str(gmm_model), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"neighbor_count": 8.5}, "neighbor_count must be an integer, got 8.5"),
+        ({"neighbor_count": True}, "neighbor_count must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"d_threshold": "0.3"}, "d_threshold must be a number, got '0.3'"),
+        ({"tau": "x"}, "tau must be a number, got 'x'"),
+        ({"alpha_int": False}, "alpha_int must be a number, got False"),
+    ])
+    def test_mistyped_config_value_exits_two_naming_it(self, corpus, gmm_model, tmp_path,
+                                                       capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_config_value_for_float_field(self, corpus, gmm_model, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"center_radius": 10}))
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_json(out / "reports.json")["config"]["center_radius"] == 10
+
     def test_tiny_threshold_exits_two(self, gmm_model, tmp_path, capsys):
         rng = np.random.default_rng(0)
         write_corpus(tmp_path / "lidar", [
@@ -239,6 +265,26 @@ class TestChamfer:
                  "--out", str(tmp_path / "out")])
         assert main(args) == 2
         assert "'frames' must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, index, key, value", [
+        ("chamfer", 0, "timestamp", None),
+        ("chamfer", 0, "frame_id", ["frame_0000"]),
+        ("sample", 1, "timestamp", float("nan")),
+    ])
+    def test_mistyped_frame_entry_exits_two_naming_it(self, corpus, gmm_model, tmp_path,
+                                                      capsys, command, index, key, value):
+        import shutil
+        bad = tmp_path / "bad"
+        shutil.copytree(corpus / "lidar", bad)
+        manifest = read_json(bad / "manifest.json")
+        manifest["frames"][index][key] = value
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        args = (["chamfer", "--a", str(bad), "--b", str(corpus / "lidar"),
+                 "--report", str(tmp_path / "r.json")] if command == "chamfer" else
+                ["sample", "--input", str(bad), "--gmm", str(gmm_model),
+                 "--out", str(tmp_path / "out")])
+        assert main(args) == 2
+        assert f"manifest.json: frame {index}: {key} must be" in capsys.readouterr().err
 
     def test_empty_frames_exit_one_and_write_no_report(self, tmp_path, capsys):
         full, empty = np.ones((2, 3)), np.zeros((0, 3))

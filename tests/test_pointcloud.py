@@ -257,6 +257,25 @@ class TestCorpus:
         with pytest.raises(SchemaError, match="not inside"):
             load_corpus(corpus)
 
+    @pytest.mark.parametrize("key, value", [
+        ("frame_id", 7), ("frame_id", None), ("timestamp", True), ("timestamp", "0.5"),
+        ("timestamp", float("inf")), ("timestamp", 10**400),
+    ], ids=["int-id", "null-id", "bool-ts", "str-ts", "inf-ts", "huge-int-ts"])
+    def test_mistyped_frame_entry_is_schema_error(self, tmp_path, key, value):
+        write_corpus(tmp_path, [random_frame(3, frame_id="a"), random_frame(3, frame_id="b")])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["frames"][1][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=f"frame 1: {key} must be"):
+            load_corpus(tmp_path)
+
+    def test_integer_timestamp_is_accepted(self, tmp_path):
+        write_corpus(tmp_path, [random_frame(3)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["frames"][0]["timestamp"] = 3
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert load_corpus(tmp_path)[0].timestamp == 3.0
+
     def test_manifest_missing_fields(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{}]}))
         with pytest.raises(SchemaError):
