@@ -23,7 +23,7 @@ test suite verify every gradient against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,9 @@ class ContrastiveConfig:
     lambda_global: float = 1.0 / 6.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not (1 <= self.window_width < self.search_width):

@@ -13,6 +13,7 @@ regardless of processing order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
@@ -22,7 +23,7 @@ from .errors import PipelineError
 from .gmm import Gmm1D, sample_count
 from .pointcloud import PointCloudFrame
 from .rng import philox
-from .spatial import KdTree, thin_redundant
+from .spatial import KdTree, _knn_sqdist, thin_redundant
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         alphas = (self.alpha_int, self.alpha_dist, self.alpha_spa)
         if any(a < 0 for a in alphas) or not any(a > 0 for a in alphas):
             raise ValueError(f"need non-negative alphas with at least one positive, got {alphas}")
@@ -55,6 +59,8 @@ class SamplingConfig:
             raise ValueError(f"d_threshold must be >= 0, got {self.d_threshold}")
         if self.neighbor_count < 1:
             raise ValueError(f"neighbor_count must be >= 1, got {self.neighbor_count}")
+        if self.dist_epsilon < 0:
+            raise ValueError(f"dist_epsilon must be >= 0, got {self.dist_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,11 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
         raise ValueError("sparsity_weights needs at least one point")
     if n == 1:
         return np.ones(1)
-    idx, d2 = KdTree(pts).query(pts, min(j_max, n - 1), exclude_self=True)
+    d2 = _knn_sqdist(pts, min(j_max, n - 1))
     # sum d * d of d = sqrt(d2), one neighbor at a time: the order and rounding
-    # of a per-point running sum, so the weights match it bit for bit
-    d = np.sqrt(np.where(idx >= 0, d2, 0.0))
+    # of a per-point running sum, so the weights match it bit for bit; tied
+    # distances are equal values, so which tied point fills a slot is moot
+    d = np.sqrt(np.where(d2 < np.inf, d2, 0.0))
     raw = np.zeros(n)
     for col in d.T:
         raw += col * col

@@ -1,16 +1,26 @@
-"""Static 3-D kd-tree with exact, index-tie-broken nearest neighbors.
+"""Exact nearest neighbors and redundancy thinning for 3-D point clouds.
 
-The tree indexes the distinct coordinates of its input, each keeping its point
-indices in ascending order, as a complete binary tree in heap layout: node i
-has children 2i and 2i + 1, and leaves are padded rows of coordinates. One
-batched query serves every caller. Per block of queries, each query scans its
-home leaf, widens one ancestor at a time while it has fewer than k neighbors,
-then scans every other leaf whose box lies within its k-th distance.
+The kd-tree indexes the distinct coordinates of its input, each keeping its
+point indices in ascending order, as a complete binary tree in heap layout:
+node i has children 2i and 2i + 1, and leaves are padded rows of coordinates.
+One batched query serves the callers that need neighbor indices (flow,
+Chamfer). Per block of queries, each query scans its home leaf, widens one
+ancestor at a time while it has fewer than k neighbors, then scans every
+other leaf whose box lies within its k-th distance.
 
 Distances use the brute-force oracle's expression, so they agree with it bit
 for bit. Box bounds round the same way, so they never exceed the distance of a
 point in the box, and only boxes strictly beyond the k-th distance are pruned:
 an equal-distance, lower-index point is never lost.
+
+The sparsity weight needs only each point's k nearest squared distances, so
+it skips the tree and its index tie-break. Points sit in a uniform grid (a
+cell list) whose pitch follows the cloud's density; each point's candidates
+are the points of its 27 cells, taken as padded blocks of flat (point,
+candidate) pairs, and a partition keeps the k smallest. A row is final when
+its k-th distance is below the pitch, less a rounding margin; the rest take
+a pass at twice the pitch, and the few left after that a full scan or the
+kd-tree.
 
 Keep-first thinning has no per-point loop either. Points are sorted into grid
 cells of the threshold's pitch, candidate pairs come from each cell and its 13
@@ -27,6 +37,11 @@ _BLOCK = 1024  # queries per block, and (query, node) pairs per frontier piece
 _PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
                 dtype=np.uint64)  # odd multipliers that hash the coordinate bits
+_KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
+_KNN_SCAN = 1 << 19  # most (row, point) distances a full scan of leftover rows takes
+_KNN_WIDE = 1 << 10  # most candidates a row takes through the grid
+_KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
+_CELL_HASH = np.array([73856093, 19349663, 83492791])  # mixes cell indices for counting
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
 # the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
 # itself they reach every adjacent pair of cells exactly once
@@ -60,6 +75,10 @@ class KdTree:
         self._split = np.zeros(leaves)
         self._lo = np.empty((2 * leaves, 3))
         self._hi = np.empty((2 * leaves, 3))
+        # a distinct rank per coordinate and axis, equal values in any order:
+        # seg * n + rank orders a level by node, then by value, in one key
+        rank = np.empty((3, n), dtype=np.int64)
+        rank[np.arange(3)[:, None], np.argsort(distinct, axis=0).T] = np.arange(n)
         perm = np.arange(n)
         bounds = np.array([0, n])
         for level in range(depth + 1):
@@ -71,7 +90,7 @@ class KdTree:
             if level == depth:
                 break
             axis = (self._hi[nodes] - self._lo[nodes]).argmax(axis=1)
-            perm = perm[np.lexsort((sub[np.arange(n), axis[seg]], seg))]
+            perm = perm[np.argsort(seg * n + rank[axis[seg], perm])]
             mid = (bounds[:-1] + bounds[1:]) // 2
             self._axis[nodes] = axis
             self._split[nodes] = distinct[perm[mid], axis]
@@ -299,6 +318,148 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
         nxt = todo[take] if take < len(todo) else hi
         lo, size = nxt, 2 * (nxt - lo)
     return ids[kept]
+
+
+def _knn_sqdist(points, k):
+    """Each point's k smallest squared distances to the points that do not
+    coincide with it, ascending, inf where fewer than k exist: the distances
+    of ``KdTree(points).query(points, k, exclude_self=True)``, bit for bit.
+
+    A grid pass at a pitch set by the cloud's density certifies every row
+    whose k-th distance lies inside its 27 cells; a pass at twice the pitch
+    takes the rows left over, and a full scan or the kd-tree the few left
+    after that.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise ValueError("k-NN input contains non-finite coordinates")
+    out = np.full((len(pts), k), np.inf)
+    rows = np.arange(len(pts))
+    pitch = _knn_pitch(pts, k)
+    for h in (pitch, 2.0 * pitch):
+        if len(rows):
+            rows = _grid_knn(pts, rows, h, out)
+    if len(rows) * len(pts) > _KNN_SCAN:
+        out[rows] = KdTree(pts).query(pts[rows], k, exclude_self=True)[1]
+    elif len(rows):
+        _scan_knn(pts, rows, out)
+    return out
+
+
+def _scan_knn(pts, rows, out):
+    """Fill ``out[rows]`` by scanning every point, a block of rows at a time."""
+    k = out.shape[1]
+    step = max(1, _KNN_AREA // len(pts))
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        d2 = _k_smallest(((pts - pts[r][:, None]) ** 2).sum(axis=2), k)
+        out[r, :d2.shape[1]] = d2
+
+
+def _k_smallest(d2, k):
+    """The k smallest non-zero values of each row of ``d2``, ascending."""
+    d2[d2 == 0.0] = np.inf
+    if d2.shape[1] > k:
+        d2 = np.partition(d2, k - 1, axis=1)[:, :k]
+    d2.sort(axis=1)
+    return d2
+
+
+def _knn_pitch(pts, k):
+    """A grid pitch at which most points' k nearest neighbors lie within one
+    cell's width, from how full the cells are at two trial pitches."""
+    n = len(pts)
+    if n <= k:
+        return 0.0
+    target = _KNN_FILL * (k + 1)
+    mag = float(np.abs(pts).max())
+    g = float((pts.max(axis=0) - pts.min(axis=0)).max()) * (target / n) ** (1 / 3)
+    for _ in range(4):
+        # a pitch this fine leaves no room for the certificate's rounding margin
+        if not mag < 2.0**48 * g:
+            return 0.0
+        full, half = (_fill(pts, h) for h in (g, 0.5 * g))
+        # fill grows as pitch ** dim; below 1, the trial pitch is too coarse
+        # (one cell holds most points) or too fine (most cells hold one)
+        dim = np.log2(full / half)
+        if dim >= 1.0:
+            return g * (target / full) ** (1 / min(dim, 3.0))
+        g *= (target / full) ** (1 / 3)
+    return g
+
+
+def _fill(pts, h):
+    """Mean number of points in a point's own cell of pitch ``h``."""
+    _, cnt = np.unique(np.floor(pts / h).astype(np.int64) @ _CELL_HASH, return_counts=True)
+    return float(cnt @ cnt) / len(pts)
+
+
+def _grid_knn(pts, rows, h, out):
+    """Fill ``out[rows]`` with each row's k smallest squared distances to
+    non-coincident points in its 27 cells of pitch ``h``; returns the rows
+    whose k-th distance is not certified to be the cloud's own."""
+    k = out.shape[1]
+    eps = np.finfo(np.float64).eps
+    # a point outside the 27 cells is at least h away, less what the
+    # rounding of p / h and of the distance can take off
+    reach = h - 4 * eps * (float(np.abs(pts).max()) + h)
+    if not reach > 0.0:
+        return rows
+    bound = reach * reach * (1 - 4 * eps)
+    cell, nbr = _cell_graph(np.floor(pts / h).astype(np.int64))
+    ncell = nbr.shape[1]
+    # the 27 cells around each cell in offset order, its own in the middle
+    near = np.full((ncell, 27), -1, dtype=np.intp)
+    near[:, 13] = np.arange(ncell)
+    for j in range(len(_FORWARD)):
+        ok = nbr[j] >= 0
+        near[:, 14 + j] = nbr[j]
+        near[nbr[j, ok], 12 - j] = np.flatnonzero(ok)
+    order = np.argsort(cell)
+    count = np.bincount(cell, minlength=ncell + 1)  # slot -1 counts 0
+    start = np.cumsum(count) - count
+    # sorted coordinates, then one row at infinity that pads every block
+    cols = [np.r_[c, np.inf] for c in pts[order].T]
+    width = count[near].sum(axis=1)
+    # rows by width, then by cell: a block's last row is its widest, and the
+    # rows of one cell, which share their candidates, sit together
+    rows = rows[np.argsort(width[cell[rows]] * ncell + cell[rows])]
+    home = cell[rows]
+    # rows with more candidates than this cost less through the kd-tree
+    stay = width[home] > _KNN_WIDE
+    lo, end = 0, len(rows) - int(stay.sum())
+    while lo < end:
+        hi = min(end, lo + max(1, _KNN_AREA // int(width[home[lo]])))
+        while hi - lo > 1 and (hi - lo) * int(width[home[hi - 1]]) > _KNN_AREA:
+            hi = lo + max(1, _KNN_AREA // int(width[home[hi - 1]]))
+        r, c = rows[lo:hi], home[lo:hi]
+        new = np.r_[True, c[1:] != c[:-1]]
+        run = np.cumsum(new) - 1
+        uc = c[new]
+        w = width[uc]
+        span = max(int(w[-1]), k)
+        # each cell's candidates, its 27 cells in turn, padded to span
+        nb = near[uc]
+        cnt = count[nb].ravel()
+        off = np.cumsum(cnt) - cnt
+        t = np.arange(int(w.sum()))
+        cand = np.full((len(uc), span), len(pts))
+        cand.ravel()[t + np.repeat(np.arange(len(uc)) * span - off[::27], w)] = \
+            t + np.repeat(start[nb].ravel() - off, cnt)
+        q = pts[r]
+        d2 = cols[0][cand][run]
+        d2 -= q[:, :1]
+        d2 *= d2
+        for a in (1, 2):
+            e = cols[a][cand][run]
+            e -= q[:, a:a + 1]
+            e *= e
+            d2 += e
+        d2 = _k_smallest(d2, k)
+        out[r] = d2
+        stay[lo:hi] = ~(d2[:, -1] < bound)
+        lo = hi
+    return rows[stay]
 
 
 def _axis_rank(values):

@@ -172,6 +172,25 @@ class TestSample:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"center_radius": NaN}', "center_radius must be finite, got nan"),
+        ('{"alpha_int": NaN}', "alpha_int must be finite, got nan"),
+        ('{"d_threshold": NaN}', "d_threshold must be finite, got nan"),
+        ('{"dist_epsilon": Infinity}', "dist_epsilon must be finite, got inf"),
+        ('{"tau": -Infinity}', "tau must be finite, got -inf"),
+        ('{"dist_epsilon": -1.0}', "dist_epsilon must be >= 0, got -1.0"),
+    ])
+    def test_non_finite_config_value_exits_two_naming_it(self, corpus, gmm_model, tmp_path,
+                                                         capsys, text, message):
+        # Python's json module reads NaN and Infinity, which strict JSON lacks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_config_value_for_float_field(self, corpus, gmm_model, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"center_radius": 10}))

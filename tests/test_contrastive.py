@@ -137,6 +137,14 @@ class TestSlidingWindowMatch:
             sliding_window_match(a, m, 99, 5, 3)
 
 
+class TestContrastiveConfig:
+    @pytest.mark.parametrize("key", ["tau", "lambda_global"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ContrastiveConfig(**{key: value})
+
+
 class TestBcsa:
     def test_output_shapes_match_input(self):
         rng = np.random.default_rng(0)

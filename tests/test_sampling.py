@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from pseudoradar.sampling import (PipelineError, SamplingConfig, combine_weights
                                   map_to_plane, nn_flow_estimate, sparsity_weights,
                                   two_stage_sample, weighted_sample_without_replacement,
                                   with_velocity)
-from pseudoradar.spatial import brute_force_k_nearest
+from pseudoradar.spatial import brute_force_k_nearest, thin_redundant
 from pseudoradar.synth import SceneSpec, gen_scene
 
 
@@ -38,6 +40,18 @@ class TestSamplingConfig:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             SamplingConfig(center_radius=-1.0)
+
+    @pytest.mark.parametrize("key", ["alpha_int", "alpha_dist", "alpha_spa", "center_radius",
+                                     "d_threshold", "dist_epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            SamplingConfig(**{key: value})
+
+    def test_negative_dist_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="dist_epsilon"):
+            SamplingConfig(dist_epsilon=-1.0)
+        assert SamplingConfig(dist_epsilon=0.0).dist_epsilon == 0.0
 
 
 class TestIntensityWeights:
@@ -105,6 +119,23 @@ class TestSparsityWeights:
         raw = np.array([sum(d * d for _, d in brute_force_k_nearest(pts, p, j, exclude_self=True))
                         for p in pts])
         assert sparsity_weights(pts, j).tolist() == (raw / raw.sum()).tolist()
+
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sparsity_weights(np.array([[0.0, 0, 0], [1, 0, 0], [np.inf, 0, 0]]), 2)
+
+    def test_nuscenes_scale_frame_in_bounded_memory(self):
+        pts = gen_scene(SceneSpec(seed=7, lidar_density=7.0)).lidar_frames[0].xyz
+        pts = pts[thin_redundant(pts, 0.3)]
+        assert len(pts) == 17_586
+        tracemalloc.start()
+        try:
+            sparsity_weights(pts, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6  # about 3.7 MB; the kd-tree query took 4.5 MB here
 
 
 class TestDistanceWeights:
