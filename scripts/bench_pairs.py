@@ -3,13 +3,14 @@
 Copies the parent revision and the change (this checkout's working tree:
 tracked files and untracked ones git does not ignore) into two sibling
 temporary directories whose paths have the same length, then runs
-``perfbench/run.py`` in each for each workload, alternating which side goes
-first so that drift in the machine's speed falls on both. With equal paths
-the two processes differ only in the code they run: identical code has
-measured slower from one directory than from another. Writes one JSON file
-holding every result line, the per-metric medians and interquartile ranges,
-how many pairs the change won, the tier-1 test count and wall time of both
-sides, and a machine header.
+``perfbench/run.py`` in each for each workload, for the run length that
+``BENCHMARK.json`` sets, alternating which side goes first so that drift in
+the machine's speed falls on both; two traced pairs follow the untraced
+ones. With equal paths the two processes differ only in the code they run:
+identical code has measured slower from one directory than from another.
+Writes one JSON file holding every result line, the per-metric medians and
+interquartile ranges, how many pairs the change won, the tier-1 test count
+and wall time of both sides, and a machine header.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seed 83 --pairs 10 \\
         --workload pipeline-10k --workload cli-36k --workload train-c64 --tier1
@@ -38,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+TRACED_PAIRS = 2  # per workload, after the untraced pairs
 
 
 def parse_args(argv=None):
@@ -47,14 +49,11 @@ def parse_args(argv=None):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--traced-pairs", type=int, default=1,
-                        help="traced pairs per workload after the untraced ones")
     parser.add_argument("--tier1", action="store_true", help="also time tier-1 on both sides")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repo root")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.traced_pairs < 0:
-        parser.error("need --pairs >= 1, --seconds > 0 and --traced-pairs >= 0")
+    if args.pairs < 1:
+        parser.error("need --pairs >= 1")
     return args
 
 
@@ -163,7 +162,7 @@ def main(argv=None) -> int:
     traced_better = {m["name"]: m["better"] for m in spec["per_layer"]}
     start = time.perf_counter()
     doc = {"machine": machine(), "parent_rev": args.parent, "seed": args.seed,
-           "seconds": args.seconds, "workloads": {}}
+           "seconds": spec["run_seconds"], "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         doc["parent_commit"] = export(args.parent, trees["parent"])
@@ -171,13 +170,13 @@ def main(argv=None) -> int:
         for workload in args.workload:
             runs = {"pairs": [], "traced_pairs": []}
             for kind, count, trace in (("pairs", args.pairs, 0),
-                                       ("traced_pairs", args.traced_pairs, 1)):
+                                       ("traced_pairs", TRACED_PAIRS, 1)):
                 for i in range(count):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
                         pair[side] = perfbench(trees[side], workload, args.seed,
-                                               args.seconds, trace)
+                                               spec["run_seconds"], trace)
                         result = pair[side]["result"] or {}
                         print(f"{workload} {kind} {i} {side}: correct={result.get('correct')} "
                               f"{json.dumps(result.get('metrics', {}))[:160]}", flush=True)

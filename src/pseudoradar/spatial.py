@@ -19,8 +19,7 @@ cell list) whose pitch follows the cloud's density; each point's candidates
 are the points of its 27 cells, taken as padded blocks of flat (point,
 candidate) pairs, and a partition keeps the k smallest. A row is final when
 its k-th distance is below the pitch, less a rounding margin; the rest take
-a pass at twice the pitch, and the few left after that a full scan or the
-kd-tree.
+a pass at twice the pitch, and any left after that the kd-tree.
 
 Keep-first thinning has no per-point loop either. Points are sorted into grid
 cells of the threshold's pitch, candidate pairs come from each cell and its 13
@@ -38,10 +37,7 @@ _PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
                 dtype=np.uint64)  # odd multipliers that hash the coordinate bits
 _KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
-_KNN_SCAN = 1 << 19  # most (row, point) distances a full scan of leftover rows takes
-_KNN_WIDE = 1 << 10  # most candidates a row takes through the grid
 _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
-_CELL_HASH = np.array([73856093, 19349663, 83492791])  # mixes cell indices for counting
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
 # the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
 # itself they reach every adjacent pair of cells exactly once
@@ -327,8 +323,7 @@ def _knn_sqdist(points, k):
 
     A grid pass at a pitch set by the cloud's density certifies every row
     whose k-th distance lies inside its 27 cells; a pass at twice the pitch
-    takes the rows left over, and a full scan or the kd-tree the few left
-    after that.
+    takes the rows left over, and the kd-tree any left after that.
     """
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
@@ -339,21 +334,9 @@ def _knn_sqdist(points, k):
     for h in (pitch, 2.0 * pitch):
         if len(rows):
             rows = _grid_knn(pts, rows, h, out)
-    if len(rows) * len(pts) > _KNN_SCAN:
+    if len(rows):
         out[rows] = KdTree(pts).query(pts[rows], k, exclude_self=True)[1]
-    elif len(rows):
-        _scan_knn(pts, rows, out)
     return out
-
-
-def _scan_knn(pts, rows, out):
-    """Fill ``out[rows]`` by scanning every point, a block of rows at a time."""
-    k = out.shape[1]
-    step = max(1, _KNN_AREA // len(pts))
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step]
-        d2 = _k_smallest(((pts - pts[r][:, None]) ** 2).sum(axis=2), k)
-        out[r, :d2.shape[1]] = d2
 
 
 def _k_smallest(d2, k):
@@ -367,30 +350,34 @@ def _k_smallest(d2, k):
 
 def _knn_pitch(pts, k):
     """A grid pitch at which most points' k nearest neighbors lie within one
-    cell's width, from how full the cells are at two trial pitches."""
+    cell's width, from how full the cells are at two trial pitches; 0.0,
+    which sends every row to the kd-tree, when the cloud has no such pitch."""
     n = len(pts)
     if n <= k:
         return 0.0
     target = _KNN_FILL * (k + 1)
-    mag = float(np.abs(pts).max())
     g = float((pts.max(axis=0) - pts.min(axis=0)).max()) * (target / n) ** (1 / 3)
-    for _ in range(4):
-        # a pitch this fine leaves no room for the certificate's rounding margin
-        if not mag < 2.0**48 * g:
-            return 0.0
-        full, half = (_fill(pts, h) for h in (g, 0.5 * g))
-        # fill grows as pitch ** dim; below 1, the trial pitch is too coarse
-        # (one cell holds most points) or too fine (most cells hold one)
-        dim = np.log2(full / half)
-        if dim >= 1.0:
-            return g * (target / full) ** (1 / min(dim, 3.0))
-        g *= (target / full) ** (1 / 3)
-    return g
+    # a pitch this fine leaves no room for the certificate's rounding margin
+    if not float(np.abs(pts).max()) < 2.0**48 * g:
+        return 0.0
+    full, half = (_fill(pts, h) for h in (g, 0.5 * g))
+    # fill grows as pitch ** dim; below 1, a few cells hold most points (a far
+    # outlier stretches the box) and the fill says nothing of the density
+    dim = np.log2(full / half)
+    if not dim >= 1.0:
+        return 0.0
+    return g * (target / full) ** (1 / min(dim, 3.0))
 
 
 def _fill(pts, h):
-    """Mean number of points in a point's own cell of pitch ``h``."""
-    _, cnt = np.unique(np.floor(pts / h).astype(np.int64) @ _CELL_HASH, return_counts=True)
+    """Mean number of points in a point's own cell of pitch ``h``. At the
+    trial pitches of _knn_pitch the cloud spans O(N) cells, so each cell
+    gets its own small key and a bincount counts them."""
+    cells = np.floor(pts / h)
+    cells -= cells.min(axis=0)
+    span = cells.max(axis=0) + 1
+    cnt = np.bincount(((cells[:, 0] * span[1] + cells[:, 1]) * span[2]
+                       + cells[:, 2]).astype(np.intp))
     return float(cnt @ cnt) / len(pts)
 
 
@@ -425,11 +412,10 @@ def _grid_knn(pts, rows, h, out):
     # rows of one cell, which share their candidates, sit together
     rows = rows[np.argsort(width[cell[rows]] * ncell + cell[rows])]
     home = cell[rows]
-    # rows with more candidates than this cost less through the kd-tree
-    stay = width[home] > _KNN_WIDE
-    lo, end = 0, len(rows) - int(stay.sum())
-    while lo < end:
-        hi = min(end, lo + max(1, _KNN_AREA // int(width[home[lo]])))
+    stay = np.empty(len(rows), dtype=bool)
+    lo = 0
+    while lo < len(rows):
+        hi = min(len(rows), lo + max(1, _KNN_AREA // int(width[home[lo]])))
         while hi - lo > 1 and (hi - lo) * int(width[home[hi - 1]]) > _KNN_AREA:
             hi = lo + max(1, _KNN_AREA // int(width[home[hi - 1]]))
         r, c = rows[lo:hi], home[lo:hi]

@@ -319,17 +319,13 @@ def test_nuscenes_scale_frame_matches_the_loop_in_less_memory():
 
 
 # the distances-only grid k-NN behind the sparsity weight, against the
-# brute-force oracle; tiny blocks, a low cap on candidates per row, no full
-# scan and a pinned pitch force the narrow-block, skipped-row, kd-tree and
-# cell-boundary paths
-KNN_PATHS = st.sampled_from([(1 << 14, 1 << 10, 1 << 19), (16, 1 << 10, 1 << 19),
-                             (16, 12, 0)])
+# brute-force oracle; tiny blocks and a pinned pitch force the narrow-block
+# and cell-boundary paths
+KNN_AREAS = st.sampled_from([1 << 14, 16])
 
 
-def assert_sqdist_matches_brute_force(pts, k, area=1 << 14, wide=1 << 10, scan=1 << 19):
-    with mock.patch.object(spatial, "_KNN_AREA", area), \
-            mock.patch.object(spatial, "_KNN_WIDE", wide), \
-            mock.patch.object(spatial, "_KNN_SCAN", scan):
+def assert_sqdist_matches_brute_force(pts, k, area=1 << 14):
+    with mock.patch.object(spatial, "_KNN_AREA", area):
         got = spatial._knn_sqdist(pts, k)
     assert got.shape == (len(pts), k) and got.dtype == np.float64
     for row, p in enumerate(pts):
@@ -343,42 +339,42 @@ def assert_sqdist_matches_brute_force(pts, k, area=1 << 14, wide=1 << 10, scan=1
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12),
-       st.sampled_from([0.0, -7.3, 1e4]), KNN_PATHS)
+       st.sampled_from([0.0, -7.3, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
-def test_knn_sqdist_matches_brute_force_on_random_clouds(seed, n, k, shift, path):
+def test_knn_sqdist_matches_brute_force_on_random_clouds(seed, n, k, shift, area):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0, 10, (n, 3)) * rng.uniform(0.01, 1, 3) + shift  # uneven axes
-    assert_sqdist_matches_brute_force(pts, k, *path)
+    assert_sqdist_matches_brute_force(pts, k, area)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 5), st.integers(1, 12),
-       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.0, 1e4]), KNN_PATHS)
+       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.0, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
 def test_knn_sqdist_matches_brute_force_on_cell_boundaries(seed, n, side, k, step, shift,
-                                                           path):
+                                                           area):
     # a lattice whose spacing is the pitch: every point sits on a cell
     # boundary, and small sides give exact ties and duplicates everywhere
     pts = np.random.default_rng(seed).integers(0, side, (n, 3)) * step + shift
     with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: step):
-        assert_sqdist_matches_brute_force(pts, k, *path)
+        assert_sqdist_matches_brute_force(pts, k, area)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.integers(1, 9),
-       st.sampled_from([1e2, 1e4, 1e9]), KNN_PATHS)
+       st.sampled_from([1e2, 1e4, 1e9]), KNN_AREAS)
 @settings(max_examples=40, deadline=None)
 def test_knn_sqdist_matches_brute_force_with_a_far_outlier_and_duplicates(seed, n, k, far,
-                                                                         path):
+                                                                         area):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 3))
     pts = np.vstack([pts, pts[:n // 4], [[far, -far / 3, far / 7]]])
-    assert_sqdist_matches_brute_force(pts, k, *path)
+    assert_sqdist_matches_brute_force(pts, k, area)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 10])
 def test_knn_sqdist_on_clouds_of_at_most_k_plus_one_points(n):
     pts = np.random.default_rng(n).normal(size=(n, 3))
     assert_sqdist_matches_brute_force(pts, 9)
-    assert_sqdist_matches_brute_force(pts, 9, 16, 12, 0)
+    assert_sqdist_matches_brute_force(pts, 9, 16)
 
 
 def test_knn_sqdist_on_coincident_clouds_is_all_inf():
@@ -395,7 +391,7 @@ def test_knn_sqdist_with_cell_indices_beyond_int64():
                     [0, -9.2e18, 9.2e18], [0, 4.6e18, 0]])
     pts = np.concatenate([near, far, near[:50] * 1e17])
     assert_sqdist_matches_brute_force(pts, 6)
-    assert_sqdist_matches_brute_force(pts, 6, 16, 12, 0)
+    assert_sqdist_matches_brute_force(pts, 6, 16)
 
 
 def test_knn_sqdist_rejects_non_finite_points():
@@ -403,13 +399,13 @@ def test_knn_sqdist_rejects_non_finite_points():
         spatial._knn_sqdist(np.array([[0.0, 0, 0], [np.nan, 0, 0]]), 1)
 
 
-def test_knn_sqdist_takes_the_second_pass_the_scan_and_the_kd_tree():
+def test_knn_sqdist_takes_the_second_pass_and_the_kd_tree():
     # a dense block, a sparse one that only the doubled pitch certifies, and
-    # isolated far points that no grid pass certifies
+    # isolated points that no grid pass certifies
     rng = np.random.default_rng(4)
     dense = rng.uniform(0, 10, (3000, 3))
     sparse = rng.uniform(0, 10, (240, 3)) + [20.0, 0.0, 0.0]
-    far = 1e3 * rng.normal(size=(150, 3))
+    lone = np.array([[60.0, 5, 5], [5, 60, 5], [5, 5, -40]])
     passes, trees = [], []
     real_pass = spatial._grid_knn
 
@@ -431,9 +427,12 @@ def test_knn_sqdist_takes_the_second_pass_the_scan_and_the_kd_tree():
             got = spatial._knn_sqdist(pts, 8)
         assert got.tolist() == KdTree(pts).query(pts, 8, exclude_self=True)[1].tolist()
 
-    run(np.vstack([dense, sparse, far[:3]]))
-    assert [h for h, _, _ in passes] == [passes[0][0], 2 * passes[0][0]]
+    run(np.vstack([dense, sparse, lone]))
+    h = passes[0][0]
+    assert h > 0 and [p[0] for p in passes] == [h, 2 * h]
     assert passes[0][2] >= 200 and 3 <= passes[1][2] < 50  # most sparse rows in pass 2
-    assert trees == []  # three far points: a full scan finishes them
-    run(np.vstack([dense, sparse, far]))
-    assert trees and trees[0] == passes[1][2] >= 150
+    assert trees == [passes[1][2]]  # the tree takes only the rows left
+    # a far point stretches the box until a few cells hold every point: no
+    # pitch can be read, and the tree takes every row
+    run(np.vstack([dense, sparse, 1e3 * lone]))
+    assert trees == [3243]
