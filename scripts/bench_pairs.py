@@ -10,7 +10,10 @@ ones. With equal paths the two processes differ only in the code they run:
 identical code has measured slower from one directory than from another.
 Writes one JSON file holding every result line, the per-metric medians and
 interquartile ranges, how many pairs the change won, the tier-1 test count
-and wall time of both sides, and a machine header.
+and wall time of both sides, and a machine header. Each run also records
+the user and system CPU seconds and minor page faults of its process tree,
+with each side's quartiles per workload, so that a throughput reading can be
+split into compute and page-fault cost.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seed 83 --pairs 10 \\
         --workload pipeline-10k --workload cli-36k --workload train-c64 --tier1
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -40,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TRACED_PAIRS = 2  # per workload, after the untraced pairs
+RUSAGE = ("user_s", "sys_s", "minflt")  # per run, from RUSAGE_CHILDREN
 
 
 def parse_args(argv=None):
@@ -81,12 +86,18 @@ def copy_working_tree(dest: Path) -> None:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run of the tree's own perfbench; its header and result lines."""
+    """One run of the tree's own perfbench: its header and result lines, and
+    the CPU time and minor page faults of the run's process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"user_s": after.ru_utime - before.ru_utime,
+             "sys_s": after.ru_stime - before.ru_stime,
+             "minflt": after.ru_minflt - before.ru_minflt}
     lines = proc.stdout.strip().splitlines()
     header = next((json.loads(line[len("perfbench header "):]) for line in lines
                    if line.startswith("perfbench header ")), None)
@@ -94,7 +105,7 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"returncode": proc.returncode, "wall_s": wall, "header": header,
+    return {"returncode": proc.returncode, "wall_s": wall, "rusage": usage, "header": header,
             "result": result, "stderr": proc.stderr[-2000:]}
 
 
@@ -135,6 +146,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         out[name] = {**stats, "better": direction, "pairs": len(rows), "change_wins": wins,
                      "median_ratio": stats["change"]["median"] / base if base else None}
     return out
+
+
+def summarize_rusage(pairs: list[dict]) -> dict:
+    """Per RUSAGE key: each side's quartiles over the runs."""
+    return {key: {side: quartiles([p[side]["rusage"][key] for p in pairs])
+                  for side in ("parent", "change")} for key in RUSAGE}
 
 
 def machine() -> dict:
@@ -183,6 +200,7 @@ def main(argv=None) -> int:
                     runs[kind].append(pair)
             runs["summary"] = summarize(runs["pairs"], better)
             runs["traced_summary"] = summarize(runs["traced_pairs"], traced_better)
+            runs["rusage_summary"] = summarize_rusage(runs["pairs"])
             runs["failed_runs"] = sum(
                 not (p[s]["result"] or {}).get("correct", False)
                 for p in runs["pairs"] + runs["traced_pairs"] for s in ("parent", "change"))

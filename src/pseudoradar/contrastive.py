@@ -223,7 +223,7 @@ def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[T
     n = a.shape[0]
     sims = T.mul(T.matmul(T.normalize(a), T.transpose_last2(T.normalize(b))),
                  Tensor(1.0 / tau))
-    pos = T.tsum(T.mul(sims, Tensor(np.eye(n))), axis=-1)
+    pos = T.weighted_sum(sims, Tensor(np.eye(n)), axis=-1)
     return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1))), Tensor(-1.0 / n))
 
 
@@ -248,10 +248,10 @@ def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> T
     (``inside`` False) get zero weight.
     """
     select = np.arange(inside.shape[-1]) == label[..., None]
-    query = T.tsum(T.mul(cols, Tensor(select[..., None])), axis=-2, keepdims=True)
-    sims = T.cosine_sim(query, cols)
+    query = T.weighted_sum(cols, Tensor(select), axis=-2)
+    sims = T.cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
     attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
-    return T.tsum(T.mul(cols, T.reshape(attn, (*attn.shape, 1))), axis=-2)
+    return T.weighted_sum(cols, attn, axis=-2)
 
 
 def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
@@ -431,16 +431,14 @@ def aggregate_global(f_a: Tensor, f_b: Tensor,
         raise ValueError(f"params sized for {params.row_proj.shape[0] // 2} channels, "
                          f"maps have {c}")
     row_desc = T.concat([T.tmean(f_a, axis=-1), T.tmean(f_b, axis=-1)], axis=-2)  # .. 2C x H
-    row_scores = T.tsum(T.mul(row_desc, T.reshape(params.row_proj, (2 * c, 1))), axis=-2)
-    row_w = T.softmax(row_scores, axis=-1)
-    row_w = T.reshape(row_w, (*row_w.shape[:-1], 1, h, 1))
-    a_cols = T.tsum(T.mul(f_a, row_w), axis=-2)  # .. C x W
-    b_cols = T.tsum(T.mul(f_b, row_w), axis=-2)
+    row_w = T.softmax(T.weighted_sum(row_desc, params.row_proj, axis=-2), axis=-1)
+    row_w = T.reshape(row_w, (*row_w.shape[:-1], 1, h))  # one weight row for all C
+    a_cols = T.weighted_sum(f_a, row_w, axis=-2)  # .. C x W
+    b_cols = T.weighted_sum(f_b, row_w, axis=-2)
     cat_cols = T.concat([a_cols, b_cols], axis=-2)  # .. 2C x W
-    col_scores = T.tsum(T.mul(cat_cols, T.reshape(params.col_proj, (2 * c, 1))), axis=-2)
-    col_w = T.softmax(col_scores, axis=-1)
+    col_w = T.softmax(T.weighted_sum(cat_cols, params.col_proj, axis=-2), axis=-1)
     col_w = T.reshape(col_w, (*col_w.shape[:-1], 1, w))
-    return T.tsum(T.mul(a_cols, col_w), axis=-1), T.tsum(T.mul(b_cols, col_w), axis=-1)
+    return T.weighted_sum(a_cols, col_w, axis=-1), T.weighted_sum(b_cols, col_w, axis=-1)
 
 
 def _stacked(scenes: Sequence[SceneMaps], name: str) -> Tensor:
@@ -497,7 +495,8 @@ def similarity_stats(scenes: Sequence[SceneMaps],
                      params: ContrastiveParams) -> tuple[float, float]:
     """Mean same-scene and cross-scene cosine similarity of the aggregated
     global vectors, over the six pairings. Gradient-free."""
-    stacks = {name: _stacked(scenes, name).detach() for name in MAP_NAMES}
+    stacks = {name: Tensor(np.stack([getattr(scene, name).tensor.data for scene in scenes]))
+              for name in MAP_NAMES}
     same = np.eye(len(scenes), dtype=bool)
     pos, neg = [], []
     for name_a, name_b in GLOBAL_PAIRS:

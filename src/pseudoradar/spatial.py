@@ -34,8 +34,8 @@ import numpy as np
 _LEAF = 16  # most distinct coordinates per leaf
 _BLOCK = 1024  # queries per block, and (query, node) pairs per frontier piece
 _PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
-_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
-                dtype=np.uint64)  # odd multipliers that hash the coordinate bits
+# the multipliers of the splitmix64 finaliser, which hashes coordinate bits
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
 _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
@@ -219,13 +219,23 @@ def _equal_rows(pts):
     first)``, the row indices with equal rows adjacent and each group's
     indices ascending, and the position in ``order`` where each group starts.
 
-    Rows are stably sorted by a hash of their coordinate bits. A hash
+    Rows are stably sorted by a hash of their coordinate bits: the splitmix64
+    finaliser folds in one coordinate at a time. Its xor-shifts carry high
+    bits down, so coordinates that differ only in their high bits (integers
+    and other short mantissas) still spread over the whole hash. A hash
     collision, or equal rows with different bits (0.0 and -0.0), can split a
     group; both callers stay exact when one is split.
     """
     bits = np.ascontiguousarray(pts).view(np.uint64)
-    order = np.argsort(bits[:, 0] * _MIX[0] ^ bits[:, 1] * _MIX[1] ^ bits[:, 2] * _MIX[2],
-                       kind="stable")
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for axis in range(3):
+        h ^= bits[:, axis]
+        h ^= h >> 30
+        h *= _MIX[0]
+        h ^= h >> 27
+        h *= _MIX[1]
+        h ^= h >> 31
+    order = np.argsort(h, kind="stable")
     srt = pts[order]
     return order, np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
 

@@ -1,21 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Covers exactly the operations the loss stack needs: add, sub, mul and div
-with numpy-style broadcasting, sqrt, sigmoid, matmul, trailing-axis
-transposition, reshaping, concatenation, gathering, sums and means. The
-composite functions (softmax, logsumexp, layer norm, L2 normalization and
-batched cosine similarity) are single tape nodes, each with a closed-form
-backward. Every gradient is verifiable against central finite differences
-via :func:`finite_diff_check`.
+with numpy-style broadcasting, sqrt, sigmoid, matmul, weighted sums along an
+axis, trailing-axis transposition, reshaping, concatenation, gathering, sums
+and means. The composite functions (softmax, logsumexp, layer norm, L2
+normalization and batched cosine similarity) are single tape nodes, each
+with a closed-form backward. Every gradient is verifiable against central
+finite differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
 graph over the same leaves accumulates into ``.grad``; call
-:func:`zero_grad` between steps when accumulation is not wanted.
+:func:`zero_grad` between steps when accumulation is not wanted. The
+backward pass forms no gradient for an operand that does not require one,
+and sums the gradients a node collects in place, in a buffer it allocated
+itself.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,9 +58,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -83,14 +84,24 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable) ->
 
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient held for ``t``.
+
+    ``grads`` maps a node's id to ``(gradient, owned)``. The first gradient
+    is held as it arrives, because it may be a view or the same array an op
+    hands to two parents; the second arrival allocates the sum, which is
+    owned, and every later arrival adds into that buffer in place.
+    """
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
     key = id(t)
-    if key in grads:
-        grads[key] = grads[key] + g
+    held = grads.get(key)
+    if held is None:
+        grads[key] = (g, False)
+    elif held[1]:
+        np.add(held[0], g, out=held[0])
     else:
-        grads[key] = g
+        grads[key] = (np.add(held[0], g, out=np.empty(t.data.shape)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, grads):
         _accum(grads, a, g)
-        _accum(grads, b, -g)
+        if b.requires_grad:
+            _accum(grads, b, -g)
 
     return _make(data, (a, b), bw)
 
@@ -121,8 +133,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def bw(g, grads):
-        _accum(grads, a, g * b.data)
-        _accum(grads, b, g * a.data)
+        if a.requires_grad:
+            _accum(grads, a, g * b.data)
+        if b.requires_grad:
+            _accum(grads, b, g * a.data)
 
     return _make(data, (a, b), bw)
 
@@ -131,8 +145,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def bw(g, grads):
-        _accum(grads, a, g / b.data)
-        _accum(grads, b, -g * a.data / (b.data * b.data))
+        if a.requires_grad:
+            _accum(grads, a, g / b.data)
+        if b.requires_grad:
+            _accum(grads, b, -g * a.data / (b.data * b.data))
 
     return _make(data, (a, b), bw)
 
@@ -183,10 +199,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bw(g, grads):
-        _accum(grads, a, g @ b.data.swapaxes(-1, -2))
-        _accum(grads, b, a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            _accum(grads, a, g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            _accum(grads, b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(data, (a, b), bw)
+
+
+def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
+    """Contract ``axis`` of ``x`` with the weights ``w``.
+
+    ``w``'s last axis is the contracted one and has ``x.shape[axis]``
+    entries; its leading axes broadcast against the axes of ``x`` before
+    ``axis``, and each weight applies to the whole slice after it. The
+    result equals ``tsum(mul(x, w'), axis)`` for ``w`` reshaped to ``w'``
+    with trailing unit axes, but neither pass forms that product.
+
+    The forward is one einsum contraction. It adds the terms in the order
+    of the axis, as ``tsum`` does when the axes after ``axis`` hold more
+    than one element, so there the result is bit-equal to the chain: the
+    matcher breaks exact score ties as the scalar reference does only
+    because of this. A BLAS matmul rounds differently. The backward forms
+    ``dx`` as one broadcast product and ``dw`` as a matmul plus a sum over
+    broadcast axes.
+    """
+    if x.data.ndim == 0 or w.data.ndim == 0:
+        raise ShapeError(f"weighted_sum needs rank >= 1 operands, got {x.shape} and {w.shape}")
+    axis %= x.data.ndim
+    n = x.shape[axis]
+    if w.shape[-1] != n:
+        raise ShapeError(f"weighted_sum weights {w.shape} do not fit axis {axis} of {x.shape}")
+    rest = x.shape[axis + 1:]
+    xm = x.data.reshape(*x.shape[:axis], n, math.prod(rest))  # .. n x R
+    data = np.einsum("...k,...kr->...r", w.data, xm)  # .. R
+    lead = data.shape[:-1]
+
+    def bw(g, grads):
+        gm = g.reshape(*lead, 1, data.shape[-1])
+        if x.requires_grad:
+            _accum(grads, x, (w.data[..., None] * gm).reshape(*lead, n, *rest))
+        if w.requires_grad:
+            _accum(grads, w, (xm @ gm.swapaxes(-1, -2))[..., 0])
+
+    return _make(data.reshape(*lead, *rest), (x, w), bw)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -301,8 +357,10 @@ def cosine_sim(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tens
 
     def bw(g, grads):
         g = np.expand_dims(g, axis)
-        _accum(grads, a, g * (b.data / den - full / (na + eps) * _unit(a.data, na)))
-        _accum(grads, b, g * (a.data / den - full / (nb + eps) * _unit(b.data, nb)))
+        if a.requires_grad:
+            _accum(grads, a, g * (b.data / den - full / (na + eps) * _unit(a.data, na)))
+        if b.requires_grad:
+            _accum(grads, b, g * (a.data / den - full / (nb + eps) * _unit(b.data, nb)))
 
     return _make(np.squeeze(full, axis=axis), (a, b), bw)
 
@@ -392,15 +450,16 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, tuple[np.ndarray, bool]] = {id(loss): (np.ones_like(loss.data), True)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
+        held = grads.pop(id(node), None)
+        if held is None:
             continue
+        g, owned = held
         if node._backward is not None:
             node._backward(g, grads)
         elif node.grad is None:
-            node.grad = g.copy()
+            node.grad = g if owned else g.copy()
         else:
             node.grad = node.grad + g
 

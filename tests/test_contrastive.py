@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pseudoradar import tensor as T
-from pseudoradar.contrastive import (GLOBAL_PAIRS, BcsaParams, ContrastiveConfig,
-                                     ContrastiveParams, FeatureMap, GlobalAggParams,
-                                     SceneMaps, aggregate_global, bcsa, global_loss,
-                                     global_loss_terms, info_nce, local_loss,
+from pseudoradar.contrastive import (GLOBAL_PAIRS, MAP_NAMES, BcsaParams,
+                                     ContrastiveConfig, ContrastiveParams, FeatureMap,
+                                     GlobalAggParams, SceneMaps, aggregate_global, bcsa,
+                                     global_loss, global_loss_terms, info_nce, local_loss,
                                      mat_attention, sliding_window_match, total_loss,
                                      toy_pretrain)
 from pseudoradar.errors import DivergenceError
@@ -413,6 +413,18 @@ class TestTotalLoss:
         x.requires_grad = True
         err = finite_diff_check(lambda t: total_loss(scenes, cfg, params, philox(2, 2)), x)
         assert err < 1e-5
+
+
+def test_total_loss_tape_node_count():
+    # each weighted pooling is one weighted_sum node; the same loss at the
+    # benchmark's C64 x H32 x W64 size holds 562
+    scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
+    for scene in scenes:
+        for name in MAP_NAMES:
+            getattr(scene, name).tensor.requires_grad = True
+    loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
+                      philox(4, 0))
+    assert len(T._topo_order(loss)) == 465
 
 
 class TestToyPretrain:

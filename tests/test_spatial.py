@@ -162,6 +162,36 @@ def test_duplicate_heavy_self_query_is_fast_and_exact():
         assert np.sqrt(d2[row]).tolist() == [d for _, d in want]
 
 
+def assert_groups_are_distinct_rows(pts):
+    order, first = spatial._equal_rows(pts)
+    assert sorted(order.tolist()) == list(range(len(pts)))
+    bounds = np.r_[first, len(pts)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        members = order[lo:hi]
+        assert (np.diff(members) > 0).all()
+        assert (pts[members] == pts[members[0]]).all()
+    assert len(first) == len(np.unique(pts, axis=0))
+
+
+def test_equal_rows_groups_integer_cells_exactly():
+    # integer-valued cell coordinates differ only in their high bits, so the
+    # hash must carry those bits down or equal rows land in split groups
+    pts = gen_scene(SceneSpec(seed=7)).lidar_frames[0].xyz
+    cells = np.floor(pts[thin_redundant(pts, 0.3)] / 1.3)
+    assert len(cells) == 7_580
+    assert len(spatial._equal_rows(cells)[1]) == 2_729
+    assert_groups_are_distinct_rows(cells)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 6),
+       st.sampled_from([1.0, 0.25, 3.0, 1024.0]), st.sampled_from([0.0, -5.0, 1e4]))
+@settings(max_examples=60, deadline=None)
+def test_equal_rows_group_count_on_integer_lattices(seed, n, side, step, shift):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-side, side + 1, size=(n, 3)) * step + shift
+    assert_groups_are_distinct_rows(pts)
+
+
 class TestThinRedundant:
     def test_zero_threshold_keeps_all(self):
         pts = np.random.default_rng(0).normal(size=(50, 3))

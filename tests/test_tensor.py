@@ -167,6 +167,66 @@ class TestFusedOps:
         assert (sims.grad[inside] != 0).all()
 
 
+# (x shape, w shape, axis): the global path's row and column pooling and
+# score projection, a diagonal read, one-element contracted, trailing and
+# leading axes, and weights whose leading axes are broader than the map's
+WEIGHTED_SUM_CASES = [
+    ((3, 5, 4, 6), (3, 1, 4), -2),
+    ((3, 5, 6), (3, 1, 6), -1),
+    ((3, 8, 4), (8,), 1),
+    ((4, 4), (4, 4), -1),
+    ((3, 1, 5), (3, 1), 1),
+    ((1, 4, 1), (1, 4), 1),
+    ((2, 3, 4), (1, 3), 1),
+    ((3, 4), (2, 1, 3), 0),
+]
+
+
+def _weighted_sum_chain(x, w, axis):
+    """The mul + tsum composition that weighted_sum replaces."""
+    trailing = x.data.ndim - 1 - axis % x.data.ndim
+    w_full = T.reshape(w, (*w.shape, *(1,) * trailing))
+    return T.tsum(T.mul(x, w_full), axis=axis % x.data.ndim - x.data.ndim)
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("case", range(len(WEIGHTED_SUM_CASES)))
+    def test_matches_mul_tsum_chain(self, case):
+        x_shape, w_shape, axis = WEIGHTED_SUM_CASES[case]
+        values, grads = [], []
+        for op in (T.weighted_sum, _weighted_sum_chain):
+            x = Tensor(rand(x_shape, seed=40), requires_grad=True)
+            w = Tensor(rand(w_shape, seed=41), requires_grad=True)
+            out = op(x, w, axis)
+            proj = rand(out.shape, seed=42)
+            backward(T.tsum(T.mul(out, Tensor(proj))))
+            values.append(out.data)
+            grads.append((x.grad, w.grad))
+        assert values[0].shape == values[1].shape
+        assert np.abs(values[0] - values[1]).max() <= 1e-12 * np.abs(values[1]).max()
+        if math.prod(x_shape[axis % len(x_shape) + 1:]) > 1:
+            # tsum adds these in order too; the matcher's tie-breaks rely on it
+            assert np.array_equal(values[0], values[1])
+        for new, old in zip(grads[0], grads[1]):
+            assert new.shape == old.shape
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    def test_one_tape_node_and_no_gradient_for_constant_weights(self):
+        x = Tensor(rand((2, 3, 4), seed=43), requires_grad=True)
+        w = Tensor(rand((2, 3), seed=44))
+        out = T.weighted_sum(x, w, axis=1)
+        assert T._topo_order(out) == [x, out]
+        backward(T.tsum(out))
+        assert w.grad is None
+        assert np.array_equal(x.grad, np.broadcast_to(w.data[:, :, None], (2, 3, 4)))
+
+    def test_weights_that_do_not_fit_the_axis(self):
+        with pytest.raises(ShapeError, match="do not fit axis 1"):
+            T.weighted_sum(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), axis=1)
+        with pytest.raises(ShapeError, match="rank >= 1"):
+            T.weighted_sum(Tensor(np.ones(3)), Tensor(1.0), axis=0)
+
+
 class TestTransposeLast2:
     def test_definition(self):
         out = T.transpose_last2(Tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -316,6 +376,88 @@ class TestBackward:
         assert finite_diff_check(f, x) < 1e-6
 
 
+class TestGradientAccumulation:
+    """Gradients from several consumers are summed in place into a buffer
+    the backward pass allocated itself, never into an array that an op
+    handed over, which may be a view or shared by two parents."""
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor(rand(5, seed=50), requires_grad=True)
+        c = rand(5, seed=51)
+        backward(T.tsum(T.mul(T.add(x, x), Tensor(c))))
+        assert np.array_equal(x.grad, c + c)
+
+    def test_shared_gradient_of_add_is_not_written_through(self):
+        # add hands one g to x and y; x then collects two more terms
+        x = Tensor(rand(4, seed=52), requires_grad=True)
+        y = Tensor(rand(4, seed=53), requires_grad=True)
+        c, d, e = (rand(4, seed=s) for s in (54, 55, 56))
+        loss = T.add(T.add(T.tsum(T.mul(T.add(x, y), Tensor(c))),
+                           T.tsum(T.mul(x, Tensor(d)))),
+                     T.tsum(T.mul(x, Tensor(e))))
+        backward(loss)
+        assert np.array_equal(y.grad, c)
+        assert np.array_equal(x.grad, (c + d) + e)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_one_node_feeding_three_consumers(self):
+        x = Tensor(rand((3, 4), seed=57), requires_grad=True)
+        y = T.reshape(x, (4, 3))  # its gradients arrive as views
+        a, b = rand((4, 3), seed=58), rand((2, 4), seed=59)
+        loss = T.add(T.add(T.tsum(T.mul(y, Tensor(a))),
+                           T.tsum(T.matmul(T.transpose_last2(y), T.mul(y, y)))),
+                     T.tsum(T.weighted_sum(y, Tensor(b), axis=-2)))
+        backward(loss)
+        # sum(y^T (y * y)) = sum_k (sum_i y_ki)(sum_j y_kj^2)
+        yd = x.data.reshape(4, 3)
+        row, row_sq = yd.sum(axis=1, keepdims=True), (yd * yd).sum(axis=1, keepdims=True)
+        want = a + (row_sq + 2.0 * yd * row) + b.sum(axis=0)[:, None]
+        assert np.allclose(x.grad, want.reshape(3, 4), rtol=1e-13, atol=1e-13)
+
+    def test_no_leaf_gradient_shares_memory_with_another(self):
+        # slices of one stacked gradient, and the one g that add hands over
+        batch = rand((3, 4), seed=60)
+        leaves = [Tensor(batch[i % 3], requires_grad=True) for i in range(5)]
+        stack = T.concat([T.reshape(t, (1, 4)) for t in leaves[:3]], axis=0)
+        doubled = T.add(stack, stack)
+        w = Tensor(rand((3, 3), seed=61))
+        loss = T.add(T.add(T.tsum(T.mul(doubled, Tensor(batch))),
+                           T.tsum(T.weighted_sum(stack, w, axis=0))),
+                     T.tsum(T.mul(T.add(leaves[3], leaves[4]), Tensor(batch[0]))))
+        backward(loss)
+        grads = [t.grad for t in leaves]
+        for i in range(5):
+            for j in range(i + 1, 5):
+                assert not np.shares_memory(grads[i], grads[j])
+        assert np.array_equal(grads[3], batch[0]) and np.array_equal(grads[4], batch[0])
+        assert w.grad is None
+
+    def test_constants_get_no_gradient_and_no_gradient_product(self, monkeypatch):
+        # every gradient product an op forms for a parent is handed to _accum
+        calls = []
+        real = T._accum
+
+        def spy(grads, t, g):
+            calls.append(t)
+            real(grads, t, g)
+
+        monkeypatch.setattr(T, "_accum", spy)
+        x = Tensor(rand((3, 4), seed=62), requires_grad=True)
+        consts = [Tensor(rand((3, 4), seed=63)), Tensor(rand((4, 3), seed=64)),
+                  Tensor(np.eye(3)), Tensor(rand((3, 4), seed=65) ** 2 + 1.0),
+                  Tensor(rand((3, 4), seed=66))]
+        a = T.mul(x, consts[0])
+        b = T.matmul(consts[1], a)  # 4 x 4
+        c = T.weighted_sum(T.matmul(a, consts[1]), consts[2], axis=-1)
+        d = T.div(x, consts[3])
+        e = T.cosine_sim(consts[4], d)
+        loss = T.add(T.add(T.tsum(b), T.tsum(c)), T.tsum(e))
+        backward(loss)
+        assert all(t.requires_grad for t in calls)
+        assert all(t.grad is None for t in consts)
+        assert x.grad is not None
+
+
 class TestFiniteDiffCheck:
     def test_linear_is_nearly_exact(self):
         w = rand(6, seed=10)
@@ -342,6 +484,9 @@ OPS = {
     "mean": lambda t, u: T.tmean(t, axis=0),
     "concat": lambda t, u: T.concat([t, u], axis=0),
     "take": lambda t, u: T.take(t, np.array([1, 3, 1]), axis=1),
+    # x and w both depend on t; w's leading axis broadcasts against x's
+    "weighted_sum": lambda t, u: T.weighted_sum(
+        T.reshape(t, (2, 3, 4)), T.reshape(T.take(t, 0, axis=0), (2, 1, 3)), axis=1),
     "normalize": lambda t, u: T.normalize(t, axis=1),
     "cosine_sim": lambda t, u: T.cosine_sim(T.reshape(t, (4, 1, 6)), T.reshape(u, (1, 4, 6))),
 }
