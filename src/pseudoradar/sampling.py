@@ -23,7 +23,8 @@ from .errors import PipelineError
 from .gmm import Gmm1D, sample_count
 from .pointcloud import PointCloudFrame
 from .rng import philox
-from .spatial import KdTree, _knn_sqdist, thin_redundant
+from .spatial import _knn_sqdist, _nearest, thin_redundant
+from .spatial import KdTree  # noqa: F401  perfbench times kd-tree builds under this name
 
 
 @dataclass(frozen=True)
@@ -232,13 +233,13 @@ def nn_flow_estimate(frame_t: PointCloudFrame, frame_next: PointCloudFrame,
     """Geometric stand-in for a learned scene-flow model: each point moves to
     its nearest neighbor in the next frame, velocity = displacement / dt.
     An empty next frame yields zero velocities."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n = frame_t.n_points
     if n == 0 or frame_next.n_points == 0:
         return np.zeros((n, 3))
-    idx, _ = KdTree(frame_next.xyz).query(frame_t.xyz, 1)
-    return (frame_next.xyz[idx[:, 0]] - frame_t.xyz) / dt
+    idx, _ = _nearest(frame_next.xyz, frame_t.xyz)
+    return (frame_next.xyz[idx] - frame_t.xyz) / dt
 
 
 def with_velocity(frame: PointCloudFrame, velocities: np.ndarray) -> PointCloudFrame:
@@ -317,8 +318,9 @@ def _process_frame(frame, frame_next, index, model, config, flow):
 
     if frame_next is not None and frame_next.n_points > 0 and chosen.n_points > 0:
         dt = frame_next.timestamp - frame.timestamp
-        if dt <= 0:
-            raise ValueError(f"timestamps must strictly increase, got dt={dt}")
+        if not dt > 0:
+            raise ValueError(f"timestamps must strictly increase, got "
+                             f"{frame.timestamp!r} then {frame_next.timestamp!r}")
         vel = np.asarray(flow(chosen, frame_next, dt), dtype=np.float64)
         if vel.shape != (chosen.n_points, 3):
             raise ValueError(f"flow estimator returned shape {vel.shape}, "

@@ -3,10 +3,11 @@
 The kd-tree indexes the distinct coordinates of its input, each keeping its
 point indices in ascending order, as a complete binary tree in heap layout:
 node i has children 2i and 2i + 1, and leaves are padded rows of coordinates.
-One batched query serves the callers that need neighbor indices (flow,
-Chamfer). Per block of queries, each query scans its home leaf, widens one
-ancestor at a time while it has fewer than k neighbors, then scans every
-other leaf whose box lies within its k-th distance.
+One batched query answers any k; it is the fallback of both grid queries
+below and the tests' reference. Per block of queries, each query scans its
+home leaf, widens one ancestor at a time while it has fewer than k
+neighbors, then scans every other leaf whose box lies within its k-th
+distance.
 
 Distances use the brute-force oracle's expression, so they agree with it bit
 for bit. Box bounds round the same way, so they never exceed the distance of a
@@ -20,6 +21,14 @@ are the points of its 27 cells, taken as padded blocks of flat (point,
 candidate) pairs, and a partition keeps the k smallest. A row is final when
 its k-th distance is below the pitch, less a rounding margin; the rest take
 a pass at twice the pitch, and any left after that the kd-tree.
+
+Flow and Chamfer need each query's nearest point in another cloud, with the
+kd-tree's index: the lowest among equal distances. The cloud's points are
+sorted once per pass by one dense cell key over a box padded by one cell,
+so each query's 27 cells are 9 runs of the sorted keys, found by binary
+search. Per query, a segmented minimum gives the least distance and then
+the least index at it. The rows' certificate is the sparsity query's, and
+passes at twice and four times the pitch take the rows it leaves.
 
 Keep-first thinning has no per-point loop either. Points are sorted into grid
 cells of the threshold's pitch, candidate pairs come from each cell and its 13
@@ -38,6 +47,8 @@ _PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
 _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
+_NEAREST_K = 4  # the neighbor count whose k-NN pitch the nearest query starts at
+_NEAREST_PASSES = 3  # grid passes of the nearest query, each at twice the last pitch
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
 # the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
 # itself they reach every adjacent pair of cells exactly once
@@ -237,7 +248,8 @@ def _equal_rows(pts):
         h ^= h >> 31
     order = np.argsort(h, kind="stable")
     srt = pts[order]
-    return order, np.flatnonzero(np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)])
+    ne = srt[1:] != srt[:-1]
+    return order, np.flatnonzero(np.r_[True, ne[:, 0] | ne[:, 1] | ne[:, 2]])
 
 
 def brute_force_k_nearest(
@@ -366,11 +378,12 @@ def _knn_pitch(pts, k):
     if n <= k:
         return 0.0
     target = _KNN_FILL * (k + 1)
-    g = float((pts.max(axis=0) - pts.min(axis=0)).max()) * (target / n) ** (1 / 3)
+    lo, hi = _col_bounds(pts)
+    g = float((hi - lo).max()) * (target / n) ** (1 / 3)
     # a pitch this fine leaves no room for the certificate's rounding margin
-    if not float(np.abs(pts).max()) < 2.0**48 * g:
+    if not max(-lo.min(), hi.max()) < 2.0**48 * g:
         return 0.0
-    full, half = (_fill(pts, h) for h in (g, 0.5 * g))
+    full, half = (_fill(pts, h, lo, hi) for h in (g, 0.5 * g))
     # fill grows as pitch ** dim; below 1, a few cells hold most points (a far
     # outlier stretches the box) and the fill says nothing of the density
     dim = np.log2(full / half)
@@ -379,16 +392,23 @@ def _knn_pitch(pts, k):
     return g * (target / full) ** (1 / min(dim, 3.0))
 
 
-def _fill(pts, h):
-    """Mean number of points in a point's own cell of pitch ``h``. At the
-    trial pitches of _knn_pitch the cloud spans O(N) cells, so each cell
-    gets its own small key and a bincount counts them."""
-    cells = np.floor(pts / h)
-    cells -= cells.min(axis=0)
-    span = cells.max(axis=0) + 1
-    cnt = np.bincount(((cells[:, 0] * span[1] + cells[:, 1]) * span[2]
-                       + cells[:, 2]).astype(np.intp))
-    return float(cnt @ cnt) / len(pts)
+def _fill(pts, h, lo, hi):
+    """Mean number of points in a point's own cell of pitch ``h``, given the
+    cloud's per-column bounds ``lo`` and ``hi``. At the trial pitches of
+    _knn_pitch the cloud spans O(N) cells, so each cell gets its own small
+    key and a bincount counts them."""
+    cells = pts / h
+    np.floor(cells, out=cells)
+    # floor(p / h) is monotone in p, so the bounds' cells are the box's
+    first = np.floor(lo / h)
+    span = np.floor(hi / h) - first + 1
+    key = cells[:, 0] - first[0]
+    for a in (1, 2):
+        key *= span[a]
+        key += cells[:, a] - first[a]
+    key = key.astype(np.intp)
+    # the sum over cells of count ** 2, as a sum over points
+    return float(np.bincount(key)[key].sum()) / len(pts)
 
 
 def _grid_knn(pts, rows, h, out):
@@ -396,13 +416,9 @@ def _grid_knn(pts, rows, h, out):
     non-coincident points in its 27 cells of pitch ``h``; returns the rows
     whose k-th distance is not certified to be the cloud's own."""
     k = out.shape[1]
-    eps = np.finfo(np.float64).eps
-    # a point outside the 27 cells is at least h away, less what the
-    # rounding of p / h and of the distance can take off
-    reach = h - 4 * eps * (float(np.abs(pts).max()) + h)
-    if not reach > 0.0:
+    bound = _certificate(h, float(np.abs(pts).max()))
+    if not bound > 0.0:
         return rows
-    bound = reach * reach * (1 - 4 * eps)
     cell, nbr = _cell_graph(np.floor(pts / h).astype(np.int64))
     ncell = nbr.shape[1]
     # the 27 cells around each cell in offset order, its own in the middle
@@ -455,6 +471,119 @@ def _grid_knn(pts, rows, h, out):
         out[r] = d2
         stay[lo:hi] = ~(d2[:, -1] < bound)
         lo = hi
+    return rows[stay]
+
+
+def _certificate(h, scale):
+    """The squared distance below which a row's best candidates in its 27
+    cells of pitch ``h`` are certified to be the cloud's own, for points and
+    queries within ``scale`` of the origin; 0.0 when rounding leaves none.
+    A point outside the 27 cells is at least h away, less what the rounding
+    of p / h and of the distance can take off."""
+    eps = np.finfo(np.float64).eps
+    reach = h - 4 * eps * (scale + h)
+    return reach * reach * (1 - 4 * eps) if reach > 0.0 else 0.0
+
+
+def _col_bounds(a):
+    """Per-column minima and maxima of an (N, 3) array. A reduction over one
+    strided column is many times faster than numpy's axis-0 reduction."""
+    return np.array([c.min() for c in a.T]), np.array([c.max() for c in a.T])
+
+
+def _nearest(points, queries):
+    """Each query's nearest point: ``(idx, d2)``, both (M,), column 0 of
+    ``KdTree(points).query(queries, 1)`` bit for bit, ties to the lowest
+    index, and -1 and inf when ``points`` is empty.
+
+    Grid passes at a pitch set by the cloud's density, then at twice and
+    four times it, each certify the rows whose nearest distance lies inside
+    their 27 cells; the kd-tree takes any rows left after them.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    qs = np.asarray(queries, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3 or qs.ndim != 2 or qs.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) points and (M, 3) queries, got shapes "
+                         f"{pts.shape} and {qs.shape}")
+    if not (np.isfinite(pts).all() and np.isfinite(qs).all()):
+        raise ValueError("nearest-neighbor input contains non-finite coordinates")
+    idx = np.full(len(qs), -1, dtype=np.intp)
+    d2 = np.full(len(qs), np.inf)
+    if not len(pts):
+        return idx, d2
+    rows = np.arange(len(qs))
+    h = _knn_pitch(pts, _NEAREST_K)
+    for _ in range(_NEAREST_PASSES):
+        if not (len(rows) and h > 0.0):
+            break
+        rows = _grid_nearest(pts, qs, rows, h, idx, d2)
+        h *= 2.0
+    if len(rows):
+        i, d = KdTree(pts).query(qs[rows], 1)
+        idx[rows], d2[rows] = i[:, 0], d[:, 0]
+    return idx, d2
+
+
+def _grid_nearest(pts, qs, rows, h, idx, d2):
+    """Fill ``idx[rows]`` and ``d2[rows]`` where a query's nearest point in
+    its 27 cells of pitch ``h`` is certified to be its nearest in the whole
+    cloud; returns the rows left uncertified."""
+    q = qs[rows]
+    (plo, phi), (qlo, qhi) = _col_bounds(pts), _col_bounds(q)
+    bound = _certificate(h, max(-plo.min(), phi.max(), -qlo.min(), qhi.max()))
+    # the cell box over both, padded by one cell so that no neighbor key
+    # wraps round; floor(x / h) is monotone in x, so the corners give it
+    lo = np.floor(np.minimum(plo, qlo) / h) - 1.0
+    span = np.floor(np.maximum(phi, qhi) / h) - lo + 2.0
+    if not (bound > 0.0 and float(np.prod(span)) <= 2.0**62):
+        return rows
+    sy, sz = int(span[1]), int(span[2])
+
+    def key(x):
+        c = x / h
+        np.floor(c, out=c)
+        k = (c[:, 0] - lo[0]).astype(np.int64)
+        for a, s in ((1, sy), (2, sz)):
+            k *= s
+            k += (c[:, a] - lo[a]).astype(np.int64)
+        return k
+
+    pkey = key(pts)
+    order = np.argsort(pkey)
+    pkey = pkey[order]
+    # each query's 9 (x, y) columns of cells: cells z - 1 to z + 1 of one
+    # column hold consecutive keys, so one range of the sorted keys each
+    step = np.array([-1, 0, 1])
+    base = key(q)[:, None] + ((step[:, None] * sy + step) * sz).ravel()
+    start = np.searchsorted(pkey, base - 1)
+    count = np.searchsorted(pkey, base + 2) - start
+    width = count.sum(axis=1)
+    end = np.cumsum(width)
+    stay = np.ones(len(rows), dtype=bool)
+    lo_row = 0
+    while lo_row < len(rows):
+        # the rows whose candidates fit in _KNN_AREA slots, at least one
+        hi_row = max(lo_row + 1, int(np.searchsorted(
+            end, end[lo_row] - width[lo_row] + _KNN_AREA, side="right")))
+        c = count[lo_row:hi_row].ravel()
+        run = np.repeat(start[lo_row:hi_row].ravel() - (np.cumsum(c) - c), c)
+        cand = order[np.arange(len(run)) + run]
+        # the rows with candidates, each one's first slot and its slots' row
+        full = np.flatnonzero(width[lo_row:hi_row]) + lo_row
+        w = width[full]
+        first = np.cumsum(w) - w
+        dist = ((pts[cand] - np.repeat(q[full], w, axis=0)) ** 2).sum(axis=1)
+        # per row, the least distance, then the least index at that distance
+        best = np.minimum.reduceat(dist, first)
+        near = np.minimum.reduceat(
+            np.where(dist == np.repeat(best, w), cand, len(pts)), first)
+        ok = best < bound
+        r = full[ok]
+        idx[rows[r]], d2[rows[r]] = near[ok], best[ok]
+        stay[r] = False
+        lo_row = hi_row
     return rows[stay]
 
 

@@ -37,6 +37,15 @@ class TestChamfer:
         with pytest.raises(ValueError):
             chamfer(np.zeros((0, 3)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        p = np.random.default_rng(4).normal(size=(20, 3))
+        q = p.copy()
+        q[7, 1] = bad
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="non-finite"):
+                chamfer(a, b)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         p, q = rng.normal(size=(70, 3)), rng.normal(size=(50, 3))

@@ -303,6 +303,25 @@ class TestFlow:
         with pytest.raises(ValueError):
             nn_flow_estimate(f, f, 0.0)
 
+    def test_nan_dt_rejected(self):
+        f = frame_of(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="dt must be > 0, got nan"):
+            nn_flow_estimate(f, f, float("nan"))
+
+    def test_nuscenes_scale_frame_in_bounded_memory(self):
+        scene = gen_scene(SceneSpec(seed=7, lidar_density=7.0))
+        f0, f1 = scene.lidar_frames[:2]
+        assert f1.n_points == 35_942
+        drawn = f0.select(np.random.default_rng(0).choice(f0.n_points, 300, replace=False))
+        tracemalloc.start()
+        try:
+            vel = nn_flow_estimate(drawn, f1, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(vel).all()
+        assert peak < 3e6  # about 1.7 MB; the kd-tree build took 6.9 MB here
+
 
 class TestMapToPlane:
     def test_z_zeroed(self):
@@ -367,6 +386,15 @@ class TestPipeline:
         f1 = frame_of(np.random.default_rng(1).normal(0, 20, (500, 3)), t=1.0,
                       frame_id="b")
         with pytest.raises(PipelineError, match="'a'"):
+            lidar_to_radar([f0, f1], model, SamplingConfig())
+
+    def test_nan_timestamp_reported_as_timestamps(self, model):
+        f0 = frame_of(np.random.default_rng(0).normal(0, 20, (500, 3)), t=0.0,
+                      frame_id="a")
+        f1 = frame_of(np.random.default_rng(1).normal(0, 20, (500, 3)), t=float("nan"),
+                      frame_id="b")
+        with pytest.raises(PipelineError, match="'a'.*timestamps must strictly increase, "
+                                                "got 0.0 then nan"):
             lidar_to_radar([f0, f1], model, SamplingConfig())
 
     def test_tiny_threshold_reported_with_frame_id(self, model):

@@ -466,3 +466,152 @@ def test_knn_sqdist_takes_the_second_pass_and_the_kd_tree():
     # pitch can be read, and the tree takes every row
     run(np.vstack([dense, sparse, 1e3 * lone]))
     assert trees == [3243]
+
+
+# the cross-cloud nearest query behind flow and Chamfer, against the
+# brute-force oracle and the kd-tree; tiny blocks and a pinned pitch force
+# the block and cell-boundary paths
+
+
+def assert_nearest_matches_brute_force(pts, qs, area=1 << 14):
+    pts, qs = np.asarray(pts, dtype=float), np.asarray(qs, dtype=float)
+    with mock.patch.object(spatial, "_KNN_AREA", area):
+        idx, d2 = spatial._nearest(pts, qs)
+    assert idx.shape == d2.shape == (len(qs),)
+    assert idx.dtype == np.intp and d2.dtype == np.float64
+    for row, q in enumerate(qs):
+        want = brute_force_k_nearest(pts, q, 1)
+        if not want:
+            assert idx[row] == -1 and d2[row] == np.inf
+            continue
+        assert idx[row] == want[0][0] and np.sqrt(d2[row]) == want[0][1]
+        # the oracle's own expression, bit for bit
+        assert d2[row] == ((pts - q) ** 2).sum(axis=1)[idx[row]]
+    tree_i, tree_d = KdTree(pts).query(qs, 1)
+    assert idx.tolist() == tree_i[:, 0].tolist()
+    assert d2.view(np.int64).tolist() == tree_d[:, 0].view(np.int64).tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 100),
+       st.sampled_from([0.0, 1e4]), KNN_AREAS)
+@settings(max_examples=60, deadline=None)
+def test_nearest_matches_brute_force_on_random_clouds(seed, n, m, shift, area):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.01, 1, 3)  # uneven axes
+    pts = rng.normal(0, 10, (n, 3)) * scale + shift
+    qs = rng.normal(0, 12, (m, 3)) * scale + shift
+    assert_nearest_matches_brute_force(pts, qs, area)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 5), st.integers(1, 60),
+       st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.0, 1e4]), KNN_AREAS)
+@settings(max_examples=60, deadline=None)
+def test_nearest_matches_brute_force_on_cell_boundaries(seed, n, side, m, step, shift, area):
+    # lattices whose spacing is the pitch: points and queries sit on cell
+    # boundaries, and small sides give exact ties and duplicates everywhere
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, (n, 3)) * step + shift
+    qs = rng.integers(-1, 2 * side + 1, (m, 3)) * (step / 2) + shift
+    with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: step):
+        assert_nearest_matches_brute_force(pts, qs, area)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 40), KNN_AREAS)
+@settings(max_examples=40, deadline=None)
+def test_nearest_breaks_ties_by_lowest_index_among_duplicates(seed, n, m, area):
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(-2, 2, (max(1, n // 8), 3))
+    pts = sites[rng.integers(0, len(sites), n)]
+    # queries on the sites, and midway between pairs of them
+    qs = np.vstack([sites[rng.integers(0, len(sites), m)],
+                    (sites[rng.integers(0, len(sites), m)]
+                     + sites[rng.integers(0, len(sites), m)]) / 2])
+    assert_nearest_matches_brute_force(pts, qs, area)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 30),
+       st.sampled_from([1e2, 1e4, 1e9]), KNN_AREAS)
+@settings(max_examples=40, deadline=None)
+def test_nearest_matches_brute_force_for_queries_far_outside(seed, n, m, far, area):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 3))
+    qs = np.vstack([rng.uniform(-1, 1, (m, 3)), rng.normal(0, far, (m, 3)),
+                    [[far, -far / 3, far / 7]]])
+    assert_nearest_matches_brute_force(pts, qs, area)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 60), KNN_AREAS)
+@settings(max_examples=40, deadline=None)
+def test_nearest_matches_brute_force_on_planar_clouds(seed, n, m, area):
+    rng = np.random.default_rng(seed)
+    pts = np.c_[rng.uniform(-30, 30, (n, 2)), np.zeros(n)]
+    qs = np.c_[rng.uniform(-35, 35, (m, 2)), np.zeros(m)]
+    assert_nearest_matches_brute_force(pts, qs, area)
+
+
+def test_nearest_finds_a_nearer_point_just_outside_the_27_cells():
+    # at pitch 1 the query's 27 cells hold a point 1.069 away, and a point
+    # two cells over is nearer, at 1.001: the first pass must not settle
+    pts = np.array([[-0.07, 0.5, 0.5], [2.0, 0.5, 0.5]] + [[x, 9.5, 9.5] for x in range(8)])
+    qs = np.array([[0.999, 0.5, 0.5]])
+    with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: 1.0):
+        assert_nearest_matches_brute_force(pts, qs)
+        assert spatial._nearest(pts, qs)[0].tolist() == [1]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_nearest_on_clouds_of_at_most_ten_points(n):
+    rng = np.random.default_rng(n)
+    pts, qs = rng.normal(size=(n, 3)), rng.normal(size=(25, 3))
+    assert_nearest_matches_brute_force(pts, qs)
+    assert_nearest_matches_brute_force(pts, qs, 16)
+    assert_nearest_matches_brute_force(pts, qs[:0])
+
+
+def test_nearest_rejects_non_finite_input_and_bad_shapes():
+    good = np.zeros((3, 3))
+    for pts, qs in ((good, [[0.0, np.nan, 0]]), ([[np.inf, 0, 0]], good)):
+        with pytest.raises(ValueError, match="non-finite"):
+            spatial._nearest(pts, qs)
+    with pytest.raises(ValueError, match="shape"):
+        spatial._nearest(good, np.zeros((3, 2)))
+
+
+def test_nearest_takes_the_later_passes_and_the_kd_tree():
+    # queries in a dense block, queries that only a coarser pass certifies,
+    # and queries far enough out that no grid pass certifies them
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0, 10, (4000, 3))
+    near = rng.uniform(0, 10, (200, 3))
+    h = spatial._knn_pitch(pts, spatial._NEAREST_K)
+    off = np.array([[10 + 1.5 * h, 5, 5], [5, 10 + 3 * h, 5], [5, 5, -40.0], [60.0, 5, 5]])
+    qs = np.vstack([near, off])
+    passes, trees = [], []
+    real_pass = spatial._grid_nearest
+
+    def spy_pass(pts, qs, rows, h, idx, d2):
+        left = real_pass(pts, qs, rows, h, idx, d2)
+        passes.append((h, rows.tolist(), left.tolist()))
+        return left
+
+    class SpyTree(KdTree):
+        def query(self, queries, k, exclude_self=False):
+            trees.append(len(queries))
+            return super().query(queries, k, exclude_self)
+
+    def run(pts):
+        passes.clear()
+        trees.clear()
+        with mock.patch.object(spatial, "_grid_nearest", spy_pass), \
+                mock.patch.object(spatial, "KdTree", SpyTree):
+            assert_nearest_matches_brute_force(pts, qs)
+
+    run(pts)
+    assert [p[0] for p in passes] == [h, 2 * h, 4 * h]
+    assert passes[0][2] == [200, 201, 202, 203]  # every dense row in pass 1
+    assert passes[1][2] == [201, 202, 203] and passes[2][2] == [202, 203]
+    assert trees == [2]  # the tree takes only the rows left
+    # a far point stretches the box until a few cells hold every point: no
+    # pitch can be read, no grid pass runs, and the tree takes every row
+    run(np.vstack([pts, [[1e6, 0, 0]]]))
+    assert passes == [] and trees == [len(qs)]
