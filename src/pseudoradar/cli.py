@@ -309,7 +309,8 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
         ("info_nce", lambda: info_nce(anchors, cands, cfg.tau), [anchors[0], cands[1]]),
         ("bcsa", lambda: readout(bcsa(f1, f2, params.bcsa), f_read),
          [f1, f2, *params.bcsa.tensors()]),
-        ("aggregate_global", lambda: readout(aggregate_global(fa, fb, params.global_agg), proj),
+        ("aggregate_global",
+         lambda: readout(aggregate_global([fa, fb], ((0, 1),), params.global_agg), proj),
          [fa, fb, *params.global_agg.tensors()]),
         ("local_loss", lambda: local_loss(FeatureMap(rad, "radar", "bev"),
                                           FeatureMap(img, "image", "bev"),

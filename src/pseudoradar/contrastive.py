@@ -13,8 +13,9 @@ Each stage runs once on stacked tensors rather than once per column, window
 or scene: the matcher scores every window of every sampled column without a
 tape and gathers only the winners on it, BCSA runs on N x C x H stacks,
 InfoNCE is one matmul of row-normalized N x D matrices, and the global path
-aggregates all scenes of a pair at once. The tape size therefore does not
-depend on the number of sampled columns.
+aggregates all six pairings of all scenes in one call on one stack of the
+maps, pooling each map once for all its pairings. The tape size therefore
+does not depend on the number of sampled columns.
 
 Everything here is differentiable end to end; the gradcheck command and the
 test suite verify every gradient against central finite differences.
@@ -197,13 +198,10 @@ class ContrastiveParams:
 # InfoNCE
 
 
-def _rows(vectors: Tensor | Sequence[Tensor]) -> Tensor:
-    """An N x D tensor as given, or a list of N D-vectors stacked into one."""
-    if isinstance(vectors, Tensor):
-        return vectors
-    if not vectors:
-        raise ValueError("info_nce needs at least one pair")
-    return T.concat([T.reshape(v, (1, *v.shape)) for v in vectors], axis=0)
+def _stack(tensors: Tensor | Sequence[Tensor]) -> Tensor:
+    """A tensor as given, or a list of equal-shape tensors stacked along a new
+    first axis."""
+    return tensors if isinstance(tensors, Tensor) else T.stack(tensors)
 
 
 def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[Tensor],
@@ -216,7 +214,7 @@ def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[T
     coincide; 0 for N = 1. Computed in matrix form: S = A_n B_n^T / tau on
     the row-normalized inputs, then mean(logsumexp(S) - diag(S)).
     """
-    a, b = _rows(anchors), _rows(candidates)
+    a, b = _stack(anchors), _stack(candidates)
     if a.data.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"expected matching N x D anchors and candidates, "
                          f"got {a.shape} and {b.shape}")
@@ -413,38 +411,62 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
 # global loss
 
 
-def aggregate_global(f_a: Tensor, f_b: Tensor,
+def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int, int]],
                      params: GlobalAggParams) -> tuple[Tensor, Tensor]:
-    """Collapse two C x H x W maps to C-vectors with shared attention; a
-    stack of S map pairs (S x C x H x W) collapses to S x C at once.
+    """Collapse each pair of C x H x W maps to two C-vectors with attention
+    shared within the pair.
 
-    Row scores come from projecting the mean-over-width descriptors of the
-    channel-concatenated pair and softmax over H; the weighted row sum gives
-    each map a C x W slab. Column scores repeat the trick over W. Both
-    weight vectors sum to 1, so a constant map aggregates to its cell value.
+    ``maps`` is a K x C x H x W stack, a K x S x C x H x W stack of S scenes,
+    or a list of K equal-shape maps or scene stacks; ``pairs`` holds (a, b)
+    indices into it. Returns ``g_a`` and ``g_b``, each P x C (P x S x C), in
+    the order of ``pairs``.
+
+    Row scores project the width means of a pair's channel-concatenated maps
+    (the first half of ``row_proj`` for map a, the second for map b) and
+    softmax over H; the weighted row sum gives each map a C x W slab. Column
+    scores repeat the trick over W on the slabs. Both weight vectors sum to
+    1, so a constant map aggregates to its cell value. Each map's width means
+    and projections are computed once, and each map is pooled against the row
+    weights of all its pairings in one ``weighted_sum_at`` node, however many
+    pairings use it.
     """
-    if f_a.data.ndim not in (3, 4) or f_a.shape != f_b.shape:
-        raise ValueError(f"aggregate_global needs matching C x H x W maps or stacks "
-                         f"of them, got {f_a.shape} and {f_b.shape}")
-    c, h, w = f_a.shape[-3:]
+    x = _stack(maps)
+    pairs = np.asarray(pairs, dtype=np.intp)
+    if x.data.ndim not in (4, 5):
+        raise ValueError(f"aggregate_global needs K x C x H x W maps or K x S x C x H x W "
+                         f"stacks, got {x.shape}")
+    k = x.shape[0]
+    lead, (c, h, w) = x.shape[1:-3], x.shape[-3:]
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size or not (
+            0 <= pairs.min() and pairs.max() < k):
+        raise ValueError(f"pairs must be a non-empty list of (a, b) indices into {k} maps, "
+                         f"got {pairs.tolist()}")
     if params.row_proj.shape != (2 * c,):
         raise ValueError(f"params sized for {params.row_proj.shape[0] // 2} channels, "
                          f"maps have {c}")
-    row_desc = T.concat([T.tmean(f_a, axis=-1), T.tmean(f_b, axis=-1)], axis=-2)  # .. 2C x H
-    row_w = T.softmax(T.weighted_sum(row_desc, params.row_proj, axis=-2), axis=-1)
-    row_w = T.reshape(row_w, (*row_w.shape[:-1], 1, h))  # one weight row for all C
-    a_cols = T.weighted_sum(f_a, row_w, axis=-2)  # .. C x W
-    b_cols = T.weighted_sum(f_b, row_w, axis=-2)
-    cat_cols = T.concat([a_cols, b_cols], axis=-2)  # .. 2C x W
-    col_w = T.softmax(T.weighted_sum(cat_cols, params.col_proj, axis=-2), axis=-1)
-    col_w = T.reshape(col_w, (*col_w.shape[:-1], 1, w))
-    return T.weighted_sum(a_cols, col_w, axis=-1), T.weighted_sum(b_cols, col_w, axis=-1)
+    p, a, b = len(pairs), pairs[:, 0], pairs[:, 1]
+
+    def halves(proj):  # the a and b halves as 2 x 1 x .. x C weights
+        return T.reshape(proj, (2, *(1,) * (len(lead) + 1), c))
+
+    means = T.tmean(x, axis=-1)  # K x .. x C x H
+    row_scores = T.weighted_sum(T.reshape(means, (1, *means.shape)), halves(params.row_proj),
+                                axis=-2)  # 2 x K x .. x H
+    row_scores = T.reshape(row_scores, (2 * k, *lead, h))
+    row_w = T.softmax(T.add(T.take(row_scores, a, axis=0), T.take(row_scores, k + b, axis=0)),
+                      axis=-1)
+    row_w = T.reshape(row_w, (p, *lead, 1, h))  # one weight row for all C
+    cols = T.weighted_sum_at(x, np.concatenate([a, b]), T.concat([row_w, row_w], axis=0),
+                             axis=-2)
+    cols = T.reshape(cols, (2, p, *lead, c, w))  # the a and b slabs of every pair
+    col_w = T.softmax(T.tsum(T.weighted_sum(cols, halves(params.col_proj), axis=-2), axis=0),
+                      axis=-1)
+    g = T.weighted_sum(cols, T.reshape(col_w, (1, p, *lead, 1, w)), axis=-1)
+    return T.take(g, 0, axis=0), T.take(g, 1, axis=0)
 
 
-def _stacked(scenes: Sequence[SceneMaps], name: str) -> Tensor:
-    """The ``name`` map of every scene as one S x C x H x W tensor."""
-    maps = [getattr(scene, name).tensor for scene in scenes]
-    return T.concat([T.reshape(m, (1, *m.shape)) for m in maps], axis=0)
+# GLOBAL_PAIRS as indices into MAP_NAMES
+_GLOBAL_INDEX = tuple((MAP_NAMES.index(a), MAP_NAMES.index(b)) for a, b in GLOBAL_PAIRS)
 
 
 def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
@@ -452,12 +474,11 @@ def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
     """One batch InfoNCE term per entry of GLOBAL_PAIRS."""
     if len(scenes) < 2:
         raise ValueError(f"global loss needs a batch of >= 2 scenes, got {len(scenes)}")
-    stacks = {name: _stacked(scenes, name) for name in MAP_NAMES}
-    terms = []
-    for name_a, name_b in GLOBAL_PAIRS:
-        g_a, g_b = aggregate_global(stacks[name_a], stacks[name_b], params.global_agg)
-        terms.append(info_nce(g_a, g_b, config.tau))
-    return terms
+    stack = _stack([getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes])
+    stack = T.reshape(stack, (len(MAP_NAMES), len(scenes), *scenes[0].shape))
+    g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
+    return [info_nce(T.take(g_a, i, axis=0), T.take(g_b, i, axis=0), config.tau)
+            for i in range(len(GLOBAL_PAIRS))]
 
 
 def global_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
@@ -495,17 +516,13 @@ def similarity_stats(scenes: Sequence[SceneMaps],
                      params: ContrastiveParams) -> tuple[float, float]:
     """Mean same-scene and cross-scene cosine similarity of the aggregated
     global vectors, over the six pairings. Gradient-free."""
-    stacks = {name: Tensor(np.stack([getattr(scene, name).tensor.data for scene in scenes]))
-              for name in MAP_NAMES}
-    same = np.eye(len(scenes), dtype=bool)
-    pos, neg = [], []
-    for name_a, name_b in GLOBAL_PAIRS:
-        g_a, g_b = aggregate_global(stacks[name_a], stacks[name_b], params.global_agg)
-        sims = T.cosine_sim(T.reshape(g_a, (g_a.shape[0], 1, -1)),
-                            T.reshape(g_b, (1, *g_b.shape))).data
-        pos.extend(sims[same])
-        neg.extend(sims[~same])
-    return float(np.mean(pos)), float(np.mean(neg))
+    stack = Tensor(np.stack([[getattr(scene, name).tensor.data for scene in scenes]
+                             for name in MAP_NAMES]))
+    g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
+    p, s = g_a.shape[:2]
+    sims = T.cosine_sim(T.reshape(g_a, (p, s, 1, -1)), T.reshape(g_b, (p, 1, s, -1))).data
+    same = np.eye(s, dtype=bool)
+    return float(np.mean(sims[:, same])), float(np.mean(sims[:, ~same]))
 
 
 @dataclass
@@ -536,10 +553,13 @@ def toy_pretrain(
     Updates the feature maps themselves and the attention and BCSA
     parameters, which are initialised from ``seed``. Column selection is
     redrawn from the same seed every step, so with learning_rate 0 the trace
-    is flat. Raises DivergenceError if the loss goes non-finite.
+    is flat. Raises ValueError for a NaN, infinite or negative learning rate
+    and DivergenceError if the loss goes non-finite.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 0.0 <= learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     scenes = list(batch)
     if not scenes:
         raise ValueError("empty batch")

@@ -2,11 +2,13 @@
 
 Covers exactly the operations the loss stack needs: add, sub, mul and div
 with numpy-style broadcasting, sqrt, sigmoid, matmul, weighted sums along an
-axis, trailing-axis transposition, reshaping, concatenation, gathering, sums
-and means. The composite functions (softmax, logsumexp, layer norm, L2
-normalization and batched cosine similarity) are single tape nodes, each
-with a closed-form backward. Every gradient is verifiable against central
-finite differences via :func:`finite_diff_check`.
+axis (also of rows gathered from a stack, read once per array), trailing-axis
+transposition, reshaping, concatenation, stacking, gathering (whose backward
+is one product with a one-hot matrix, not a scatter), sums and means. The
+composite functions (softmax, logsumexp, layer norm, L2 normalization and
+batched cosine similarity) are single tape nodes, each with a closed-form
+backward. Every gradient is verifiable against central finite differences
+via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -83,13 +85,15 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable) ->
     return out
 
 
-def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
+def _accum(grads: dict, t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` to the gradient held for ``t``.
 
     ``grads`` maps a node's id to ``(gradient, owned)``. The first gradient
     is held as it arrives, because it may be a view or the same array an op
     hands to two parents; the second arrival allocates the sum, which is
-    owned, and every later arrival adds into that buffer in place.
+    owned, and every later arrival adds into that buffer in place. An op
+    passes ``owned`` for a buffer it allocated for ``t`` alone, which later
+    arrivals then add into from the start.
     """
     if not t.requires_grad:
         return
@@ -97,7 +101,7 @@ def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
     key = id(t)
     held = grads.get(key)
     if held is None:
-        grads[key] = (g, False)
+        grads[key] = (g, owned)
     elif held[1]:
         np.add(held[0], g, out=held[0])
     else:
@@ -242,7 +246,57 @@ def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
         if w.requires_grad:
             _accum(grads, w, (xm @ gm.swapaxes(-1, -2))[..., 0])
 
-    return _make(data.reshape(*lead, *rest), (x, w), bw)
+    return _make(data.reshape((*lead, *rest)), (x, w), bw)
+
+
+def weighted_sum_at(x: Tensor, index, w: Tensor, axis: int) -> Tensor:
+    """``out[q] = weighted_sum(x[index[q]], w[q], axis - 1)`` for every q.
+
+    ``x`` stacks K arrays along its first axis, and ``index`` (Q,) picks the
+    array that each of the Q weight rows pools. ``w`` has shape (Q, *b, n):
+    n is ``x.shape[axis]``, and each b_i is 1 or the matching axis of ``x``
+    between the first axis and ``axis``.
+
+    The rows of each array are packed into a K x .. x J x n block, J the
+    most rows any array has, so the forward reads each array once in one
+    batched matmul. The backward forms ``dx`` as one batched matmul that sums
+    each array's rows, and ``dw`` as one more; no per-row full-size gradient
+    is formed.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if x.data.ndim < 2 or index.ndim != 1:
+        raise ShapeError(f"weighted_sum_at needs a rank >= 2 stack and a 1-D index, "
+                         f"got {x.shape} and {index.shape}")
+    axis %= x.data.ndim
+    k, n = x.shape[0], x.shape[axis]
+    lead, rest = x.shape[1:axis], x.shape[axis + 1:]
+    if (axis == 0 or w.data.ndim != axis + 1 or w.shape[0] != index.size
+            or w.shape[-1] != n or any(b not in (1, m) for b, m in zip(w.shape[1:-1], lead))):
+        raise ShapeError(f"weighted_sum_at weights {w.shape} do not fit {index.size} rows "
+                         f"of axis {axis} of {x.shape}")
+    if index.size and not (0 <= index.min() and index.max() < k):
+        raise ShapeError(f"weighted_sum_at index outside [0, {k})")
+    # slot of each row among the rows of its array
+    counts = np.bincount(index, minlength=k)
+    slot = np.empty_like(index)
+    slot[np.argsort(index, kind="stable")] = (np.arange(index.size)
+                                              - np.repeat(np.cumsum(counts) - counts, counts))
+    rows = (index, Ellipsis, slot, slice(None))
+    blocks = np.zeros((k, *w.shape[1:-1], int(counts.max(initial=0)), n))
+    blocks[rows] = w.data
+    xm = x.data.reshape(k, *lead, n, math.prod(rest))
+    pooled = blocks @ xm  # K x .. x J x R
+    pooled_shape = pooled.shape
+
+    def bw(g, grads):
+        gp = np.zeros(pooled_shape)
+        gp[rows] = g.reshape(index.size, *lead, -1)
+        if x.requires_grad:
+            _accum(grads, x, (blocks.swapaxes(-1, -2) @ gp).reshape(x.shape), owned=True)
+        if w.requires_grad:
+            _accum(grads, w, _unbroadcast(gp @ xm.swapaxes(-1, -2), blocks.shape)[rows])
+
+    return _make(pooled[rows].reshape(index.size, *lead, *rest), (x, w), bw)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -290,24 +344,56 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, ts, bw)
 
 
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new first axis.
+
+    The backward hands each parent a copy of its slice, so a parent that
+    waits for more gradients does not keep the whole stacked gradient alive.
+    """
+    ts = list(tensors)
+    if not ts:
+        raise ShapeError("stack of an empty list")
+    if any(t.shape != ts[0].shape for t in ts):
+        raise ShapeError(f"stack needs equal shapes, got {[t.shape for t in ts]}")
+    data = np.stack([t.data for t in ts])
+
+    def bw(g, grads):
+        for t, part in zip(ts, g):
+            if t.requires_grad:
+                _accum(grads, t, part.copy(), owned=True)
+
+    return _make(data, ts, bw)
+
+
 def take(a: Tensor, indices, axis: int) -> Tensor:
-    """Gather along an axis. A scalar index drops the axis, numpy style."""
+    """Gather along an axis. A scalar index drops the axis, numpy style.
+
+    The backward of an index array is one product of the gradient with an
+    (indices x axis length) one-hot matrix, so repeated indices add up
+    without a scatter. A non-finite gradient entry therefore spreads NaN
+    over its whole slice of the axis.
+    """
     scalar = np.isscalar(indices) or (isinstance(indices, np.ndarray) and indices.ndim == 0)
     idx = np.asarray(indices, dtype=np.intp)
     data = np.take(a.data, idx if not scalar else int(idx), axis=axis)
+    axis %= a.data.ndim
+    n = a.shape[axis]
 
     def bw(g, grads):
         if not a.requires_grad:
             return
-        full = np.zeros_like(a.data)
         if scalar:
-            sl = [slice(None)] * a.data.ndim
-            sl[axis] = int(idx)
-            full[tuple(sl)] = g
+            full = np.zeros_like(a.data)
+            full[(slice(None),) * axis + (int(idx),)] = g
         else:
-            moved = np.moveaxis(full, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-        _accum(grads, a, full)
+            onehot = (idx.reshape(-1, 1) % n == np.arange(n)).astype(np.float64)
+            pre, post = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
+            g3 = g.reshape(pre, idx.size, post)
+            if post == 1:
+                full = g3[..., 0] @ onehot
+            else:
+                full = onehot.T @ g3
+        _accum(grads, a, full.reshape(a.shape), owned=True)
 
     return _make(data, (a,), bw)
 

@@ -369,6 +369,14 @@ class TestPretrainToy:
                      "--lr", "0", "--seed", "1",
                      "--report", str(tmp_path / "t.json")]) == 1
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+    def test_bad_learning_rate_exits_two_naming_it(self, corpus, tmp_path, capsys, lr):
+        report = tmp_path / "t.json"
+        assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "2",
+                     "--lr", lr, "--seed", "1", "--report", str(report)]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_same_seed_identical_trace(self, corpus, tmp_path):
         blobs = []
         for name in ("t1.json", "t2.json"):

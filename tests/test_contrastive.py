@@ -218,16 +218,16 @@ class TestAggregateGlobal:
         const = Tensor(np.tile(v[:, None, None], (1, 5, 6)))
         other = Tensor(rng.normal(size=(4, 5, 6)))
         params = GlobalAggParams.init(4, seed=3)
-        g_a, _ = aggregate_global(const, other, params)
-        assert np.allclose(g_a.data, v, atol=1e-12)
+        g_a, _ = aggregate_global([const, other], ((0, 1),), params)
+        assert np.allclose(g_a.data, [v], atol=1e-12)
 
     def test_output_length_is_channel_count(self):
         rng = np.random.default_rng(1)
         for c, hw in ((2, (3, 9)), (6, (1, 1)), (5, (7, 2))):
             params = GlobalAggParams.init(c, seed=0)
-            g_a, g_b = aggregate_global(Tensor(rng.normal(size=(c, *hw))),
-                                        Tensor(rng.normal(size=(c, *hw))), params)
-            assert g_a.shape == (c,) and g_b.shape == (c,)
+            maps = [Tensor(rng.normal(size=(c, *hw))) for _ in range(3)]
+            g_a, g_b = aggregate_global(maps, ((0, 1), (2, 0)), params)
+            assert g_a.shape == (2, c) and g_b.shape == (2, c)
 
     def test_zeroed_projections_give_plain_means(self):
         # uniform attention everywhere collapses to the mean over all cells
@@ -235,9 +235,9 @@ class TestAggregateGlobal:
         params = GlobalAggParams(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         x = Tensor(rng.normal(size=(2, 2, 2)))
         y = Tensor(rng.normal(size=(2, 2, 2)))
-        g_a, g_b = aggregate_global(x, y, params)
-        assert np.allclose(g_a.data, x.data.mean(axis=(1, 2)), atol=1e-12)
-        assert np.allclose(g_b.data, y.data.mean(axis=(1, 2)), atol=1e-12)
+        g_a, g_b = aggregate_global([x, y], ((0, 1),), params)
+        assert np.allclose(g_a.data, [x.data.mean(axis=(1, 2))], atol=1e-12)
+        assert np.allclose(g_b.data, [y.data.mean(axis=(1, 2))], atol=1e-12)
 
     def test_attention_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -253,12 +253,12 @@ class TestAggregateGlobal:
         rng = np.random.default_rng(5)
         params = GlobalAggParams.init(3, seed=4)
         fa, fb = rng.normal(size=(4, 3, 5, 6)), rng.normal(size=(4, 3, 5, 6))
-        g_a, g_b = aggregate_global(Tensor(fa), Tensor(fb), params)
-        assert g_a.shape == (4, 3) and g_b.shape == (4, 3)
+        g_a, g_b = aggregate_global([Tensor(fa), Tensor(fb)], ((0, 1),), params)
+        assert g_a.shape == (1, 4, 3) and g_b.shape == (1, 4, 3)
         for s in range(4):
-            one_a, one_b = aggregate_global(Tensor(fa[s]), Tensor(fb[s]), params)
-            assert np.allclose(g_a.data[s], one_a.data, rtol=0, atol=1e-12)
-            assert np.allclose(g_b.data[s], one_b.data, rtol=0, atol=1e-12)
+            one_a, one_b = aggregate_global([Tensor(fa[s]), Tensor(fb[s])], ((0, 1),), params)
+            assert np.allclose(g_a.data[0, s], one_a.data[0], rtol=0, atol=1e-12)
+            assert np.allclose(g_b.data[0, s], one_b.data[0], rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -268,7 +268,7 @@ class TestAggregateGlobal:
         proj = Tensor(rng.normal(size=3))
 
         def f(_):
-            g_a, g_b = aggregate_global(fa, fb, params)
+            g_a, g_b = aggregate_global([fa, fb], ((0, 1),), params)
             return T.add(T.tsum(T.mul(g_a, proj)), T.tsum(T.mul(g_b, proj)))
 
         for x in (fa, fb, params.row_proj, params.col_proj):
@@ -416,15 +416,16 @@ class TestTotalLoss:
 
 
 def test_total_loss_tape_node_count():
-    # each weighted pooling is one weighted_sum node; the same loss at the
-    # benchmark's C64 x H32 x W64 size holds 562
+    # each weighted pooling is one weighted_sum node, and the global path
+    # pools all its pairings in one weighted_sum_at node; the same loss at
+    # the benchmark's C64 x H32 x W64 size holds 482
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 465
+    assert len(T._topo_order(loss)) == 389
 
 
 class TestToyPretrain:
@@ -457,6 +458,18 @@ class TestToyPretrain:
         with pytest.raises(DivergenceError) as err:
             toy_pretrain(batch.scenes, cfg, steps=40, learning_rate=1e200, seed=5)
         assert err.value.step >= 1
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_bad_learning_rate_rejected_before_the_first_step(self, monkeypatch,
+                                                              learning_rate):
+        batch = gen_feature_batch(5, 2, 3, 3, 8, noise_sigma=1.0)
+        steps = []
+        monkeypatch.setattr("pseudoradar.contrastive.total_loss",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="learning_rate"):
+            toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=3), steps=3,
+                         learning_rate=learning_rate, seed=5)
+        assert steps == []
 
     def test_trace_json_schema(self):
         batch = gen_feature_batch(2, 2, 3, 3, 8, noise_sigma=1.0)

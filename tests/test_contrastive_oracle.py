@@ -99,7 +99,8 @@ class TestAgainstScalarReference:
                 return T.add(T.tsum(T.mul(g_a, proj)), T.tsum(T.mul(g_b, proj)))
             return build
 
-        assert_same(readout(C.aggregate_global), readout(ref.aggregate_global), leaves)
+        assert_same(readout(lambda f_a, f_b, agg: C.aggregate_global([f_a, f_b], ((0, 1),), agg)),
+                    readout(ref.aggregate_global), leaves)
 
     def test_info_nce_on_vector_lists(self):
         rng = np.random.default_rng(0)
@@ -108,6 +109,65 @@ class TestAgainstScalarReference:
             cands = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(n)]
             assert_same(lambda: C.info_nce(anchors, cands, tau),
                         lambda: ref.info_nce(anchors, cands, tau), anchors + cands)
+
+
+@st.composite
+def aggregate_cases(draw):
+    k, s = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    c, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    index = st.integers(0, k - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=7))
+    if draw(st.booleans()):  # a pair and its reverse
+        pairs.append(pairs[0][::-1])
+    unstacked = s == 1 and draw(st.booleans())  # K x C x H x W, no scene axis
+    return k, s, (c, h, w), pairs, unstacked, draw(st.integers(0, 2**32 - 1))
+
+
+@given(aggregate_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_aggregate_matches_scalar_reference_per_pair(case):
+    k, s, shape, pairs, unstacked, seed = case
+    rng = np.random.default_rng(seed)
+    maps = [[Tensor(rng.normal(0.0, 2.0, size=shape), requires_grad=True) for _ in range(s)]
+            for _ in range(k)]
+    params = C.GlobalAggParams(Tensor(rng.normal(0.0, 0.5, size=2 * shape[0]), requires_grad=True),
+                               Tensor(rng.normal(0.0, 0.5, size=2 * shape[0]), requires_grad=True))
+    proj = rng.normal(size=(2, len(pairs), s, shape[0]))
+    leaves = [m for row in maps for m in row] + params.tensors()
+
+    def batched():
+        stack = T.reshape(T.stack(leaves[:k * s]), (k, *(() if unstacked else (s,)), *shape))
+        g_a, g_b = C.aggregate_global(stack, pairs, params)
+        return T.stack([T.reshape(g_a, proj.shape[1:]), T.reshape(g_b, proj.shape[1:])])
+
+    def per_pair():
+        vectors = [ref.aggregate_global(maps[a][j], maps[b][j], params)
+                   for a, b in pairs for j in range(s)]
+        return T.reshape(T.stack([T.stack([v[0] for v in vectors]),
+                                  T.stack([v[1] for v in vectors])]), proj.shape)
+
+    new, old = batched().data, per_pair().data
+    assert np.abs(new - old).max() <= LOSS_RTOL * np.abs(old).max()
+    assert_same(lambda: T.tsum(T.mul(batched(), Tensor(proj))),
+                lambda: T.tsum(T.mul(per_pair(), Tensor(proj))), leaves)
+
+
+def test_similarity_stats_equal_a_loop_over_pairs():
+    scenes = gen_feature_batch(12, 3, 5, 4, 7, noise_sigma=1.0).scenes
+    params = C.ContrastiveParams.init(5, seed=12)
+    pos, neg = [], []
+    for name_a, name_b in C.GLOBAL_PAIRS:
+        maps = [Tensor(np.stack([getattr(sc, name).tensor.data for sc in scenes]))
+                for name in (name_a, name_b)]
+        g_a, g_b = C.aggregate_global(maps, ((0, 1),), params.global_agg)
+        sims = T.cosine_sim(T.reshape(g_a, (len(scenes), 1, -1)),
+                            T.reshape(g_b, (1, len(scenes), -1))).data
+        same = np.eye(len(scenes), dtype=bool)
+        pos.extend(sims[same])
+        neg.extend(sims[~same])
+    got = C.similarity_stats(scenes, params)
+    assert abs(got[0] - np.mean(pos)) <= 1e-12 * abs(np.mean(pos))
+    assert abs(got[1] - np.mean(neg)) <= 1e-12 * abs(np.mean(neg))
 
 
 def test_matcher_on_every_column_of_the_recovery_batch():

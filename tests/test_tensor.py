@@ -169,7 +169,8 @@ class TestFusedOps:
 
 # (x shape, w shape, axis): the global path's row and column pooling and
 # score projection, a diagonal read, one-element contracted, trailing and
-# leading axes, and weights whose leading axes are broader than the map's
+# leading axes, weights whose leading axes are broader than the map's, and
+# a vector contracted to a scalar
 WEIGHTED_SUM_CASES = [
     ((3, 5, 4, 6), (3, 1, 4), -2),
     ((3, 5, 6), (3, 1, 6), -1),
@@ -179,6 +180,7 @@ WEIGHTED_SUM_CASES = [
     ((1, 4, 1), (1, 4), 1),
     ((2, 3, 4), (1, 3), 1),
     ((3, 4), (2, 1, 3), 0),
+    ((6,), (6,), 0),
 ]
 
 
@@ -225,6 +227,102 @@ class TestWeightedSum:
             T.weighted_sum(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), axis=1)
         with pytest.raises(ShapeError, match="rank >= 1"):
             T.weighted_sum(Tensor(np.ones(3)), Tensor(1.0), axis=0)
+
+
+# (x shape, index, w shape, axis): the global path's row pooling of a scene
+# stack with weights shared over C, weights per lead entry, a trailing
+# contracted axis, a map in no row, and one row
+WEIGHTED_SUM_AT_CASES = [
+    ((4, 3, 5, 6, 7), [0, 1, 1, 2, 2, 3, 3, 0, 1], (9, 3, 1, 6), -2),
+    ((3, 2, 4, 5), [2, 0, 2, 2], (4, 2, 4), 2),
+    ((2, 3, 5), [1, 1, 0], (3, 3, 5), -1),
+    ((3, 4, 2), [2, 0], (2, 4), 1),
+    ((2, 6), [1], (1, 6), 1),
+]
+
+
+def _weighted_sum_at_chain(x, index, w, axis):
+    """One take and weighted_sum per row, stacked: what weighted_sum_at fuses."""
+    axis %= x.data.ndim
+    rows = [T.weighted_sum(T.take(x, int(k), axis=0), T.take(w, q, axis=0), axis - 1)
+            for q, k in enumerate(index)]
+    return T.stack(rows)
+
+
+class TestWeightedSumAt:
+    @pytest.mark.parametrize("case", range(len(WEIGHTED_SUM_AT_CASES)))
+    def test_matches_one_weighted_sum_per_row(self, case):
+        x_shape, index, w_shape, axis = WEIGHTED_SUM_AT_CASES[case]
+        values, grads = [], []
+        for op in (T.weighted_sum_at, _weighted_sum_at_chain):
+            x = Tensor(rand(x_shape, seed=70), requires_grad=True)
+            w = Tensor(rand(w_shape, seed=71), requires_grad=True)
+            out = op(x, np.array(index), w, axis)
+            backward(T.tsum(T.mul(out, Tensor(rand(out.shape, seed=72)))))
+            values.append(out.data)
+            grads.append((x.grad, w.grad))
+        assert values[0].shape == values[1].shape
+        assert np.abs(values[0] - values[1]).max() <= 1e-12 * np.abs(values[1]).max()
+        for new, old in zip(grads[0], grads[1]):
+            assert new.shape == old.shape
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    def test_one_tape_node_and_no_gradient_for_constant_weights(self):
+        x = Tensor(rand((2, 3, 4), seed=73), requires_grad=True)
+        w = Tensor(rand((3, 3), seed=74))
+        out = T.weighted_sum_at(x, [1, 0, 1], w, axis=1)
+        assert T._topo_order(out) == [x, out]
+        backward(T.tsum(out))
+        assert w.grad is None
+        want = np.stack([w.data[1], w.data[0] + w.data[2]])[:, :, None]
+        assert np.allclose(x.grad, np.broadcast_to(want, (2, 3, 4)), rtol=1e-15, atol=0)
+
+    def test_shape_contract(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError, match="do not fit 2 rows"):
+            T.weighted_sum_at(x, [0, 1], Tensor(np.ones((2, 4))), axis=1)
+        with pytest.raises(ShapeError, match="do not fit"):
+            T.weighted_sum_at(x, [0, 1], Tensor(np.ones((2, 3))), axis=0)
+        with pytest.raises(ShapeError, match="do not fit 3 rows"):
+            T.weighted_sum_at(x, [0, 1, 1], Tensor(np.ones((2, 3))), axis=1)
+        with pytest.raises(ShapeError, match=r"outside \[0, 2\)"):
+            T.weighted_sum_at(x, [0, 2], Tensor(np.ones((2, 3))), axis=1)
+        with pytest.raises(ShapeError, match="1-D index"):
+            T.weighted_sum_at(x, [[0, 1]], Tensor(np.ones((2, 3))), axis=1)
+
+
+class TestStack:
+    def test_values_and_shape_contract(self):
+        a, b = Tensor(rand((2, 3), seed=75)), Tensor(rand((2, 3), seed=76))
+        assert np.array_equal(T.stack([a, b]).data, np.stack([a.data, b.data]))
+        with pytest.raises(ShapeError, match="equal shapes"):
+            T.stack([a, Tensor(np.ones((3, 2)))])
+        with pytest.raises(ShapeError, match="empty"):
+            T.stack([])
+
+    def test_parents_get_copies_not_views_of_the_stacked_gradient(self, monkeypatch):
+        # a view held by y, which waits for a second gradient, would keep the
+        # whole stacked gradient alive
+        handed = []
+        real = T._accum
+
+        def spy(grads, t, g, owned=False):
+            handed.append((t, g, owned))
+            real(grads, t, g, owned)
+
+        monkeypatch.setattr(T, "_accum", spy)
+        x, y, z = (Tensor(rand(4, seed=s), requires_grad=True) for s in (77, 78, 79))
+        c, d = rand((3, 4), seed=80), rand(4, seed=81)
+        loss = T.add(T.tsum(T.mul(T.stack([x, y, z]), Tensor(c))),
+                     T.tsum(T.mul(T.sigmoid(y), Tensor(d))))
+        backward(loss)
+        s = T.sigmoid(y).data
+        assert np.array_equal(x.grad, c[0]) and np.array_equal(z.grad, c[2])
+        assert np.allclose(y.grad, c[1] + d * s * (1.0 - s), rtol=1e-15, atol=0)
+        parts = [(g, owned) for t, g, owned in handed if t is x or t is z]
+        parts += [(g, owned) for t, g, owned in handed if t is y and owned]
+        assert len(parts) == 3
+        assert all(owned and g.base is None for g, owned in parts)
 
 
 class TestTransposeLast2:
@@ -331,6 +429,44 @@ class TestConcatAndTake:
 
     def test_sum_of_zeros(self):
         assert T.tsum(Tensor(np.zeros(7))).item() == 0.0
+
+
+def _take_grad_reference(shape, indices, axis, g):
+    """The scatter that take's backward replaced: zero fill plus np.add.at."""
+    full = np.zeros(shape)
+    if np.ndim(indices) == 0:
+        full[(slice(None),) * (axis % len(shape)) + (int(indices),)] = g
+    else:
+        np.add.at(np.moveaxis(full, axis, 0), indices, np.moveaxis(g, axis, 0))
+    return full
+
+
+@st.composite
+def take_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    n = shape[axis]
+    index = st.integers(-n, n - 1)
+    if draw(st.booleans()):
+        indices = draw(index)
+    else:  # duplicates and negative indices are both likely
+        indices = np.array(draw(st.lists(index, min_size=1, max_size=3 * n)))
+    return shape, indices, axis, draw(st.integers(0, 2**32 - 1))
+
+
+@given(take_cases())
+@settings(max_examples=200, deadline=None)
+def test_take_gradient_matches_scatter_add(case):
+    shape, indices, axis, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = T.take(x, indices, axis=axis)
+    g = rng.normal(size=out.shape)
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    want = _take_grad_reference(shape, indices, axis, g)
+    scale = _take_grad_reference(shape, indices, axis, np.abs(g))
+    # exact where an index appears once; repeats may add in another order
+    assert np.all(np.abs(x.grad - want) <= 4e-16 * scale)
 
 
 class TestBackward:
@@ -487,6 +623,11 @@ OPS = {
     # x and w both depend on t; w's leading axis broadcasts against x's
     "weighted_sum": lambda t, u: T.weighted_sum(
         T.reshape(t, (2, 3, 4)), T.reshape(T.take(t, 0, axis=0), (2, 1, 3)), axis=1),
+    # x and w both depend on t; map 1 is pooled by three rows, map 0 by one
+    "weighted_sum_at": lambda t, u: T.weighted_sum_at(
+        T.reshape(t, (2, 3, 4)), np.array([1, 0, 1, 1]),
+        T.take(t, np.array([0, 2, 5]), axis=1), axis=1),
+    "stack": lambda t, u: T.stack([t, u, t]),
     "normalize": lambda t, u: T.normalize(t, axis=1),
     "cosine_sim": lambda t, u: T.cosine_sim(T.reshape(t, (4, 1, 6)), T.reshape(u, (1, 4, 6))),
 }
