@@ -66,6 +66,11 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class FrameReport:
+    """What the pipeline did with one frame. ``intensity_fallback`` flags
+    uniform intensity weights (every intensity zero), and ``truncated`` a
+    frame with fewer points after thinning than the drawn count ``N``; an
+    empty thinned frame sets every flag."""
+
     frame_id: str
     n_input: int
     n_after_thin: int
@@ -74,6 +79,8 @@ class FrameReport:
     N2: int
     fallback_stage1: bool
     zero_velocity: bool
+    intensity_fallback: bool
+    truncated: bool
     seed: int
 
     def to_dict(self) -> dict:
@@ -305,10 +312,11 @@ def _process_frame(frame, frame_next, index, model, config, flow):
         empty = PointCloudFrame(frame.frame_id, frame.timestamp,
                                 np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2)))
         report = FrameReport(frame.frame_id, frame.n_points, 0, n_target, 0, 0,
-                             fallback_stage1=True, zero_velocity=True, seed=config.seed)
+                             fallback_stage1=True, zero_velocity=True,
+                             intensity_fallback=True, truncated=True, seed=config.seed)
         return empty, report
 
-    w_int, _ = intensity_weights(thinned.intensity)
+    w_int, intensity_fallback = intensity_weights(thinned.intensity)
     w_spa = sparsity_weights(thinned.xyz, config.neighbor_count)
     w_dist = distance_weights(thinned.xyz, config.dist_epsilon)
     w = combine_weights(w_int, w_dist, w_spa, config)
@@ -335,5 +343,5 @@ def _process_frame(frame, frame_next, index, model, config, flow):
     radar = map_to_plane(with_velocity(chosen, vel))
     report = FrameReport(frame.frame_id, frame.n_points, thinned.n_points,
                          n_target, sel.n1, sel.n2, sel.fallback_stage1,
-                         zero_velocity, config.seed)
+                         zero_velocity, intensity_fallback, sel.truncated, config.seed)
     return radar, report

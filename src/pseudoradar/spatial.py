@@ -14,26 +14,20 @@ for bit. Box bounds round the same way, so they never exceed the distance of a
 point in the box, and only boxes strictly beyond the k-th distance are pruned:
 an equal-distance, lower-index point is never lost.
 
-The sparsity weight needs only each point's k nearest squared distances, so
-it skips the tree and its index tie-break. Points sit in a uniform grid (a
-cell list) whose pitch follows the cloud's density; each point's candidates
-are the points of its 27 cells, taken as padded blocks of flat (point,
-candidate) pairs, and a partition keeps the k smallest. A row is final when
-its k-th distance is below the pitch, less a rounding margin; the rest take
-a pass at twice the pitch, and any left after that the kd-tree.
-
-Flow and Chamfer need each query's nearest point in another cloud, with the
-kd-tree's index: the lowest among equal distances. The cloud's points are
-sorted once per pass by one dense cell key over a box padded by one cell,
-so each query's 27 cells are 9 runs of the sorted keys, found by binary
-search. Per query, a segmented minimum gives the least distance and then
-the least index at it. The rows' certificate is the sparsity query's, and
-passes at twice and four times the pitch take the rows it leaves.
-
-Keep-first thinning has no per-point loop either. Points are sorted into grid
-cells of the threshold's pitch, candidate pairs come from each cell and its 13
-forward neighbors, and the greedy choice among the conflicting pairs resolves
-in a few parallel rounds, block by block under a pair budget.
+Thinning, the sparsity weight, flow and Chamfer read one cell list. Each
+point's cell at a pitch gets a dense int64 key over the cells' box padded by
+one cell, so that cells z - 1 to z + 1 of an (x, y) column hold consecutive
+keys: a cell's 27 neighbors are 9 runs of the sorted keys, found by binary
+search, and its 13 forward neighbors the cell above and 4 of those runs.
+Thinning, at the threshold's pitch, tests the pairs within each cell and
+across its forward neighbors, and resolves the keep-first choice among the
+conflicting ones in a few parallel rounds, block by block under a pair
+budget. The k-NN behind the sparsity weight, which needs only distances,
+and the nearest query behind flow and Chamfer, which also needs the
+kd-tree's lowest index among ties, scan each row's 9 runs at a pitch set by
+the cloud's density. A row is final when its answer lies below the pitch,
+less a rounding margin; coarser passes take the rest, and the kd-tree any
+left after them.
 """
 
 from __future__ import annotations
@@ -50,10 +44,7 @@ _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN 
 _NEAREST_K = 4  # the neighbor count whose k-NN pitch the nearest query starts at
 _NEAREST_PASSES = 3  # grid passes of the nearest query, each at twice the last pitch
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
-# the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
-# itself they reach every adjacent pair of cells exactly once
-_FORWARD = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1) if (dx, dy, dz) > (0, 0, 0)]
+_KEY_LIMIT = 1 << 62  # most keys of a cell list before its axes are ranked, then wrapped
 
 
 class KdTree:
@@ -276,9 +267,12 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     Guarantees all pairwise distances among kept points are >= d_threshold
     and is idempotent. Points sit in ``floor(p / d_threshold)`` cells, so any
     conflicting pair lies in one cell or in two adjacent ones. Raises
-    ``ValueError`` when those cell indices would leave the int64 range.
+    ``ValueError`` when ``d_threshold`` is not a number, and when those cell
+    indices would leave the int64 range.
     """
     pts = np.asarray(points, dtype=np.float64)
+    if d_threshold != d_threshold:
+        raise ValueError(f"d_threshold is not a number, got {d_threshold!r}")
     if d_threshold < 0:
         raise ValueError(f"d_threshold must be >= 0, got {d_threshold}")
     n = len(pts)
@@ -286,12 +280,14 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
         return np.arange(n, dtype=np.intp)
     if not np.isfinite(pts).all():
         raise ValueError("thin_redundant input contains non-finite coordinates")
+    low, high = _col_bounds(pts)
+    # floor(p / d) is monotone in p, so the bounds' cells are the extremes
     with np.errstate(over="ignore"):
-        cells = np.floor(pts / d_threshold)
-    if not ((cells >= -2.0**63) & (cells < 2.0**63)).all():
+        corners = np.floor(np.r_[low, high] / d_threshold)
+    if not ((corners >= -2.0**63) & (corners < 2.0**63)).all():
         raise ValueError(
             f"d_threshold={d_threshold!r} is too small for coordinates up to "
-            f"|p| = {float(np.abs(pts).max())!r}: cell indices p / d_threshold "
+            f"|p| = {float(max(-low.min(), high.max()))!r}: cell indices p / d_threshold "
             f"leave the int64 range")
     thr2 = d_threshold * d_threshold
     if thr2 == 0.0:  # d * d underflows, so no distance falls below it
@@ -302,35 +298,46 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     order, first = _equal_rows(pts)
     ids = np.sort(order[first])
     del order, first
-    cells = cells[ids].astype(np.int64)
-    cell, nbr = _cell_graph(cells)
-    del cells
     pts = pts[ids]
+    (key,), near, wrap = _cell_keys(d_threshold, low, high, pts)
+    xyz = [np.ascontiguousarray(c) for c in pts.T]
+    del pts
+    # one sort by key, which every block compacts
+    srt = np.argsort(key).astype(np.int32)
+    key = key[srt]
+    # the cell above, then the columns after the cell's own in (dx, dy)
+    # order: with the cell itself they reach every adjacent pair once
+    forward = [(1, 1)] + near[5:]
 
     # blocks of consecutive points: first close every point that conflicts
     # with a point kept before the block, then resolve the rest in rounds
-    kept = np.empty(0, dtype=np.intp)
-    lo, size = 0, len(ids)
-    while lo < len(ids):
-        hi = min(len(ids), lo + size)
-        todo = np.arange(lo, hi)
-        if len(kept):
-            act = np.concatenate([kept, todo])
-            a, b = _candidate_pairs(cell[act], len(kept), nbr)
-            if a is None:
+    m = len(ids)
+    kept = np.zeros(m, dtype=bool)
+    lo, size = 0, m
+    while lo < m:
+        hi = min(m, lo + size)
+        live = np.zeros(m, dtype=bool)
+        live[lo:hi] = True
+        if lo:  # every block after the first has kept points before it
+            pairs = _cell_pairs(srt, key, live, kept, near, wrap)
+            if pairs is None:
                 size = (hi - lo) // 2
                 continue
-            closed = np.zeros(len(act), dtype=bool)
-            closed[b[_conflicts(pts[act], a, b, thr2)]] = True
-            todo = todo[~closed[len(kept):]]
+            a, b = pairs
+            live[a[_conflicts(xyz, a, b, thr2)]] = False
         # the rest resolve in rounds, in a prefix halved until its pairs fit
+        todo = np.flatnonzero(live[lo:hi]) + lo
         take = len(todo)
         while take:
-            a, b = _candidate_pairs(cell[todo[:take]], 0, nbr)
-            if a is not None:
+            live[todo[take - 1] + 1:] = False
+            pairs = _cell_pairs(srt, key, live, None, forward, wrap)
+            if pairs is not None:
+                a, b = pairs
+                hit = _conflicts(xyz, a, b, thr2)
+                a, b = a[hit], b[hit]
                 blk = todo[:take]
-                hit = _conflicts(pts[blk], a, b, thr2)
-                kept = np.concatenate([kept, blk[_greedy(take, a[hit], b[hit])]])
+                kept[blk[_greedy(take, np.searchsorted(blk, np.minimum(a, b)),
+                                 np.searchsorted(blk, np.maximum(a, b)))]] = True
                 break
             take //= 2
         nxt = todo[take] if take < len(todo) else hi
@@ -361,15 +368,6 @@ def _knn_sqdist(points, k):
     return out
 
 
-def _k_smallest(d2, k):
-    """The k smallest non-zero values of each row of ``d2``, ascending."""
-    d2[d2 == 0.0] = np.inf
-    if d2.shape[1] > k:
-        d2 = np.partition(d2, k - 1, axis=1)[:, :k]
-    d2.sort(axis=1)
-    return d2
-
-
 def _knn_pitch(pts, k):
     """A grid pitch at which most points' k nearest neighbors lie within one
     cell's width, from how full the cells are at two trial pitches; 0.0,
@@ -395,18 +393,9 @@ def _knn_pitch(pts, k):
 def _fill(pts, h, lo, hi):
     """Mean number of points in a point's own cell of pitch ``h``, given the
     cloud's per-column bounds ``lo`` and ``hi``. At the trial pitches of
-    _knn_pitch the cloud spans O(N) cells, so each cell gets its own small
-    key and a bincount counts them."""
-    cells = pts / h
-    np.floor(cells, out=cells)
-    # floor(p / h) is monotone in p, so the bounds' cells are the box's
-    first = np.floor(lo / h)
-    span = np.floor(hi / h) - first + 1
-    key = cells[:, 0] - first[0]
-    for a in (1, 2):
-        key *= span[a]
-        key += cells[:, a] - first[a]
-    key = key.astype(np.intp)
+    _knn_pitch the cloud's cell box holds O(N) keys, so a bincount of the
+    keys counts the cells."""
+    (key,), _, _ = _cell_keys(h, lo, hi, pts)
     # the sum over cells of count ** 2, as a sum over points
     return float(np.bincount(key)[key].sum()) / len(pts)
 
@@ -416,24 +405,22 @@ def _grid_knn(pts, rows, h, out):
     non-coincident points in its 27 cells of pitch ``h``; returns the rows
     whose k-th distance is not certified to be the cloud's own."""
     k = out.shape[1]
-    bound = _certificate(h, float(np.abs(pts).max()))
+    lo, hi = _col_bounds(pts)
+    bound = _certificate(h, max(-lo.min(), hi.max()))
     if not bound > 0.0:
         return rows
-    cell, nbr = _cell_graph(np.floor(pts / h).astype(np.int64))
-    ncell = nbr.shape[1]
-    # the 27 cells around each cell in offset order, its own in the middle
-    near = np.full((ncell, 27), -1, dtype=np.intp)
-    near[:, 13] = np.arange(ncell)
-    for j in range(len(_FORWARD)):
-        ok = nbr[j] >= 0
-        near[:, 14 + j] = nbr[j]
-        near[nbr[j, ok], 12 - j] = np.flatnonzero(ok)
-    order = np.argsort(cell)
-    count = np.bincount(cell, minlength=ncell + 1)  # slot -1 counts 0
-    start = np.cumsum(count) - count
+    (key,), near, wrap = _cell_keys(h, lo, hi, pts)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    cell = np.empty(len(pts), dtype=np.intp)
+    cell[order] = np.cumsum(new) - 1
+    # each cell's 27 cells as 9 runs of the sorted points
+    start, count = _runs(key, key[new], near, wrap)
     # sorted coordinates, then one row at infinity that pads every block
-    cols = [np.r_[c, np.inf] for c in pts[order].T]
-    width = count[near].sum(axis=1)
+    xyz = [np.r_[c, np.inf] for c in pts[order].T]
+    width = count.sum(axis=1)
+    ncell = len(width)
     # rows by width, then by cell: a block's last row is its widest, and the
     # rows of one cell, which share their candidates, sit together
     rows = rows[np.argsort(width[cell[rows]] * ncell + cell[rows])]
@@ -450,24 +437,27 @@ def _grid_knn(pts, rows, h, out):
         uc = c[new]
         w = width[uc]
         span = max(int(w[-1]), k)
-        # each cell's candidates, its 27 cells in turn, padded to span
-        nb = near[uc]
-        cnt = count[nb].ravel()
+        # each cell's candidates, its 9 runs in turn, padded to span
+        cnt = count[uc].ravel()
         off = np.cumsum(cnt) - cnt
         t = np.arange(int(w.sum()))
         cand = np.full((len(uc), span), len(pts))
-        cand.ravel()[t + np.repeat(np.arange(len(uc)) * span - off[::27], w)] = \
-            t + np.repeat(start[nb].ravel() - off, cnt)
+        cand.ravel()[t + np.repeat(np.arange(len(uc)) * span - off[::9], w)] = \
+            t + np.repeat(start[uc].ravel() - off, cnt)
         q = pts[r]
-        d2 = cols[0][cand][run]
+        d2 = xyz[0][cand][run]
         d2 -= q[:, :1]
         d2 *= d2
         for a in (1, 2):
-            e = cols[a][cand][run]
+            e = xyz[a][cand][run]
             e -= q[:, a:a + 1]
             e *= e
             d2 += e
-        d2 = _k_smallest(d2, k)
+        # the k smallest non-zero distances, ascending
+        d2[d2 == 0.0] = np.inf
+        if span > k:
+            d2 = np.partition(d2, k - 1, axis=1)[:, :k]
+        d2.sort(axis=1)
         out[r] = d2
         stay[lo:hi] = ~(d2[:, -1] < bound)
         lo = hi
@@ -529,36 +519,19 @@ def _nearest(points, queries):
 def _grid_nearest(pts, qs, rows, h, idx, d2):
     """Fill ``idx[rows]`` and ``d2[rows]`` where a query's nearest point in
     its 27 cells of pitch ``h`` is certified to be its nearest in the whole
-    cloud; returns the rows left uncertified."""
+    cloud; returns the rows left uncertified, ascending."""
     q = qs[rows]
     (plo, phi), (qlo, qhi) = _col_bounds(pts), _col_bounds(q)
     bound = _certificate(h, max(-plo.min(), phi.max(), -qlo.min(), qhi.max()))
-    # the cell box over both, padded by one cell so that no neighbor key
-    # wraps round; floor(x / h) is monotone in x, so the corners give it
-    lo = np.floor(np.minimum(plo, qlo) / h) - 1.0
-    span = np.floor(np.maximum(phi, qhi) / h) - lo + 2.0
-    if not (bound > 0.0 and float(np.prod(span)) <= 2.0**62):
+    if not bound > 0.0:
         return rows
-    sy, sz = int(span[1]), int(span[2])
-
-    def key(x):
-        c = x / h
-        np.floor(c, out=c)
-        k = (c[:, 0] - lo[0]).astype(np.int64)
-        for a, s in ((1, sy), (2, sz)):
-            k *= s
-            k += (c[:, a] - lo[a]).astype(np.int64)
-        return k
-
-    pkey = key(pts)
+    (pkey, qkey), near, wrap = _cell_keys(h, np.minimum(plo, qlo), np.maximum(phi, qhi),
+                                          pts, q)
     order = np.argsort(pkey)
-    pkey = pkey[order]
-    # each query's 9 (x, y) columns of cells: cells z - 1 to z + 1 of one
-    # column hold consecutive keys, so one range of the sorted keys each
-    step = np.array([-1, 0, 1])
-    base = key(q)[:, None] + ((step[:, None] * sy + step) * sz).ravel()
-    start = np.searchsorted(pkey, base - 1)
-    count = np.searchsorted(pkey, base + 2) - start
+    # queries by key, so that each interval's needles ascend
+    by_key = np.argsort(qkey)
+    rows, q = rows[by_key], q[by_key]
+    start, count = _runs(pkey[order], qkey[by_key], near, wrap)
     width = count.sum(axis=1)
     end = np.cumsum(width)
     stay = np.ones(len(rows), dtype=bool)
@@ -574,17 +547,81 @@ def _grid_nearest(pts, qs, rows, h, idx, d2):
         full = np.flatnonzero(width[lo_row:hi_row]) + lo_row
         w = width[full]
         first = np.cumsum(w) - w
-        dist = ((pts[cand] - np.repeat(q[full], w, axis=0)) ** 2).sum(axis=1)
+        # the oracle's ((p - q) ** 2).sum(axis=1), bit for bit, summed one
+        # axis at a time: numpy's reduction over 3-wide rows is slow
+        dist = pts[cand, 0] - np.repeat(q[full, 0], w)
+        dist *= dist
+        for a in (1, 2):
+            e = pts[cand, a] - np.repeat(q[full, a], w)
+            e *= e
+            dist += e
         # per row, the least distance, then the least index at that distance
         best = np.minimum.reduceat(dist, first)
-        near = np.minimum.reduceat(
+        at = np.minimum.reduceat(
             np.where(dist == np.repeat(best, w), cand, len(pts)), first)
         ok = best < bound
         r = full[ok]
-        idx[rows[r]], d2[rows[r]] = near[ok], best[ok]
+        idx[rows[r]], d2[rows[r]] = at[ok], best[ok]
         stay[r] = False
         lo_row = hi_row
-    return rows[stay]
+    return np.sort(rows[stay])
+
+
+def _cell_keys(h, lo, hi, *clouds):
+    """The cell list at pitch ``h`` of (N, 3) clouds whose columns lie
+    within ``lo`` and ``hi``: returns ``(keys, near, wrap)``, an int64 key
+    array per cloud, the key intervals of the 9 (x, y) columns around a cell
+    in (dx, dy) order, and the key span that neighbor keys wrap round, or 0.
+
+    A box of more than _KEY_LIMIT keys ranks its axes, which keeps neighbors
+    one apart. If the ranked box holds more still, x wraps modulo the largest
+    span that fits, but at least 3 so that the 9 columns stay distinct; cells
+    whose x ranks differ by a multiple of it share keys, which only adds
+    candidates that each user's exact distance test drops.
+    """
+    first = np.floor(lo / h) - 1.0
+    span = np.floor(hi / h) - first + 2.0
+    if float(np.prod(span)) <= _KEY_LIMIT and \
+            max(-first.min(), (first + span).max()) <= 2.0**52:
+        # every cell is an exact float64 integer, so a key needs no ranks
+        sy, sz, wrap = int(span[1]), int(span[2]), 0
+        keys = []
+        for x in clouds:
+            c = x / h
+            np.floor(c, out=c)
+            k = (c[:, 0] - first[0]).astype(np.int64)
+            for a, s in ((1, sy), (2, sz)):
+                k *= s
+                k += (c[:, a] - first[a]).astype(np.int64)
+            keys.append(k)
+    else:
+        (x, sx), (y, sy), (z, sz) = (_axis_rank(np.concatenate(
+            [np.floor(c[:, a] / h) for c in clouds]).astype(np.int64)) for a in range(3))
+        wrap = 0
+        if sx * sy * sz > _KEY_LIMIT:
+            sx = max(_KEY_LIMIT // (sy * sz), 3)
+            x %= sx
+            wrap = sx * sy * sz
+        keys = np.split((x * sy + y) * sz + z, np.cumsum([len(c) for c in clouds[:-1]]))
+    cols = [(dx * sy + dy) * sz for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    return keys, [(o - 1, o + 1) for o in cols], wrap
+
+
+def _runs(keys, needles, intervals, wrap):
+    """Where the sorted ``keys`` hold each interval around each needle:
+    returns ``(start, count)``, both (len(needles), len(intervals)) int32.
+    An interval ``(lo, hi)`` is the keys b to b + hi - lo from b = needle +
+    lo, taken modulo ``wrap`` unless it is 0. One pair of binary searches
+    per interval, whose needles ascend with ``needles``."""
+    start = np.empty((len(needles), len(intervals)), dtype=np.int32)
+    count = np.empty_like(start)
+    for j, (lo, hi) in enumerate(intervals):
+        b = needles + lo
+        if wrap:
+            b %= wrap
+        start[:, j] = s = np.searchsorted(keys, b)
+        count[:, j] = np.searchsorted(keys, b + (hi - lo + 1)) - s
+    return start, count
 
 
 def _axis_rank(values):
@@ -596,89 +633,43 @@ def _axis_rank(values):
     return rank[inv], int(rank[-1]) + 2
 
 
-def _cell_graph(cells):
-    """Number the distinct rows of the (N, 3) int64 ``cells`` and find the 13
-    forward neighbors of each; returns ``(cell id per row, (13, C) int32
-    neighbor ids or -1)``. Ranked axes keep every key within int64."""
-    x, _ = _axis_rank(cells[:, 0])
-    y, sy = _axis_rank(cells[:, 1])
-    z, sz = _axis_rank(cells[:, 2])
-    # a key is (rank of the (x, y) column) * sz + z: at most N * (2N + 1)
-    cols, col = np.unique(x * sy + y, return_inverse=True)
-    keys, cell = np.unique(col * sz + z, return_inverse=True)
-    home_col, home_z = np.divmod(keys, sz)
-    nbr = np.full((len(_FORWARD), len(keys)), -1, dtype=np.int32)
-    for dx, dy in dict.fromkeys((dx, dy) for dx, dy, _ in _FORWARD):
-        want = cols + (dx * sy + dy)
-        at = np.minimum(np.searchsorted(cols, want), len(cols) - 1)
-        at = np.where(cols[at] == want, at, -1)[home_col]
-        # cells (at, z - 1), (at, z) and (at, z + 1) hold consecutive keys
-        pos = np.searchsorted(keys, at * sz + (home_z - 1))
-        for dz in (-1, 0, 1):
-            hit = (at >= 0) & (keys[np.minimum(pos, len(keys) - 1)] == at * sz + (home_z + dz))
-            if (dx, dy, dz) in _FORWARD:
-                nbr[_FORWARD.index((dx, dy, dz))] = np.where(hit, pos, -1)
-            pos += hit
-    return cell, nbr
-
-
-def _candidate_pairs(cell, nk, nbr):
-    """Pairs (a, b), a < b, of points with cell ids ``cell`` that share a cell
-    or sit in adjacent cells: all of them if ``nk`` is 0, else those that
-    join one of the first ``nk`` points to one of the rest. Returns
-    (None, None) when there are more than _PAIR_BUDGET pairs to generate and
-    more than one point after the first ``nk``."""
-    # sort by cell, then by index within a cell: the keys are all distinct
-    order = np.argsort(cell * len(cell) + np.arange(len(cell))).astype(np.int32)
-    sc = cell[order]
-    first = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]]).astype(np.int32)
-    count = np.diff(np.r_[first, len(sc)]).astype(np.int32)
-    home = sc[first]
-    old = np.add.reduceat((order < nk).astype(np.int32), first)  # the first nk lead each cell
-    new, fresh = first + old, count - old
-    lead = old if nk else count
-    local = np.full(nbr.shape[1] + 1, -1, dtype=np.int32)  # slot -1 stays -1
-    local[home] = np.arange(len(home))
-
-    def ranges():
-        """(start, count) ranges whose cross products hold the pairs: a cell
-        with its own later points, then each adjacent cell both ways round."""
-        yield first, lead, new, fresh
-        for j in range(len(nbr)):
-            at = local[nbr[j, home]]
-            i = np.flatnonzero(at >= 0)
-            at = at[i]
-            yield first[i], lead[i], new[at], fresh[at]
-            if nk:
-                yield new[i], fresh[i], first[at], old[at]
-
-    if sum(int(na.astype(np.intp) @ nb) for _, na, _, nb in ranges()) > _PAIR_BUDGET \
-            and len(cell) - nk > 1:
-        return None, None
-    sa, na, sb, nb = map(np.concatenate, zip(*(
-        [v[(r[1] > 0) & (r[3] > 0)] for v in r] for r in ranges())))
-    size = na * nb
-    rep = np.repeat(np.arange(len(size), dtype=np.int32), size)
+def _cell_pairs(srt, key, home, other, intervals, wrap):
+    """Pairs (a, b) of points, a in the mask ``home`` and b in the mask
+    ``other``, whose keys lie in an interval (see _runs) around each other,
+    given the points ``srt`` in key order and their keys ``key``. With
+    ``other`` None, pairs of home points that share a cell or whose cells an
+    interval joins, each once, in either order. Returns None when there are
+    more than _PAIR_BUDGET pairs to build and more than one home point."""
+    h = home[srt]
+    hpos, hkey = srt[h], key[h]
+    if other is None:
+        opos, okey, intervals = hpos, hkey, [(0, 0)] + intervals
+    else:
+        o = other[srt]
+        opos, okey = srt[o], key[o]
+    first = np.flatnonzero(np.r_[True, hkey[1:] != hkey[:-1]])
+    start, count = _runs(okey, hkey[first], intervals, wrap)
+    size = np.diff(np.r_[first, len(hkey)])[:, None] * count
+    if size.sum() > _PAIR_BUDGET and len(hpos) > 1:
+        return None
+    # each cell's runs in turn, each the cross product of two runs
+    rep = np.repeat(np.arange(size.size, dtype=np.int32), size.ravel())
     t = np.arange(len(rep), dtype=np.int32)
-    t -= np.repeat((np.cumsum(size) - size).astype(np.int32), size)
-    a, b = np.divmod(t, nb[rep])
-    a += sa[rep]
-    b += sb[rep]
-    del rep, t
-    # adjacent cells come later in sort order, so this only drops the pairs
-    # within a cell that are listed twice or pair a point with itself
-    ok = a < b
-    a = order[a[ok]]
-    b = order[b[ok]]
-    lo = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    return lo, b
+    t -= np.repeat((np.cumsum(size) - size.ravel()).astype(np.int32), size.ravel())
+    i, j = np.divmod(t, count.ravel()[rep])
+    i += first[rep // len(intervals)]
+    j += start.ravel()[rep]
+    if other is None:
+        # a cell's own pairs are listed both ways round and with themselves
+        ok = (i < j) | (rep % len(intervals) > 0)
+        i, j = i[ok], j[ok]
+    return hpos[i], opos[j]
 
 
-def _conflicts(pts, a, b, thr2):
-    """Mask of pairs (a, b), a < b, closer than sqrt(thr2), with the squared
-    distance ``dx * dx + dy * dy + dz * dz`` summed left to right."""
-    cols = [np.ascontiguousarray(c) for c in pts.T]
+def _conflicts(cols, a, b, thr2):
+    """Mask of pairs (a, b) of points closer than sqrt(thr2), given the
+    points' coordinate columns, with the squared distance
+    ``dx * dx + dy * dy + dz * dz`` summed left to right."""
     d2 = cols[0][b] - cols[0][a]
     d2 *= d2
     t = np.empty_like(d2)

@@ -371,10 +371,33 @@ class TestPipeline:
         _, reports = lidar_to_radar(scene.lidar_frames, model, SamplingConfig(seed=3))
         doc = reports[0].to_dict()
         for key in ("frame_id", "n_input", "n_after_thin", "N", "N1", "N2",
-                    "fallback_stage1", "zero_velocity", "seed"):
+                    "fallback_stage1", "zero_velocity", "intensity_fallback", "truncated",
+                    "seed"):
             assert key in doc
         assert reports[-1].zero_velocity  # no successor frame
         assert not reports[0].zero_velocity
+
+    def test_reports_flag_zero_intensities_and_truncation(self):
+        # N is 50: an all-zero-intensity frame, a 10-point frame, a plain one
+        fixed = Gmm1D(np.array([1.0]), np.array([50.0]), np.array([VAR_FLOOR]))
+        rng = np.random.default_rng(2)
+        frames = [frame_of(rng.normal(0, 20, (n, 3)), intensity=inten, t=float(i),
+                           frame_id=str(i))
+                  for i, (n, inten) in enumerate([(500, np.zeros(500)), (10, None),
+                                                  (500, None)])]
+        out, reports = lidar_to_radar(frames, fixed, SamplingConfig())
+        assert [r.intensity_fallback for r in reports] == [True, False, False]
+        assert [r.truncated for r in reports] == [False, True, False]
+        assert [f.n_points for f in out] == [50, 10, 50]
+
+    def test_empty_frame_report_sets_every_flag(self, model):
+        empty = frame_of(np.zeros((0, 3)), intensity=np.zeros(0), frame_id="e")
+        later = frame_of(np.random.default_rng(0).normal(0, 20, (200, 3)), t=1.0)
+        _, reports = lidar_to_radar([empty, later], model, SamplingConfig())
+        doc = reports[0].to_dict()
+        assert doc["n_after_thin"] == 0
+        assert all(doc[flag] for flag in ("fallback_stage1", "zero_velocity",
+                                          "intensity_fallback", "truncated"))
 
     def test_short_sequence_rejected(self, scene, model):
         with pytest.raises(ValueError):

@@ -209,6 +209,14 @@ class TestThinRedundant:
         with pytest.raises(ValueError):
             thin_redundant(np.zeros((1, 3)), -0.1)
 
+    def test_nan_threshold_rejected_as_not_a_number(self):
+        pts = np.random.default_rng(0).normal(size=(5, 3))
+        with pytest.raises(ValueError, match="d_threshold is not a number"):
+            thin_redundant(pts, float("nan"))
+        # an infinite threshold keeps only the first point, as the loop does
+        assert thin_redundant(pts, float("inf")).tolist() == [0]
+        assert scalar_thinning.thin_redundant(pts, float("inf")).tolist() == [0]
+
     def test_kept_pairwise_distances_respect_threshold(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(0, 4, (600, 3))
@@ -239,14 +247,17 @@ class TestThinRedundant:
 
 
 # thin_redundant against the frozen per-point loop in tests/scalar_thinning.py;
-# a small pair budget forces many blocks, and zero or one round forces the
-# index-order pass that finishes a block whose rounds stall
-PATHS = st.sampled_from([(1 << 18, 16), (16, 16), (1 << 18, 0), (40, 1)])
+# a small pair budget forces many blocks, zero or one round forces the
+# index-order pass that finishes a block whose rounds stall, and a small key
+# limit forces ranked and wrapped cell keys
+PATHS = st.sampled_from([(1 << 18, 16), (16, 16), (1 << 18, 0), (40, 1),
+                         (1 << 18, 16, 1 << 12)])
 
 
-def thin_both_ways(pts, thr, budget, rounds):
+def thin_both_ways(pts, thr, budget, rounds, key_limit=spatial._KEY_LIMIT):
     with mock.patch.object(spatial, "_PAIR_BUDGET", budget), \
-            mock.patch.object(spatial, "_ROUNDS", rounds):
+            mock.patch.object(spatial, "_ROUNDS", rounds), \
+            mock.patch.object(spatial, "_KEY_LIMIT", key_limit):
         got = thin_redundant(pts, thr)
     assert got.dtype == np.intp
     assert got.tolist() == scalar_thinning.thin_redundant(pts, thr).tolist()
@@ -273,16 +284,16 @@ def test_thinning_matches_the_loop_on_quarter_lattices(seed, n, side, thr, path)
 def test_small_budget_and_no_rounds_take_the_block_and_chain_paths():
     pts = np.random.default_rng(3).uniform(0, 3, (400, 3))
     calls = []
-    real = spatial._candidate_pairs
+    real = spatial._cell_pairs
 
-    def spy(cell, nk, nbr):
-        pairs = real(cell, nk, nbr)
-        calls.append((nk, pairs[0] is None))
+    def spy(srt, key, home, other, intervals, wrap):
+        pairs = real(srt, key, home, other, intervals, wrap)
+        calls.append((other is not None, pairs is None))
         return pairs
 
-    with mock.patch.object(spatial, "_candidate_pairs", spy):
+    with mock.patch.object(spatial, "_cell_pairs", spy):
         thin_both_ways(pts, 0.4, 40, 0)
-    assert any(nk for nk, _ in calls)  # later blocks checked against kept points
+    assert any(old for old, _ in calls)  # later blocks checked against kept points
     assert any(over for _, over in calls)  # over-budget blocks halved
 
 
@@ -350,12 +361,14 @@ def test_nuscenes_scale_frame_matches_the_loop_in_less_memory():
 
 # the distances-only grid k-NN behind the sparsity weight, against the
 # brute-force oracle; tiny blocks and a pinned pitch force the narrow-block
-# and cell-boundary paths
-KNN_AREAS = st.sampled_from([1 << 14, 16])
+# and cell-boundary paths, and a small key limit the ranked and wrapped keys
+KNN_AREAS = st.sampled_from([(1 << 14, spatial._KEY_LIMIT), (16, spatial._KEY_LIMIT),
+                             (1 << 14, 1 << 7)])
 
 
-def assert_sqdist_matches_brute_force(pts, k, area=1 << 14):
-    with mock.patch.object(spatial, "_KNN_AREA", area):
+def assert_sqdist_matches_brute_force(pts, k, area=1 << 14, key_limit=spatial._KEY_LIMIT):
+    with mock.patch.object(spatial, "_KNN_AREA", area), \
+            mock.patch.object(spatial, "_KEY_LIMIT", key_limit):
         got = spatial._knn_sqdist(pts, k)
     assert got.shape == (len(pts), k) and got.dtype == np.float64
     for row, p in enumerate(pts):
@@ -371,33 +384,33 @@ def assert_sqdist_matches_brute_force(pts, k, area=1 << 14):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12),
        st.sampled_from([0.0, -7.3, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
-def test_knn_sqdist_matches_brute_force_on_random_clouds(seed, n, k, shift, area):
+def test_knn_sqdist_matches_brute_force_on_random_clouds(seed, n, k, shift, path):
     rng = np.random.default_rng(seed)
     pts = rng.normal(0, 10, (n, 3)) * rng.uniform(0.01, 1, 3) + shift  # uneven axes
-    assert_sqdist_matches_brute_force(pts, k, area)
+    assert_sqdist_matches_brute_force(pts, k, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 5), st.integers(1, 12),
        st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.0, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
 def test_knn_sqdist_matches_brute_force_on_cell_boundaries(seed, n, side, k, step, shift,
-                                                           area):
+                                                           path):
     # a lattice whose spacing is the pitch: every point sits on a cell
     # boundary, and small sides give exact ties and duplicates everywhere
     pts = np.random.default_rng(seed).integers(0, side, (n, 3)) * step + shift
     with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: step):
-        assert_sqdist_matches_brute_force(pts, k, area)
+        assert_sqdist_matches_brute_force(pts, k, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.integers(1, 9),
        st.sampled_from([1e2, 1e4, 1e9]), KNN_AREAS)
 @settings(max_examples=40, deadline=None)
 def test_knn_sqdist_matches_brute_force_with_a_far_outlier_and_duplicates(seed, n, k, far,
-                                                                         area):
+                                                                         path):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 3))
     pts = np.vstack([pts, pts[:n // 4], [[far, -far / 3, far / 7]]])
-    assert_sqdist_matches_brute_force(pts, k, area)
+    assert_sqdist_matches_brute_force(pts, k, *path)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 10])
@@ -422,6 +435,17 @@ def test_knn_sqdist_with_cell_indices_beyond_int64():
     pts = np.concatenate([near, far, near[:50] * 1e17])
     assert_sqdist_matches_brute_force(pts, 6)
     assert_sqdist_matches_brute_force(pts, 6, 16)
+
+
+def test_both_queries_rank_a_cell_box_too_large_for_dense_keys():
+    # two lattices 1e7 cells apart on every axis at a pinned pitch: the padded
+    # cell box holds about 1e21 keys, so the cell list ranks its axes
+    block = np.random.default_rng(6).integers(0, 4, (60, 3)) * 0.5
+    pts = np.vstack([block, block[:40] + 1e7])
+    qs = np.vstack([block[:10] + 0.25, block[:10] + (1e7 - 0.25)])
+    with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: 1.0):
+        assert_sqdist_matches_brute_force(pts, 5)
+        assert_nearest_matches_brute_force(pts, qs)
 
 
 def test_knn_sqdist_rejects_non_finite_points():
@@ -473,9 +497,10 @@ def test_knn_sqdist_takes_the_second_pass_and_the_kd_tree():
 # the block and cell-boundary paths
 
 
-def assert_nearest_matches_brute_force(pts, qs, area=1 << 14):
+def assert_nearest_matches_brute_force(pts, qs, area=1 << 14, key_limit=spatial._KEY_LIMIT):
     pts, qs = np.asarray(pts, dtype=float), np.asarray(qs, dtype=float)
-    with mock.patch.object(spatial, "_KNN_AREA", area):
+    with mock.patch.object(spatial, "_KNN_AREA", area), \
+            mock.patch.object(spatial, "_KEY_LIMIT", key_limit):
         idx, d2 = spatial._nearest(pts, qs)
     assert idx.shape == d2.shape == (len(qs),)
     assert idx.dtype == np.intp and d2.dtype == np.float64
@@ -495,30 +520,30 @@ def assert_nearest_matches_brute_force(pts, qs, area=1 << 14):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 100),
        st.sampled_from([0.0, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
-def test_nearest_matches_brute_force_on_random_clouds(seed, n, m, shift, area):
+def test_nearest_matches_brute_force_on_random_clouds(seed, n, m, shift, path):
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.01, 1, 3)  # uneven axes
     pts = rng.normal(0, 10, (n, 3)) * scale + shift
     qs = rng.normal(0, 12, (m, 3)) * scale + shift
-    assert_nearest_matches_brute_force(pts, qs, area)
+    assert_nearest_matches_brute_force(pts, qs, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 5), st.integers(1, 60),
        st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.0, 1e4]), KNN_AREAS)
 @settings(max_examples=60, deadline=None)
-def test_nearest_matches_brute_force_on_cell_boundaries(seed, n, side, m, step, shift, area):
+def test_nearest_matches_brute_force_on_cell_boundaries(seed, n, side, m, step, shift, path):
     # lattices whose spacing is the pitch: points and queries sit on cell
     # boundaries, and small sides give exact ties and duplicates everywhere
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, side, (n, 3)) * step + shift
     qs = rng.integers(-1, 2 * side + 1, (m, 3)) * (step / 2) + shift
     with mock.patch.object(spatial, "_knn_pitch", lambda pts, k: step):
-        assert_nearest_matches_brute_force(pts, qs, area)
+        assert_nearest_matches_brute_force(pts, qs, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 40), KNN_AREAS)
 @settings(max_examples=40, deadline=None)
-def test_nearest_breaks_ties_by_lowest_index_among_duplicates(seed, n, m, area):
+def test_nearest_breaks_ties_by_lowest_index_among_duplicates(seed, n, m, path):
     rng = np.random.default_rng(seed)
     sites = rng.uniform(-2, 2, (max(1, n // 8), 3))
     pts = sites[rng.integers(0, len(sites), n)]
@@ -526,27 +551,27 @@ def test_nearest_breaks_ties_by_lowest_index_among_duplicates(seed, n, m, area):
     qs = np.vstack([sites[rng.integers(0, len(sites), m)],
                     (sites[rng.integers(0, len(sites), m)]
                      + sites[rng.integers(0, len(sites), m)]) / 2])
-    assert_nearest_matches_brute_force(pts, qs, area)
+    assert_nearest_matches_brute_force(pts, qs, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 30),
        st.sampled_from([1e2, 1e4, 1e9]), KNN_AREAS)
 @settings(max_examples=40, deadline=None)
-def test_nearest_matches_brute_force_for_queries_far_outside(seed, n, m, far, area):
+def test_nearest_matches_brute_force_for_queries_far_outside(seed, n, m, far, path):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 3))
     qs = np.vstack([rng.uniform(-1, 1, (m, 3)), rng.normal(0, far, (m, 3)),
                     [[far, -far / 3, far / 7]]])
-    assert_nearest_matches_brute_force(pts, qs, area)
+    assert_nearest_matches_brute_force(pts, qs, *path)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 60), KNN_AREAS)
 @settings(max_examples=40, deadline=None)
-def test_nearest_matches_brute_force_on_planar_clouds(seed, n, m, area):
+def test_nearest_matches_brute_force_on_planar_clouds(seed, n, m, path):
     rng = np.random.default_rng(seed)
     pts = np.c_[rng.uniform(-30, 30, (n, 2)), np.zeros(n)]
     qs = np.c_[rng.uniform(-35, 35, (m, 2)), np.zeros(m)]
-    assert_nearest_matches_brute_force(pts, qs, area)
+    assert_nearest_matches_brute_force(pts, qs, *path)
 
 
 def test_nearest_finds_a_nearer_point_just_outside_the_27_cells():
