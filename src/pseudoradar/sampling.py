@@ -23,7 +23,7 @@ from .errors import PipelineError
 from .gmm import Gmm1D, sample_count
 from .pointcloud import PointCloudFrame
 from .rng import philox
-from .spatial import _knn_sqdist, _nearest, thin_redundant
+from .spatial import _cloud, _knn_sqdist, _nearest, thin_redundant
 from .spatial import KdTree  # noqa: F401  perfbench times kd-tree builds under this name
 
 
@@ -124,7 +124,9 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
     Points in thin regions score high and get sampled preferentially. A
     single point gets weight 1 by convention.
     """
-    pts = np.asarray(xyz, dtype=np.float64)
+    pts = _cloud(xyz, "sparsity_weights input")
+    if not j_max >= 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max!r}")
     n = len(pts)
     if n == 0:
         raise ValueError("sparsity_weights needs at least one point")
@@ -146,12 +148,19 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
 
 
 def distance_weights(xyz: np.ndarray, dist_epsilon: float = 1e-6) -> np.ndarray:
-    """Inverse squared distance to the origin, epsilon-guarded, normalized."""
+    """Inverse squared distance to the origin, epsilon-guarded, normalized.
+    Raises ``ValueError`` when the weights overflow, as a point at the origin
+    does with ``dist_epsilon`` 0."""
     pts = np.asarray(xyz, dtype=np.float64)
     if len(pts) == 0:
         raise ValueError("distance_weights needs at least one point")
-    raw = 1.0 / ((pts**2).sum(axis=1) + dist_epsilon)
-    return raw / raw.sum()
+    with np.errstate(divide="ignore", over="ignore"):
+        raw = 1.0 / ((pts**2).sum(axis=1) + dist_epsilon)
+        total = raw.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"distance weights are not finite with dist_epsilon={dist_epsilon!r}: "
+                         f"a point lies at or too near the origin")
+    return raw / total
 
 
 def combine_weights(w_int: np.ndarray, w_dist: np.ndarray, w_spa: np.ndarray,
@@ -173,8 +182,11 @@ def weighted_sample_without_replacement(weights: np.ndarray, k: int,
                                         rng: np.random.Generator) -> np.ndarray:
     """Indices of k draws without replacement, probability proportional to
     weight, via Gumbel-top-k keys. Zero-weight items are only taken once
-    every positive-weight item is exhausted."""
+    every positive-weight item is exhausted. Weights must be finite and
+    non-negative."""
     w = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("sampling weights must be finite and >= 0")
     n = w.size
     k = min(k, n)
     if k <= 0:

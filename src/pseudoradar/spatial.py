@@ -22,15 +22,19 @@ search, and its 13 forward neighbors the cell above and 4 of those runs.
 Thinning, at the threshold's pitch, tests the pairs within each cell and
 across its forward neighbors, and resolves the keep-first choice among the
 conflicting ones in a few parallel rounds, block by block under a pair
-budget. The k-NN behind the sparsity weight, which needs only distances,
-and the nearest query behind flow and Chamfer, which also needs the
-kd-tree's lowest index among ties, scan each row's 9 runs at a pitch set by
-the cloud's density. A row is final when its answer lies below the pitch,
-less a rounding margin; coarser passes take the rest, and the kd-tree any
-left after them.
+budget. The k-NN behind the sparsity weight and the nearest query behind
+flow and Chamfer share their grid passes: at a pitch set by the cloud's
+density, then at twice and four times it, each scans a row's 9 runs, and a
+row is final when its answer lies below the pitch, less a rounding margin;
+the kd-tree takes any rows left. The k-NN, which needs only distances, pads
+each cell's candidates once for its rows; the nearest query, which also
+needs the kd-tree's lowest index among ties, lists each row's unpadded.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +46,7 @@ _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
 _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
 _NEAREST_K = 4  # the neighbor count whose k-NN pitch the nearest query starts at
-_NEAREST_PASSES = 3  # grid passes of the nearest query, each at twice the last pitch
+_PASSES = 3  # grid passes of the k-NN and the nearest query, each at twice the last pitch
 _ROUNDS = 16  # greedy rounds per block before an index-order pass finishes it
 _KEY_LIMIT = 1 << 62  # most keys of a cell list before its axes are ranked, then wrapped
 
@@ -267,10 +271,11 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     Guarantees all pairwise distances among kept points are >= d_threshold
     and is idempotent. Points sit in ``floor(p / d_threshold)`` cells, so any
     conflicting pair lies in one cell or in two adjacent ones. Raises
-    ``ValueError`` when ``d_threshold`` is not a number, and when those cell
-    indices would leave the int64 range.
+    ``ValueError`` when ``points`` is not a finite (N, 3) array, when
+    ``d_threshold`` is not a number, and when those cell indices would leave
+    the int64 range.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _cloud(points, "thin_redundant input")
     if d_threshold != d_threshold:
         raise ValueError(f"d_threshold is not a number, got {d_threshold!r}")
     if d_threshold < 0:
@@ -278,8 +283,6 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     n = len(pts)
     if n == 0 or d_threshold == 0.0:
         return np.arange(n, dtype=np.intp)
-    if not np.isfinite(pts).all():
-        raise ValueError("thin_redundant input contains non-finite coordinates")
     low, high = _col_bounds(pts)
     # floor(p / d) is monotone in p, so the bounds' cells are the extremes
     with np.errstate(over="ignore"):
@@ -345,24 +348,26 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     return ids[kept]
 
 
+def _cloud(points, what):
+    """``points`` as a finite float64 (N, 3) array, any empty input as
+    (0, 3), or a ValueError naming ``what``."""
+    pts = np.asarray(points, dtype=np.float64)
+    if not pts.size:
+        pts = np.empty((0, 3))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"{what} must be an (N, 3) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} contains non-finite coordinates")
+    return pts
+
+
 def _knn_sqdist(points, k):
     """Each point's k smallest squared distances to the points that do not
     coincide with it, ascending, inf where fewer than k exist: the distances
-    of ``KdTree(points).query(points, k, exclude_self=True)``, bit for bit.
-
-    A grid pass at a pitch set by the cloud's density certifies every row
-    whose k-th distance lies inside its 27 cells; a pass at twice the pitch
-    takes the rows left over, and the kd-tree any left after that.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if not np.isfinite(pts).all():
-        raise ValueError("k-NN input contains non-finite coordinates")
+    of ``KdTree(points).query(points, k, exclude_self=True)``, bit for bit."""
+    pts = _cloud(points, "k-NN input")
     out = np.full((len(pts), k), np.inf)
-    rows = np.arange(len(pts))
-    pitch = _knn_pitch(pts, k)
-    for h in (pitch, 2.0 * pitch):
-        if len(rows):
-            rows = _grid_knn(pts, rows, h, out)
+    rows = _grid_passes(pts, pts, _knn_pitch(pts, k), partial(_knn_block, pts, out))
     if len(rows):
         out[rows] = KdTree(pts).query(pts[rows], k, exclude_self=True)[1]
     return out
@@ -400,31 +405,18 @@ def _fill(pts, h, lo, hi):
     return float(np.bincount(key)[key].sum()) / len(pts)
 
 
-def _grid_knn(pts, rows, h, out):
+def _knn_block(pts, out, p):
     """Fill ``out[rows]`` with each row's k smallest squared distances to
-    non-coincident points in its 27 cells of pitch ``h``; returns the rows
-    whose k-th distance is not certified to be the cloud's own."""
+    non-coincident points in its 27 cells, for the self-query pass ``p``;
+    returns the rows whose k-th distance is not certified to be the cloud's
+    own. A cell's candidates are padded once for all of its rows."""
     k = out.shape[1]
-    lo, hi = _col_bounds(pts)
-    bound = _certificate(h, max(-lo.min(), hi.max()))
-    if not bound > 0.0:
-        return rows
-    (key,), near, wrap = _cell_keys(h, lo, hi, pts)
-    order = np.argsort(key)
-    key = key[order]
-    new = np.r_[True, key[1:] != key[:-1]]
-    cell = np.empty(len(pts), dtype=np.intp)
-    cell[order] = np.cumsum(new) - 1
-    # each cell's 27 cells as 9 runs of the sorted points
-    start, count = _runs(key, key[new], near, wrap)
     # sorted coordinates, then one row at infinity that pads every block
-    xyz = [np.r_[c, np.inf] for c in pts[order].T]
-    width = count.sum(axis=1)
-    ncell = len(width)
+    xyz = [np.r_[c, np.inf] for c in pts[p.order].T]
+    width, ncell = p.width, len(p.width)
     # rows by width, then by cell: a block's last row is its widest, and the
     # rows of one cell, which share their candidates, sit together
-    rows = rows[np.argsort(width[cell[rows]] * ncell + cell[rows])]
-    home = cell[rows]
+    rows, home = np.stack((p.rows, p.cell))[:, np.argsort(width[p.cell] * ncell + p.cell)]
     stay = np.empty(len(rows), dtype=bool)
     lo = 0
     while lo < len(rows):
@@ -438,28 +430,20 @@ def _grid_knn(pts, rows, h, out):
         w = width[uc]
         span = max(int(w[-1]), k)
         # each cell's candidates, its 9 runs in turn, padded to span
-        cnt = count[uc].ravel()
+        cnt = p.count[uc].ravel()
         off = np.cumsum(cnt) - cnt
         t = np.arange(int(w.sum()))
         cand = np.full((len(uc), span), len(pts))
         cand.ravel()[t + np.repeat(np.arange(len(uc)) * span - off[::9], w)] = \
-            t + np.repeat(start[uc].ravel() - off, cnt)
-        q = pts[r]
-        d2 = xyz[0][cand][run]
-        d2 -= q[:, :1]
-        d2 *= d2
-        for a in (1, 2):
-            e = xyz[a][cand][run]
-            e -= q[:, a:a + 1]
-            e *= e
-            d2 += e
+            t + np.repeat(p.start[uc].ravel() - off, cnt)
+        d2 = _sqdist((x[cand][run] for x in xyz), pts[r].T[:, :, None])
         # the k smallest non-zero distances, ascending
         d2[d2 == 0.0] = np.inf
         if span > k:
             d2 = np.partition(d2, k - 1, axis=1)[:, :k]
         d2.sort(axis=1)
         out[r] = d2
-        stay[lo:hi] = ~(d2[:, -1] < bound)
+        stay[lo:hi] = ~(d2[:, -1] < p.bound)
         lo = hi
     return rows[stay]
 
@@ -475,96 +459,103 @@ def _certificate(h, scale):
     return reach * reach * (1 - 4 * eps) if reach > 0.0 else 0.0
 
 
-def _col_bounds(a):
-    """Per-column minima and maxima of an (N, 3) array. A reduction over one
-    strided column is many times faster than numpy's axis-0 reduction."""
-    return np.array([c.min() for c in a.T]), np.array([c.max() for c in a.T])
+def _col_bounds(*arrays):
+    """Per-column minima and maxima over non-empty (N, 3) arrays. A reduction
+    over one strided column is many times faster than numpy's axis-0 one."""
+    return (np.array([min(a[:, i].min() for a in arrays) for i in range(3)]),
+            np.array([max(a[:, i].max() for a in arrays) for i in range(3)]))
 
 
 def _nearest(points, queries):
     """Each query's nearest point: ``(idx, d2)``, both (M,), column 0 of
     ``KdTree(points).query(queries, 1)`` bit for bit, ties to the lowest
-    index, and -1 and inf when ``points`` is empty.
-
-    Grid passes at a pitch set by the cloud's density, then at twice and
-    four times it, each certify the rows whose nearest distance lies inside
-    their 27 cells; the kd-tree takes any rows left after them.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    qs = np.asarray(queries, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3 or qs.ndim != 2 or qs.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points and (M, 3) queries, got shapes "
-                         f"{pts.shape} and {qs.shape}")
-    if not (np.isfinite(pts).all() and np.isfinite(qs).all()):
-        raise ValueError("nearest-neighbor input contains non-finite coordinates")
+    index, and -1 and inf when ``points`` is empty."""
+    pts = _cloud(points, "nearest-neighbor points")
+    qs = _cloud(queries, "nearest-neighbor queries")
     idx = np.full(len(qs), -1, dtype=np.intp)
     d2 = np.full(len(qs), np.inf)
-    if not len(pts):
-        return idx, d2
-    rows = np.arange(len(qs))
-    h = _knn_pitch(pts, _NEAREST_K)
-    for _ in range(_NEAREST_PASSES):
-        if not (len(rows) and h > 0.0):
-            break
-        rows = _grid_nearest(pts, qs, rows, h, idx, d2)
-        h *= 2.0
+    rows = _grid_passes(pts, qs, _knn_pitch(pts, _NEAREST_K),
+                        partial(_nearest_block, pts, qs, idx, d2))
     if len(rows):
         i, d = KdTree(pts).query(qs[rows], 1)
         idx[rows], d2[rows] = i[:, 0], d[:, 0]
     return idx, d2
 
 
-def _grid_nearest(pts, qs, rows, h, idx, d2):
+def _nearest_block(pts, qs, idx, d2, p):
     """Fill ``idx[rows]`` and ``d2[rows]`` where a query's nearest point in
-    its 27 cells of pitch ``h`` is certified to be its nearest in the whole
-    cloud; returns the rows left uncertified, ascending."""
+    its 27 cells is certified to be its nearest in the whole cloud, for the
+    rows of the pass ``p``; returns the rows left uncertified. A block lists
+    each row's candidates in turn, unpadded."""
+    rows, cell = p.rows, p.cell
     q = qs[rows]
-    (plo, phi), (qlo, qhi) = _col_bounds(pts), _col_bounds(q)
-    bound = _certificate(h, max(-plo.min(), phi.max(), -qlo.min(), qhi.max()))
-    if not bound > 0.0:
-        return rows
-    (pkey, qkey), near, wrap = _cell_keys(h, np.minimum(plo, qlo), np.maximum(phi, qhi),
-                                          pts, q)
-    order = np.argsort(pkey)
-    # queries by key, so that each interval's needles ascend
-    by_key = np.argsort(qkey)
-    rows, q = rows[by_key], q[by_key]
-    start, count = _runs(pkey[order], qkey[by_key], near, wrap)
-    width = count.sum(axis=1)
+    width = p.width[cell]
     end = np.cumsum(width)
     stay = np.ones(len(rows), dtype=bool)
-    lo_row = 0
-    while lo_row < len(rows):
+    lo = 0
+    while lo < len(rows):
         # the rows whose candidates fit in _KNN_AREA slots, at least one
-        hi_row = max(lo_row + 1, int(np.searchsorted(
-            end, end[lo_row] - width[lo_row] + _KNN_AREA, side="right")))
-        c = count[lo_row:hi_row].ravel()
-        run = np.repeat(start[lo_row:hi_row].ravel() - (np.cumsum(c) - c), c)
-        cand = order[np.arange(len(run)) + run]
+        hi = max(lo + 1, int(np.searchsorted(end, end[lo] - width[lo] + _KNN_AREA,
+                                             side="right")))
+        c = p.count[cell[lo:hi]].ravel()
+        run = np.repeat(p.start[cell[lo:hi]].ravel() - (np.cumsum(c) - c), c)
+        cand = p.order[np.arange(len(run)) + run]
         # the rows with candidates, each one's first slot and its slots' row
-        full = np.flatnonzero(width[lo_row:hi_row]) + lo_row
+        full = np.flatnonzero(width[lo:hi]) + lo
         w = width[full]
         first = np.cumsum(w) - w
-        # the oracle's ((p - q) ** 2).sum(axis=1), bit for bit, summed one
-        # axis at a time: numpy's reduction over 3-wide rows is slow
-        dist = pts[cand, 0] - np.repeat(q[full, 0], w)
-        dist *= dist
-        for a in (1, 2):
-            e = pts[cand, a] - np.repeat(q[full, a], w)
-            e *= e
-            dist += e
+        dist = _sqdist((pts[cand, a] for a in range(3)), (np.repeat(x, w) for x in q[full].T))
         # per row, the least distance, then the least index at that distance
         best = np.minimum.reduceat(dist, first)
         at = np.minimum.reduceat(
             np.where(dist == np.repeat(best, w), cand, len(pts)), first)
-        ok = best < bound
+        ok = best < p.bound
         r = full[ok]
         idx[rows[r]], d2[rows[r]] = at[ok], best[ok]
         stay[r] = False
-        lo_row = hi_row
-    return np.sort(rows[stay])
+        lo = hi
+    return rows[stay]
+
+
+# one grid pass at pitch h: the query rows left, in key order, each one's cell
+# among their distinct keys, the points in key order, each distinct key's 9
+# runs of the sorted points (see _runs) and their total width, and the bound
+_Pass = namedtuple("_Pass", "h bound rows cell order start count width")
+
+
+def _grid_passes(pts, qs, h, block):
+    """The rows of the queries ``qs`` that no grid pass against the points
+    ``pts`` settles, after _PASSES passes at pitches h, 2h, 4h, ..., or none
+    when h is 0.0. Each pass keys the points and the rows left and hands the
+    _Pass to ``block``, which settles what it can and returns the other
+    rows. A self-query, ``qs is pts``, keys the cloud once."""
+    rows = np.arange(len(qs))
+    for _ in range(_PASSES):
+        if not (len(rows) and h > 0.0):
+            break
+        clouds = (pts,) if qs is pts else (pts, qs[rows])
+        lo, hi = _col_bounds(*clouds)
+        bound = _certificate(h, max(-lo.min(), hi.max()))
+        if bound > 0.0:
+            (key, *qkey), near, wrap = _cell_keys(h, lo, hi, *clouds)
+            order = np.argsort(key)
+            key = key[order]
+            if qs is pts:  # the rows left, in the points' order
+                live = np.zeros(len(pts), dtype=bool)
+                live[rows] = True
+                live = live[order]
+                rows, qkey = order[live], key[live]
+            else:  # rows by key, so that each interval's needles ascend
+                by_key = np.argsort(qkey[0])
+                rows, qkey = rows[by_key], qkey[0][by_key]
+            new = np.ones(len(qkey), dtype=bool)
+            new[1:] = qkey[1:] != qkey[:-1]
+            start, count = _runs(key, qkey[new], near, wrap)
+            del key, qkey  # no block reads them
+            rows = block(_Pass(h, bound, rows, np.cumsum(new) - 1, order, start, count,
+                               count.sum(axis=1)))
+        h *= 2.0
+    return rows
 
 
 def _cell_keys(h, lo, hi, *clouds):
@@ -668,16 +659,22 @@ def _cell_pairs(srt, key, home, other, intervals, wrap):
 
 def _conflicts(cols, a, b, thr2):
     """Mask of pairs (a, b) of points closer than sqrt(thr2), given the
-    points' coordinate columns, with the squared distance
-    ``dx * dx + dy * dy + dz * dz`` summed left to right."""
-    d2 = cols[0][b] - cols[0][a]
-    d2 *= d2
-    t = np.empty_like(d2)
-    for c in cols[1:]:
-        np.subtract(c[b], c[a], out=t)
-        t *= t
-        d2 += t
-    return d2 < thr2
+    points' coordinate columns."""
+    return _sqdist((c[b] for c in cols), (c[a] for c in cols)) < thr2
+
+
+def _sqdist(p, q):
+    """Squared distances ``dx * dx + dy * dy + dz * dz``, summed left to
+    right, between points given as per-axis coordinate arrays ``p`` and
+    ``q``, broadcast together: the oracle's ``((p - q) ** 2).sum(axis=1)``
+    bit for bit, without numpy's slow reduction over 3-wide rows. ``p`` must
+    yield new arrays, which are overwritten."""
+    d2 = None
+    for a, b in zip(p, q):
+        a -= b
+        a *= a
+        d2 = a if d2 is None else np.add(d2, a, out=d2)
+    return d2
 
 
 def _greedy(size, a, b):

@@ -13,6 +13,7 @@ so regeneration is bit-identical on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,6 +39,13 @@ class SceneSpec:
     frame_dt: float = 0.1
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.frame_dt <= 0:
+            raise ValueError(f"frame_dt must be > 0, got {self.frame_dt}")
         if self.lidar_density <= 0 or self.radar_density <= 0:
             raise ValueError("densities must be > 0")
         if self.radar_density >= self.lidar_density:

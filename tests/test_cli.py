@@ -54,6 +54,10 @@ class TestSynthGen:
             main(["synth-gen", "--no-such-flag", "1", "--out", "/tmp/x"])
         assert err.value.code == 2
 
+    def test_nan_noise_exits_two_naming_it(self, tmp_path, capsys):
+        assert main(["synth-gen", "--noise", "nan", "--out", str(tmp_path / "c")]) == 2
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+
     def test_unwritable_dir_exits_two(self):
         assert main(["synth-gen", "--frames", "1",
                      "--out", "/proc/definitely/not/writable"]) == 2

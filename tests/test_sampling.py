@@ -125,6 +125,15 @@ class TestSparsityWeights:
         with pytest.raises(ValueError, match="non-finite"):
             sparsity_weights(np.array([[0.0, 0, 0], [1, 0, 0], [np.inf, 0, 0]]), 2)
 
+    def test_bad_shape_and_j_max_rejected_by_name(self):
+        pts = np.random.default_rng(0).normal(size=(20, 3))
+        for bad in (pts[:, :2], pts[:1, :2], pts[:, 0]):
+            with pytest.raises(ValueError, match=r"shape \(.*\)"):
+                sparsity_weights(bad, 3)
+        for j in (0, -1):
+            with pytest.raises(ValueError, match="j_max"):
+                sparsity_weights(pts, j)
+
     def test_nuscenes_scale_frame_in_bounded_memory(self):
         pts = gen_scene(SceneSpec(seed=7, lidar_density=7.0)).lidar_frames[0].xyz
         pts = pts[thin_redundant(pts, 0.3)]
@@ -151,6 +160,14 @@ class TestDistanceWeights:
     def test_point_at_origin_finite_and_largest(self):
         w = distance_weights(np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0]], float), 1e-6)
         assert np.isfinite(w).all() and w.argmax() == 0
+
+    def test_point_at_origin_without_epsilon_rejected_by_name(self):
+        # 1 / 0 is inf, and inf / inf would make every combined weight NaN
+        pts = np.random.default_rng(1).uniform(-5, 5, (50, 3))
+        pts[7] = 0.0
+        with pytest.raises(ValueError, match="dist_epsilon"):
+            distance_weights(pts, 0.0)
+        assert np.isfinite(distance_weights(pts, 1e-6)).all()
 
 
 class TestCombineWeights:
@@ -209,6 +226,14 @@ class TestWeightedSampling:
         for s in range(50):
             idx = weighted_sample_without_replacement(w, 2, philox(2, s))
             assert set(idx.tolist()) == {0, 1}
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_weights_rejected(self, bad):
+        # such weights used to read as zero: all-NaN weights drew indices 0..k-1
+        w = np.full(50, 0.02)
+        w[7] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            weighted_sample_without_replacement(w, 5, philox(0, 0))
 
 
 class TestTwoStageSample:
@@ -389,6 +414,13 @@ class TestPipeline:
         assert [r.intensity_fallback for r in reports] == [True, False, False]
         assert [r.truncated for r in reports] == [False, True, False]
         assert [f.n_points for f in out] == [50, 10, 50]
+
+    def test_point_at_origin_without_epsilon_fails_naming_the_frame(self, model):
+        pts = np.random.default_rng(3).uniform(-20, 20, (200, 3))
+        pts[0] = 0.0  # the first point is always kept by thinning
+        frames = [frame_of(pts, frame_id="at_origin"), frame_of(pts + 0.1, t=1.0)]
+        with pytest.raises(PipelineError, match="at_origin.*dist_epsilon"):
+            lidar_to_radar(frames, model, SamplingConfig(dist_epsilon=0.0))
 
     def test_empty_frame_report_sets_every_flag(self, model):
         empty = frame_of(np.zeros((0, 3)), intensity=np.zeros(0), frame_id="e")

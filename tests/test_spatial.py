@@ -54,6 +54,14 @@ def test_non_finite_input_rejected():
         thin_redundant(np.array([[np.inf, 0, 0]]), 0.5)
 
 
+def test_thin_redundant_rejects_other_shapes_naming_the_shape():
+    pts = np.random.default_rng(0).normal(size=(30, 3))
+    for bad, shape in ((pts[:, :2], r"\(30, 2\)"), (pts[:, 0], r"\(30,\)")):
+        for d in (0.3, 0.0):
+            with pytest.raises(ValueError, match=shape):
+                thin_redundant(bad, d)
+
+
 def test_k_nearest_matches_brute_force_exactly():
     rng = np.random.default_rng(101)
     pts = rng.uniform(-50, 50, (1000, 3))
@@ -453,45 +461,6 @@ def test_knn_sqdist_rejects_non_finite_points():
         spatial._knn_sqdist(np.array([[0.0, 0, 0], [np.nan, 0, 0]]), 1)
 
 
-def test_knn_sqdist_takes_the_second_pass_and_the_kd_tree():
-    # a dense block, a sparse one that only the doubled pitch certifies, and
-    # isolated points that no grid pass certifies
-    rng = np.random.default_rng(4)
-    dense = rng.uniform(0, 10, (3000, 3))
-    sparse = rng.uniform(0, 10, (240, 3)) + [20.0, 0.0, 0.0]
-    lone = np.array([[60.0, 5, 5], [5, 60, 5], [5, 5, -40]])
-    passes, trees = [], []
-    real_pass = spatial._grid_knn
-
-    def spy_pass(pts, rows, h, out):
-        left = real_pass(pts, rows, h, out)
-        passes.append((h, len(rows), len(left)))
-        return left
-
-    class SpyTree(KdTree):
-        def query(self, queries, k, exclude_self=False):
-            trees.append(len(queries))
-            return super().query(queries, k, exclude_self)
-
-    def run(pts):
-        passes.clear()
-        trees.clear()
-        with mock.patch.object(spatial, "_grid_knn", spy_pass), \
-                mock.patch.object(spatial, "KdTree", SpyTree):
-            got = spatial._knn_sqdist(pts, 8)
-        assert got.tolist() == KdTree(pts).query(pts, 8, exclude_self=True)[1].tolist()
-
-    run(np.vstack([dense, sparse, lone]))
-    h = passes[0][0]
-    assert h > 0 and [p[0] for p in passes] == [h, 2 * h]
-    assert passes[0][2] >= 200 and 3 <= passes[1][2] < 50  # most sparse rows in pass 2
-    assert trees == [passes[1][2]]  # the tree takes only the rows left
-    # a far point stretches the box until a few cells hold every point: no
-    # pitch can be read, and the tree takes every row
-    run(np.vstack([dense, sparse, 1e3 * lone]))
-    assert trees == [3243]
-
-
 # the cross-cloud nearest query behind flow and Chamfer, against the
 # brute-force oracle and the kd-tree; tiny blocks and a pinned pitch force
 # the block and cell-boundary paths
@@ -602,7 +571,52 @@ def test_nearest_rejects_non_finite_input_and_bad_shapes():
         spatial._nearest(good, np.zeros((3, 2)))
 
 
-def test_nearest_takes_the_later_passes_and_the_kd_tree():
+def run_with_spies(call):
+    """Run ``call()`` with ``_grid_passes`` and the kd-tree spied on:
+    returns each pass's (pitch, rows, rows left), rows ascending, and the
+    row count of each kd-tree query."""
+    passes, trees = [], []
+    real_passes = spatial._grid_passes
+
+    def spy_passes(pts, qs, h, block):
+        def spy_block(p):
+            left = block(p)
+            passes.append((p.h, sorted(p.rows.tolist()), sorted(left.tolist())))
+            return left
+        return real_passes(pts, qs, h, spy_block)
+
+    class SpyTree(KdTree):
+        def query(self, queries, k, exclude_self=False):
+            trees.append(len(queries))
+            return super().query(queries, k, exclude_self)
+
+    with mock.patch.object(spatial, "_grid_passes", spy_passes), \
+            mock.patch.object(spatial, "KdTree", SpyTree):
+        call()
+    return passes, trees
+
+
+def knn_pass_case():
+    # a dense block, a sparse one that a coarser pass certifies, and isolated
+    # points that no grid pass certifies
+    rng = np.random.default_rng(4)
+    dense = rng.uniform(0, 10, (3000, 3))
+    sparse = rng.uniform(0, 10, (240, 3)) + [20.0, 0.0, 0.0]
+    lone = np.array([[60.0, 5, 5], [5, 60, 5], [5, 5, -40]])
+    pts = np.vstack([dense, sparse, lone])
+
+    def query(pts):
+        got = spatial._knn_sqdist(pts, 8)
+        assert got.tolist() == KdTree(pts).query(pts, 8, exclude_self=True)[1].tolist()
+
+    def check(left):
+        assert len(left[0]) >= 200 and 3 <= len(left[1]) < 50  # most sparse rows in pass 2
+        assert left[2] == [3240, 3241, 3242]  # the lone points reach the tree
+    return (query, pts, np.vstack([dense, sparse, 1e3 * lone]), len(pts),
+            spatial._knn_pitch(pts, 8), check)
+
+
+def nearest_pass_case():
     # queries in a dense block, queries that only a coarser pass certifies,
     # and queries far enough out that no grid pass certifies them
     rng = np.random.default_rng(5)
@@ -611,32 +625,24 @@ def test_nearest_takes_the_later_passes_and_the_kd_tree():
     h = spatial._knn_pitch(pts, spatial._NEAREST_K)
     off = np.array([[10 + 1.5 * h, 5, 5], [5, 10 + 3 * h, 5], [5, 5, -40.0], [60.0, 5, 5]])
     qs = np.vstack([near, off])
-    passes, trees = [], []
-    real_pass = spatial._grid_nearest
 
-    def spy_pass(pts, qs, rows, h, idx, d2):
-        left = real_pass(pts, qs, rows, h, idx, d2)
-        passes.append((h, rows.tolist(), left.tolist()))
-        return left
+    def check(left):
+        assert left == [[200, 201, 202, 203], [201, 202, 203], [202, 203]]
+    return (lambda pts: assert_nearest_matches_brute_force(pts, qs), pts,
+            np.vstack([pts, [[1e6, 0, 0]]]), len(qs), h, check)
 
-    class SpyTree(KdTree):
-        def query(self, queries, k, exclude_self=False):
-            trees.append(len(queries))
-            return super().query(queries, k, exclude_self)
 
-    def run(pts):
-        passes.clear()
-        trees.clear()
-        with mock.patch.object(spatial, "_grid_nearest", spy_pass), \
-                mock.patch.object(spatial, "KdTree", SpyTree):
-            assert_nearest_matches_brute_force(pts, qs)
-
-    run(pts)
-    assert [p[0] for p in passes] == [h, 2 * h, 4 * h]
-    assert passes[0][2] == [200, 201, 202, 203]  # every dense row in pass 1
-    assert passes[1][2] == [201, 202, 203] and passes[2][2] == [202, 203]
-    assert trees == [2]  # the tree takes only the rows left
+@pytest.mark.parametrize("case", [knn_pass_case, nearest_pass_case], ids=["knn", "nearest"])
+def test_both_queries_take_the_later_passes_and_the_kd_tree(case):
+    query, pts, far, n_rows, h, check = case()
+    passes, trees = run_with_spies(lambda: query(pts))
+    assert h > 0 and [p[0] for p in passes] == [h, 2 * h, 4 * h]
+    assert passes[0][1] == list(range(n_rows))
+    # each pass takes the rows the one before left
+    assert all(b[1] == a[2] for a, b in zip(passes, passes[1:]))
+    check([p[2] for p in passes])
+    assert trees == [len(passes[-1][2])]  # the tree takes only the rows left
     # a far point stretches the box until a few cells hold every point: no
     # pitch can be read, no grid pass runs, and the tree takes every row
-    run(np.vstack([pts, [[1e6, 0, 0]]]))
-    assert passes == [] and trees == [len(qs)]
+    passes, trees = run_with_spies(lambda: query(far))
+    assert passes == [] and trees == [n_rows]

@@ -57,6 +57,14 @@ class TestGenScene:
         with pytest.raises(ValueError):
             SceneSpec(radar_density=5.0, lidar_density=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", -0.1), ("world_radius", float("inf")),
+        ("object_extent", float("inf")), ("frame_dt", 0.0), ("frame_dt", -0.1),
+        ("frame_dt", float("nan"))])
+    def test_values_it_cannot_generate_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneSpec(**{field: value})
+
 
 class TestGenFeatureBatch:
     def test_zero_noise_zero_offset_maps_identical(self):
