@@ -5,8 +5,9 @@ tracked files and untracked ones git does not ignore) into two sibling
 temporary directories whose paths have the same length, then runs
 ``perfbench/run.py`` in each for each workload, for the run length that
 ``BENCHMARK.json`` sets, alternating which side goes first so that drift in
-the machine's speed falls on both; two traced pairs follow the untraced
-ones. With equal paths the two processes differ only in the code they run:
+the machine's speed falls on both; five traced pairs follow the untraced
+ones, so each traced stage's median and quartiles come from five runs a
+side. With equal paths the two processes differ only in the code they run:
 identical code has measured slower from one directory than from another.
 Writes one JSON file holding every result line, the per-metric medians and
 interquartile ranges, how many pairs the change won, the tier-1 test count
@@ -43,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
-TRACED_PAIRS = 2  # per workload, after the untraced pairs
+TRACED_PAIRS = 5  # per workload, after the untraced pairs
 RUSAGE = ("user_s", "sys_s", "minflt")  # per run, from RUSAGE_CHILDREN
 
 

@@ -34,11 +34,8 @@ from .tensor import Tensor, finite_diff_check
 
 GRADCHECK_TOL = 1e-5
 
-_SAMPLING_KEYS = {f.name for f in dataclasses.fields(SamplingConfig)}
-_CONTRASTIVE_KEYS = {f.name for f in dataclasses.fields(ContrastiveConfig)}
 # the declared type of every config key, resolved from the string annotations
-_CONFIG_TYPES = {**typing.get_type_hints(SamplingConfig),
-                 **typing.get_type_hints(ContrastiveConfig)}
+_CONFIG_TYPES = typing.get_type_hints(SamplingConfig)
 
 
 class CliError(Exception):
@@ -70,18 +67,15 @@ def load_config_file(path: str | None) -> dict:
     return doc
 
 
-def resolve_configs(file_values: dict, overrides: dict) -> tuple[SamplingConfig, ContrastiveConfig, dict]:
+def resolve_config(file_values: dict, overrides: dict) -> tuple[SamplingConfig, dict]:
     """file values override defaults; explicit CLI flags override the file."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        sampling = SamplingConfig(**{k: v for k, v in merged.items() if k in _SAMPLING_KEYS})
-        contrastive = ContrastiveConfig(**{k: v for k, v in merged.items()
-                                           if k in _CONTRASTIVE_KEYS})
+        sampling = SamplingConfig(**merged)
     except ValueError as exc:
         raise CliError(f"bad config: {exc}") from exc
-    resolved = {**dataclasses.asdict(sampling), **dataclasses.asdict(contrastive)}
-    return sampling, contrastive, resolved
+    return sampling, dataclasses.asdict(sampling)
 
 
 def _report_header(resolved_config: dict) -> dict:
@@ -171,7 +165,7 @@ def cmd_fit_gmm(args) -> int:
 
 def cmd_sample(args) -> int:
     file_cfg = load_config_file(args.config)
-    sampling, _, resolved = resolve_configs(file_cfg, {"seed": args.seed})
+    sampling, resolved = resolve_config(file_cfg, {"seed": args.seed})
     if args.ablate_weights != "none":
         keep = args.ablate_weights
         try:

@@ -5,8 +5,8 @@ matching window in the image map by sliding a width-r window over a width-R
 search area, refines the pair with bidirectional channel-spatial attention
 (BCSA), and scores the batch with a temperature-scaled InfoNCE. The global
 path collapses each C x H x W map to a C-vector by shared row then column
-attention over the channel-concatenated pair, and sums InfoNCE terms over
-the six modality/view pairings. The combined objective is
+attention over the channel-concatenated pair, and sums the InfoNCE terms of
+the six modality/view pairings, all scored in one call. The combined objective is
 ``lambda_global * global + local``.
 
 Each stage runs once on stacked tensors rather than once per column, window
@@ -47,6 +47,12 @@ GLOBAL_PAIRS = (
     ("img_fv", "rad_bev"),
     ("rad_bev", "rad_fv"),
 )
+
+# matcher scores within this of a column's best tie with it. Exact ties (on
+# a constant map a clipped border window sums fewer columns) differ by
+# rounding: at most 2 eps for C <= 64 and H <= 32, at worst about D eps for
+# cosines over D = C * H terms, which is below 1e-12 up to D = 4,000.
+MATCH_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -208,21 +214,22 @@ def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[T
              tau: float) -> Tensor:
     """-(1/N) sum_i log( exp(sim(a_i, c_i)/tau) / sum_j exp(sim(a_i, c_j)/tau) ).
 
-    ``anchors`` and ``candidates`` are N x D tensors or lists of N D-vectors.
-    sim is cosine similarity, so the loss is invariant to positive rescaling
-    of any single vector. Always >= 0; exactly ln N when all similarities
-    coincide; 0 for N = 1. Computed in matrix form: S = A_n B_n^T / tau on
-    the row-normalized inputs, then mean(logsumexp(S) - diag(S)).
+    ``anchors`` and ``candidates`` are N x D tensors or lists of N D-vectors;
+    ... x N x D stacks give one loss per leading index. sim is cosine
+    similarity, so the loss is invariant to positive rescaling of any single
+    vector. Always >= 0; exactly ln N when all similarities coincide; 0 for
+    N = 1. Computed in matrix form: S = A_n B_n^T / tau on the row-normalized
+    inputs, then mean(logsumexp(S) - diag(S)).
     """
     a, b = _stack(anchors), _stack(candidates)
-    if a.data.ndim != 2 or a.shape != b.shape:
+    if a.data.ndim < 2 or a.shape != b.shape:
         raise ValueError(f"expected matching N x D anchors and candidates, "
                          f"got {a.shape} and {b.shape}")
-    n = a.shape[0]
+    n = a.shape[-2]
     sims = T.mul(T.matmul(T.normalize(a), T.transpose_last2(T.normalize(b))),
                  Tensor(1.0 / tau))
     pos = T.weighted_sum(sims, Tensor(np.eye(n)), axis=-1)
-    return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1))), Tensor(-1.0 / n))
+    return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1)), axis=-1), Tensor(-1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +285,10 @@ def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
 
     aggs = _window_aggregates(_columns(Tensor(search_map.data), cols), inside, label)
     score = T.cosine_sim(Tensor(anchors.data[:, None, :]), aggs).data
-    # highest score, then smaller |offset|, then smaller offset, then the
-    # earlier window (lexsort is stable)
-    best = np.lexsort((delta, np.abs(delta), -score), axis=-1)[:, 0]
+    tied = score >= score.max(axis=-1, keepdims=True) - MATCH_TIE_TOL
+    # a score tied with the best, then smaller |offset|, then smaller offset,
+    # then the earlier window (lexsort is stable)
+    best = np.lexsort((delta, np.abs(delta), ~tied), axis=-1)[:, 0]
     rows = np.arange(len(columns))
     return delta[rows, best], _window_aggregates(_columns(search_map, cols[rows, best]),
                                                  inside[rows, best], label[rows, best])
@@ -304,7 +312,8 @@ def sliding_window_match(
     candidate position; anchor-query attention would make overlapping
     windows that share the matching column statistically indistinguishable.
     The window whose aggregate is most cosine-similar to the anchor wins;
-    ties prefer smaller |offset|, then the smaller offset.
+    scores within ``MATCH_TIE_TOL`` of the best tie, and ties prefer smaller
+    |offset|, then the smaller offset.
 
     This is a single-column view of the batched matcher ``local_loss`` uses.
     """
@@ -324,40 +333,11 @@ def sliding_window_match(
 # BCSA refinement
 
 
-def mat_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """softmax(q k^T / sqrt(d_k)) v over the trailing (sequence x feature)
-    axes; leading axes are a batch and must agree.
-
-    Returns (output, attention); every attention row sums to 1.
-    """
-    if q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim:
-        raise ValueError("mat_attention expects operands of one rank >= 2")
-    d_k = q.shape[-1]
-    if k.shape[-1] != d_k or k.shape[-2] != v.shape[-2]:
-        raise ValueError(f"attention shapes do not align: {q.shape}, {k.shape}, {v.shape}")
-    scores = T.mul(T.matmul(q, T.transpose_last2(k)), Tensor(1.0 / math.sqrt(d_k)))
-    attn = T.softmax(scores, axis=-1)
-    return T.matmul(attn, v), attn
-
-
-def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over the channel axis of (..., C, D), per-channel affine."""
-    normed = T.layer_norm(x, axis=-2)
-    c = x.shape[-2]
-    return T.add(T.mul(normed, T.reshape(gain, (c, 1))), T.reshape(bias, (c, 1)))
-
-
-def _bcsa_one(fi: Tensor, fj: Tensor, params: BcsaParams) -> Tensor:
-    # spatial branch: positions attend over the partner's positions
-    sp_out, _ = mat_attention(T.transpose_last2(fi), T.transpose_last2(fj),
-                              T.transpose_last2(fj))
-    spatial = _ln_affine(T.transpose_last2(sp_out),
-                         params.ln_spatial_gain, params.ln_spatial_bias)
-    # channel branch: channels attend over the partner's channels
-    ch_out, _ = mat_attention(fi, fj, fj)
-    channel = _ln_affine(ch_out, params.ln_channel_gain, params.ln_channel_bias)
-    gate = T.reshape(T.sigmoid(params.gate_logits), (fi.shape[-2], 1))
-    return T.add(T.mul(gate, spatial), T.mul(T.sub(Tensor(1.0), gate), channel))
+def _attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k_t / sqrt(d)) v over the trailing two axes, d the length of
+    q's last axis; leading axes are a batch."""
+    scores = T.mul(T.matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
+    return T.matmul(T.softmax(scores, axis=-1), v)
 
 
 def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
@@ -367,16 +347,32 @@ def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
     Each side is refined by cross-attending to the other along the spatial
     axis and, transposed, along the channel axis; both branches are
     layer-normed and fused by a per-channel sigmoid gate into a convex
-    combination. Output shapes equal input shapes.
+    combination. Output shapes equal input shapes. Both directions share
+    each input's transpose, the gate and the affine columns.
     """
     if f1.data.ndim not in (2, 3) or f1.shape != f2.shape:
         raise ValueError(f"bcsa needs matching C x D or N x C x D inputs, "
                          f"got {f1.shape} and {f2.shape}")
-    if f1.shape[-2] != params.gate_logits.shape[0]:
+    c = f1.shape[-2]
+    if c != params.gate_logits.shape[0]:
         raise ValueError(
-            f"params sized for {params.gate_logits.shape[0]} channels, input has {f1.shape[-2]}"
+            f"params sized for {params.gate_logits.shape[0]} channels, input has {c}"
         )
-    return _bcsa_one(f1, f2, params), _bcsa_one(f2, f1, params)
+    sp_gain, sp_bias, ch_gain, ch_bias, logits = (T.reshape(p, (c, 1))
+                                                  for p in params.tensors())
+    gate = T.sigmoid(logits)
+    rest = T.sub(Tensor(1.0), gate)
+    t1, t2 = T.transpose_last2(f1), T.transpose_last2(f2)
+
+    def refine(f_i, t_i, f_j, t_j):
+        # spatial branch: positions attend over the partner's positions;
+        # channel branch: channels attend over the partner's channels
+        spatial = T.layer_norm(T.transpose_last2(_attend(t_i, f_j, t_j)), axis=-2)
+        channel = T.layer_norm(_attend(f_i, t_j, f_j), axis=-2)
+        return T.add(T.mul(gate, T.add(T.mul(spatial, sp_gain), sp_bias)),
+                     T.mul(rest, T.add(T.mul(channel, ch_gain), ch_bias)))
+
+    return refine(f1, t1, f2, t2), refine(f2, t2, f1, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,25 +465,27 @@ def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int,
 _GLOBAL_INDEX = tuple((MAP_NAMES.index(a), MAP_NAMES.index(b)) for a, b in GLOBAL_PAIRS)
 
 
-def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
-                      params: ContrastiveParams) -> list[Tensor]:
-    """One batch InfoNCE term per entry of GLOBAL_PAIRS."""
+def _global_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+                  params: ContrastiveParams) -> Tensor:
+    """The batch InfoNCE of every entry of GLOBAL_PAIRS, as one P-vector."""
     if len(scenes) < 2:
         raise ValueError(f"global loss needs a batch of >= 2 scenes, got {len(scenes)}")
     stack = _stack([getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes])
     stack = T.reshape(stack, (len(MAP_NAMES), len(scenes), *scenes[0].shape))
     g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
-    return [info_nce(T.take(g_a, i, axis=0), T.take(g_b, i, axis=0), config.tau)
-            for i in range(len(GLOBAL_PAIRS))]
+    return info_nce(g_a, g_b, config.tau)
+
+
+def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+                      params: ContrastiveParams) -> list[Tensor]:
+    """One batch InfoNCE term per entry of GLOBAL_PAIRS."""
+    terms = _global_terms(scenes, config, params)
+    return [T.take(terms, i, axis=0) for i in range(len(GLOBAL_PAIRS))]
 
 
 def global_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
                 params: ContrastiveParams) -> Tensor:
-    terms = global_loss_terms(scenes, config, params)
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
+    return T.tsum(_global_terms(scenes, config, params))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,11 +99,16 @@ def fit_em(counts, k: int, tol: float = 1e-6, max_iter: int = 200,
 
     Deterministic for a fixed seed. The returned trace holds one
     log-likelihood per iteration, evaluated before that iteration's M-step,
-    and is non-decreasing up to 1e-9 slack.
+    and is non-decreasing up to 1e-9 slack. Raises ValueError naming
+    ``max_iter`` below 1 or a ``tol`` that is negative or not finite.
     """
     x = np.asarray(counts, dtype=np.float64).reshape(-1)
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if (x <= 0).any():
         raise ValueError("counts must be positive")
     if len(x) < k:
@@ -183,10 +189,19 @@ def load_gmm(path: str | Path) -> Gmm1D:
         raise SchemaError(f"{path}: 'components' must be a non-empty list")
     rows = []
     for i, comp in enumerate(comps):
-        try:
-            rows.append((float(comp["weight"]), float(comp["mean"]), float(comp["var"])))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"{path}: component {i} needs weight/mean/var") from exc
+        if not isinstance(comp, dict):
+            raise SchemaError(f"{path}: component {i} must be an object, got {comp!r}")
+        for key in ("weight", "mean", "var"):
+            if key not in comp:
+                raise SchemaError(f"{path}: component {i} needs {key!r}")
+            value = comp[key]
+            # JSON true and false load as bool, which is an int subclass
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(f"{path}: component {i} {key} must be a number, got {value!r}")
+            # a JSON integer can overflow float(), and JSON Infinity loads
+            if abs(value) > sys.float_info.max:
+                raise SchemaError(f"{path}: component {i} {key} is outside the float64 range")
+        rows.append((float(comp["weight"]), float(comp["mean"]), float(comp["var"])))
     w, m, v = zip(*rows)
     try:
         return Gmm1D(np.array(w), np.array(m), np.array(v))

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from pseudoradar import tensor as T
-from pseudoradar.contrastive import (GLOBAL_PAIRS, BcsaParams, ContrastiveConfig,
-                                     ContrastiveParams, FeatureMap, GlobalAggParams,
-                                     SceneMaps)
+from pseudoradar.contrastive import (GLOBAL_PAIRS, MATCH_TIE_TOL, BcsaParams,
+                                     ContrastiveConfig, ContrastiveParams, FeatureMap,
+                                     GlobalAggParams, SceneMaps)
 from pseudoradar.tensor import Tensor
 
 
@@ -54,8 +54,7 @@ def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
     anchor_flat = T.reshape(anchor_col, (c * h,))
     half_span = search_width - window_width
     base = j - (search_width - 1) // 2
-    best = None  # (-score, |delta|, delta)
-    best_agg = None
+    windows = []  # (score, |delta|, delta, aggregate) in window order
     for start in range(base, base + half_span + 1):
         center = start + (window_width - 1) // 2
         cols = [col for col in range(start, start + window_width) if 0 <= col < w]
@@ -70,12 +69,12 @@ def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
         for t in range(1, len(cols)):
             agg = T.add(agg, T.mul(T.take(attn, t, axis=0), col_tensors[t]))
         delta = query_col - j
-        score = cosine_sim(anchor_flat, agg).item()
-        key = (-score, abs(delta), delta)
-        if best is None or key < best:
-            best = key
-            best_agg = agg
-    return best[2], T.reshape(best_agg, (c, h))
+        windows.append((cosine_sim(anchor_flat, agg).item(), abs(delta), delta, agg))
+    # scores within MATCH_TIE_TOL of the best tie; min keeps the earlier window
+    top = max(window[0] for window in windows)
+    _, _, delta, agg = min((window for window in windows if window[0] >= top - MATCH_TIE_TOL),
+                           key=lambda window: window[1:3])
+    return delta, T.reshape(agg, (c, h))
 
 
 def mat_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

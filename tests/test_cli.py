@@ -106,6 +106,21 @@ class TestFitGmm:
         assert main(["fit-gmm", "--counts", str(counts), "--components", "5",
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (["--max-iter", "-1"], "max_iter must be >= 1, got -1"),
+        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    ])
+    def test_bad_iteration_limits_exit_two_naming_them(self, tmp_path, capsys, flags,
+                                                       message):
+        counts = tmp_path / "counts.txt"
+        counts.write_text("10\n20\n30\n40\n")
+        out = tmp_path / "m.json"
+        assert main(["fit-gmm", "--counts", str(counts), "--components", "1",
+                     "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_count_exits_two(self, tmp_path):
         counts = tmp_path / "bad.txt"
         counts.write_text("12\nnope\n")
@@ -158,12 +173,25 @@ class TestSample:
                      str(gmm_model), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["tau", "search_width", "window_width", "batch_size",
+                                     "lambda_global"])
+    def test_contrastive_key_exits_two_as_unknown(self, corpus, gmm_model, tmp_path, capsys,
+                                                  key):
+        # the file holds sampling keys only; no command reads the loss keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_int": 1.0, key: 1}))
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"neighbor_count": 8.5}, "neighbor_count must be an integer, got 8.5"),
         ({"neighbor_count": True}, "neighbor_count must be an integer, got True"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"d_threshold": "0.3"}, "d_threshold must be a number, got '0.3'"),
-        ({"tau": "x"}, "tau must be a number, got 'x'"),
+        ({"center_radius": [15.0]}, "center_radius must be a number, got [15.0]"),
         ({"alpha_int": False}, "alpha_int must be a number, got False"),
     ])
     def test_mistyped_config_value_exits_two_naming_it(self, corpus, gmm_model, tmp_path,
@@ -181,7 +209,6 @@ class TestSample:
         ('{"alpha_int": NaN}', "alpha_int must be finite, got nan"),
         ('{"d_threshold": NaN}', "d_threshold must be finite, got nan"),
         ('{"dist_epsilon": Infinity}', "dist_epsilon must be finite, got inf"),
-        ('{"tau": -Infinity}', "tau must be finite, got -inf"),
         ('{"dist_epsilon": -1.0}', "dist_epsilon must be >= 0, got -1.0"),
     ])
     def test_non_finite_config_value_exits_two_naming_it(self, corpus, gmm_model, tmp_path,

@@ -8,8 +8,8 @@ from pseudoradar.contrastive import (GLOBAL_PAIRS, MAP_NAMES, BcsaParams,
                                      ContrastiveConfig, ContrastiveParams, FeatureMap,
                                      GlobalAggParams, SceneMaps, aggregate_global, bcsa,
                                      global_loss, global_loss_terms, info_nce, local_loss,
-                                     mat_attention, sliding_window_match, total_loss,
-                                     toy_pretrain)
+                                     sliding_window_match, total_loss, toy_pretrain,
+                                     _attend)
 from pseudoradar.errors import DivergenceError
 from pseudoradar.synth import gen_feature_batch
 from pseudoradar.tensor import Tensor, finite_diff_check
@@ -166,9 +166,11 @@ class TestBcsa:
         rng = np.random.default_rng(1)
         f1 = Tensor(rng.normal(size=(4, 6)))
         f2 = Tensor(rng.normal(size=(4, 6)))
-        _, attn_ch = mat_attention(f1, f2, f2)
-        _, attn_sp = mat_attention(T.transpose_last2(f1), T.transpose_last2(f2),
-                                   T.transpose_last2(f2))
+        t1, t2 = T.transpose_last2(f1), T.transpose_last2(f2)
+        # attending to the identity returns the attention matrix itself
+        attn_ch = _attend(f1, t2, Tensor(np.eye(4)))
+        attn_sp = _attend(t1, f2, Tensor(np.eye(6)))
+        assert attn_ch.shape == (4, 4) and attn_sp.shape == (6, 6)
         assert np.abs(attn_ch.data.sum(axis=1) - 1.0).max() < 1e-12
         assert np.abs(attn_sp.data.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -416,16 +418,18 @@ class TestTotalLoss:
 
 
 def test_total_loss_tape_node_count():
-    # each weighted pooling is one weighted_sum node, and the global path
-    # pools all its pairings in one weighted_sum_at node; the same loss at
-    # the benchmark's C64 x H32 x W64 size holds 482
+    # each weighted pooling is one weighted_sum node, the global path pools
+    # all its pairings in one weighted_sum_at node and scores them in one
+    # info_nce call, and BCSA builds each transpose, its gate and its affine
+    # columns once; the same loss at the benchmark's C64 x H32 x W64 size
+    # holds 356
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 389
+    assert len(T._topo_order(loss)) == 278
 
 
 class TestToyPretrain:

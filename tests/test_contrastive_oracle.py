@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_losses as ref
@@ -213,6 +213,33 @@ def test_matcher_matches_scalar_reference(case):
     assert np.allclose(new_agg.data, old_agg.data, rtol=1e-12, atol=1e-300)
 
 
+@st.composite
+def constant_cases(draw):
+    c, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    search_width = draw(st.integers(2, 7))
+    window_width = draw(st.integers(1, search_width - 1))
+    value = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    j = draw(st.integers(0, w - 1))
+    anchor_seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return value, (c, h, w), j, search_width, window_width, anchor_seed
+
+
+@given(constant_cases())
+@example((0.22669885643799229, (3, 1, 4), 0, 6, 5, None))
+@settings(max_examples=200, deadline=None)
+def test_constant_map_gives_offset_zero(case):
+    # every window of a constant map aggregates to the same column, so all
+    # scores tie and the smallest |offset| wins, whatever the anchor; a
+    # clipped border window sums fewer columns and rounds differently
+    value, shape, j, search_width, window_width, anchor_seed = case
+    m = np.full(shape, value)
+    anchor = (m[:, :, j] if anchor_seed is None
+              else np.random.default_rng(anchor_seed).normal(size=shape[:2]))
+    for match in (C.sliding_window_match, ref.sliding_window_match):
+        delta, _ = match(Tensor(anchor), Tensor(m), j, search_width, window_width)
+        assert delta == 0
+
+
 def test_tape_size_does_not_grow_with_sampled_columns():
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     params = C.ContrastiveParams.init(4, seed=0)
@@ -223,3 +250,6 @@ def test_tape_size_does_not_grow_with_sampled_columns():
                                       philox(4, 0)))
               for n in (4, 8)]
     assert counts[0] == counts[1]
+    # BCSA transposes each input once and shares its gate and affine columns
+    # between both directions; the global InfoNCE is one call for all pairings
+    assert counts[0] <= 278

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em([5, 0, 7], 1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
+        ({"tol": -1e-6}, "tol must be finite and >= 0, got -1e-06"),
+    ])
+    def test_bad_iteration_limits_rejected_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_em([5, 6, 7, 8], 1, **kwargs)
+
 
 class TestSampleCount:
     def test_degenerate_component_always_its_mean(self):
@@ -122,7 +134,27 @@ class TestJson:
     def test_missing_field_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"components": [{"weight": 1.0, "mean": 5.0}]}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="bad.json: component 0 needs 'var'$"):
+            load_gmm(path)
+
+    @pytest.mark.parametrize("value", ["1", "abc", True, None, [1.0]])
+    def test_non_number_is_schema_error_naming_the_key(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"components": [
+            {"weight": 0.5, "mean": 20.0, "var": 9.0},
+            {"weight": 0.5, "mean": value, "var": 100.0},
+        ]}))
+        with pytest.raises(SchemaError, match=f"bad.json: component 1 mean must be a number, "
+                                              f"got {re.escape(repr(value))}$"):
+            load_gmm(path)
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, "-Infinity"],
+                             ids=["int-past-float", "minus-infinity"])
+    def test_value_past_float_range_is_schema_error_naming_the_key(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text('{"components": [{"weight": 1.0, "mean": %s, "var": 1.0}]}' % text)
+        with pytest.raises(SchemaError,
+                           match="big.json: component 0 mean is outside the float64 range$"):
             load_gmm(path)
 
     def test_malformed_json_is_parse_error(self, tmp_path):
