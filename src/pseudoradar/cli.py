@@ -4,6 +4,7 @@ Subcommands: synth-gen, fit-gmm, sample, chamfer, gradcheck, pretrain-toy.
 Every command is deterministic given its flags and seed, writes reports as
 JSON embedding the tool version and the fully resolved config, and uses the
 exit code contract 0 = success, 1 = check failure, 2 = usage or I/O error.
+Commands raise; ``main`` alone turns an error's type into its exit code.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .contrastive import (ContrastiveConfig, ContrastiveParams, FeatureMap,
+from .contrastive import (MAP_NAMES, ContrastiveConfig, ContrastiveParams, FeatureMap,
                           aggregate_global, bcsa, global_loss, info_nce,
                           local_loss, total_loss, toy_pretrain)
-from .errors import (AlignmentError, DivergenceError, EmptyFrameError, FormatError,
-                     InsufficientDataError)
+from .errors import DivergenceError, EmptyFrameError, SchemaError
 from .gmm import DEFAULT_COMPONENTS, fit_em, load_gmm, save_gmm
 from .metrics import mean_chamfer
-from .pointcloud import atomic_write_text, load_corpus, load_manifest, write_corpus
+from .pointcloud import (FORMATS, atomic_write_text, json_number, load_corpus,
+                         load_manifest, read_json_object, write_corpus)
 from .rng import philox
 from .sampling import SamplingConfig, lidar_to_radar
 from .synth import SceneSpec, gen_feature_batch, gen_scene
@@ -39,31 +40,20 @@ _CONFIG_TYPES = typing.get_type_hints(SamplingConfig)
 
 
 class CliError(Exception):
-    """Usage or I/O problem; maps to exit code 2."""
+    """A usage problem the CLI finds itself; ``main`` maps it to exit code 2."""
 
 
 def load_config_file(path: str | None) -> dict:
+    """The flat JSON object of ``path``, each key a ``SamplingConfig`` field
+    holding a number of the field's type; {} when ``path`` is None."""
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"config file {p}: expected a flat JSON object")
+    doc = read_json_object(path)
     unknown = sorted(set(doc) - _CONFIG_TYPES.keys())
     if unknown:
-        raise CliError(f"config file {p}: unknown keys: {', '.join(unknown)}")
+        raise SchemaError(f"config file {path}: unknown keys: {', '.join(unknown)}")
     for key, value in doc.items():
-        # an int field takes only an int, a float field an int or a float;
-        # JSON true and false load as bool, which is an int subclass
-        want = (int,) if _CONFIG_TYPES[key] is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, want):
-            kind = "an integer" if want == (int,) else "a number"
-            raise CliError(f"config file {p}: {key} must be {kind}, got {value!r}")
+        json_number(value, f"config file {path}: {key}", integer=_CONFIG_TYPES[key] is int)
     return doc
 
 
@@ -71,10 +61,7 @@ def resolve_config(file_values: dict, overrides: dict) -> tuple[SamplingConfig, 
     """file values override defaults; explicit CLI flags override the file."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        sampling = SamplingConfig(**merged)
-    except ValueError as exc:
-        raise CliError(f"bad config: {exc}") from exc
+    sampling = SamplingConfig(**merged)
     return sampling, dataclasses.asdict(sampling)
 
 
@@ -95,23 +82,20 @@ def cmd_synth_gen(args) -> int:
                      noise_sigma=args.noise)
     scene = gen_scene(spec)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_corpus(out / "lidar", scene.lidar_frames, fmt=args.format)
-        write_corpus(out / "radar", scene.radar_frames, fmt=args.format)
-        counts = [f.n_points for f in scene.radar_frames]
-        atomic_write_text(out / "radar_counts.txt", "".join(f"{c}\n" for c in counts))
-        top = {
-            "version": __version__,
-            "config": dataclasses.asdict(spec),
-            "seed": spec.seed,
-            "frames": [f.frame_id for f in scene.lidar_frames],
-            "motions": [m.to_dict() for m in scene.motions],
-            "radar_counts": counts,
-        }
-        _write_json(out / "manifest.json", top)
-    except OSError as exc:
-        raise CliError(f"cannot write corpus to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    write_corpus(out / "lidar", scene.lidar_frames, fmt=args.format)
+    write_corpus(out / "radar", scene.radar_frames, fmt=args.format)
+    counts = [f.n_points for f in scene.radar_frames]
+    atomic_write_text(out / "radar_counts.txt", "".join(f"{c}\n" for c in counts))
+    top = {
+        "version": __version__,
+        "config": dataclasses.asdict(spec),
+        "seed": spec.seed,
+        "frames": [f.frame_id for f in scene.lidar_frames],
+        "motions": [m.to_dict() for m in scene.motions],
+        "radar_counts": counts,
+    }
+    _write_json(out / "manifest.json", top)
     print(f"wrote {len(scene.lidar_frames)} lidar + {len(scene.radar_frames)} radar "
           f"frames to {out}")
     return 0
@@ -123,8 +107,6 @@ def cmd_synth_gen(args) -> int:
 
 def cmd_fit_gmm(args) -> int:
     path = Path(args.counts)
-    if not path.exists():
-        raise CliError(f"counts file not found: {path}")
     counts = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         raw = raw.strip()
@@ -137,11 +119,8 @@ def cmd_fit_gmm(args) -> int:
         if value <= 0:
             raise CliError(f"{path} line {lineno}: counts must be positive, got {value}")
         counts.append(value)
-    try:
-        result = fit_em(counts, args.components, tol=args.tol,
-                        max_iter=args.max_iter, seed=args.seed)
-    except (InsufficientDataError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    result = fit_em(counts, args.components, tol=args.tol,
+                    max_iter=args.max_iter, seed=args.seed)
     save_gmm(result.model, args.out)
     report_path = args.report or f"{args.out}.report.json"
     doc = _report_header({"components": args.components, "tol": args.tol,
@@ -179,30 +158,19 @@ def cmd_sample(args) -> int:
             raise CliError(f"ablation leaves no active weight family: {exc}") from exc
         resolved = {**resolved, **{k: getattr(sampling, k)
                                    for k in ("alpha_int", "alpha_dist", "alpha_spa")}}
-    try:
-        frames = load_corpus(args.input)
-    except (FormatError, OSError) as exc:
-        raise CliError(f"cannot load input corpus: {exc}") from exc
-    if not Path(args.gmm).exists():
-        raise CliError(f"gmm model not found: {args.gmm}")
-    try:
-        model = load_gmm(args.gmm)
-    except FormatError as exc:
-        raise CliError(f"cannot load gmm model: {exc}") from exc
+    frames = load_corpus(args.input)
+    model = load_gmm(args.gmm)
 
     outputs, reports = lidar_to_radar(frames, model, sampling)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_corpus(out, outputs, fmt=args.format,
-                     extra={"config": resolved, "version": __version__,
-                            "ablate_weights": args.ablate_weights})
-        doc = _report_header(resolved)
-        doc["ablate_weights"] = args.ablate_weights
-        doc["frames"] = [r.to_dict() for r in reports]
-        _write_json(out / "reports.json", doc)
-    except OSError as exc:
-        raise CliError(f"cannot write output corpus: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    write_corpus(out, outputs, fmt=args.format,
+                 extra={"config": resolved, "version": __version__,
+                        "ablate_weights": args.ablate_weights})
+    doc = _report_header(resolved)
+    doc["ablate_weights"] = args.ablate_weights
+    doc["frames"] = [r.to_dict() for r in reports]
+    _write_json(out / "reports.json", doc)
     print(f"sampled {len(outputs)} pseudo-radar frames to {out}")
     return 0
 
@@ -212,18 +180,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_chamfer(args) -> int:
-    try:
-        frames_a = load_corpus(args.a)
-        frames_b = load_corpus(args.b)
-    except (FormatError, OSError) as exc:
-        raise CliError(f"cannot load corpus: {exc}") from exc
-    try:
-        report = mean_chamfer(frames_a, frames_b)
-    except AlignmentError as exc:
-        raise CliError(str(exc)) from exc
-    except EmptyFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = mean_chamfer(load_corpus(args.a), load_corpus(args.b))
     doc = _report_header({"a": str(args.a), "b": str(args.b)})
     doc.update(report.to_dict())
     _write_json(args.report, doc)
@@ -281,8 +238,7 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
     def scene_maps(batch_seed, height, width):
         batch = gen_feature_batch(batch_seed, batch=2, channels=c, height=height,
                                   width=width, noise_sigma=0.6)
-        maps = [getattr(s, n).tensor for s in batch.scenes
-                for n in ("img_bev", "img_fv", "rad_bev", "rad_fv")]
+        maps = [getattr(s, n).tensor for s in batch.scenes for n in MAP_NAMES]
         for t in maps:
             t.requires_grad = True
         return batch.scenes, maps
@@ -352,12 +308,8 @@ def cmd_pretrain_toy(args) -> int:
                               height=args.height, width=args.width,
                               noise_sigma=args.noise)
     cfg = ContrastiveConfig(batch_size=args.columns)
-    try:
-        trace, _ = toy_pretrain(batch.scenes, cfg, steps=args.steps,
-                                learning_rate=args.lr, seed=args.seed)
-    except DivergenceError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return 1
+    trace, _ = toy_pretrain(batch.scenes, cfg, steps=args.steps,
+                            learning_rate=args.lr, seed=args.seed)
     doc = _report_header({
         "corpus": str(corpus), "steps": args.steps, "lr": args.lr,
         "seed": args.seed, "channels": args.channels, "height": args.height,
@@ -392,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--objects", type=int, default=4)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--format", choices=("csv", "bin"), default="csv")
+    p.add_argument("--format", choices=tuple(FORMATS), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_gen)
 
@@ -411,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmm", required=True, help="fitted model JSON")
     p.add_argument("--config", default=None, help="flat JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "bin"), default="csv")
+    p.add_argument("--format", choices=tuple(FORMATS), default="csv")
     p.add_argument("--ablate-weights", choices=("int", "dist", "spa", "none"),
                    default="none", help="keep only one weight family")
     p.add_argument("--out", required=True)
@@ -449,11 +401,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (EmptyFrameError, DivergenceError) as exc:  # a check failed
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        # config validation and filesystem failures are usage errors
+        return 1
+    except (CliError, ValueError, OSError) as exc:  # usage, bad input or I/O
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -499,11 +499,8 @@ def total_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
     With lambda_global == 0 the global graph is skipped entirely and the
     result is bit-identical to the local term.
     """
-    locals_ = [local_loss(s.rad_bev, s.img_bev, config, params, rng) for s in scenes]
-    local_mean = locals_[0]
-    for t in locals_[1:]:
-        local_mean = T.add(local_mean, t)
-    local_mean = T.mul(local_mean, Tensor(1.0 / len(locals_)))
+    local_mean = T.tmean(T.stack([local_loss(s.rad_bev, s.img_bev, config, params, rng)
+                                  for s in scenes]), axis=0)
     if config.lambda_global == 0.0:
         return local_mean
     lg = global_loss(scenes, config, params)

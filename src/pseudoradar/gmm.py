@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParseError, SchemaError
-from .pointcloud import atomic_write_text
+from .errors import InsufficientDataError, SchemaError
+from .pointcloud import atomic_write_text, json_number, read_json_object
 from .rng import philox
 
 VAR_FLOOR = 1e-6
@@ -178,11 +177,8 @@ def save_gmm(model: Gmm1D, path: str | Path) -> None:
 
 
 def load_gmm(path: str | Path) -> Gmm1D:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "components" not in doc:
+    doc = read_json_object(path)
+    if "components" not in doc:
         raise SchemaError(f"{path}: missing 'components'")
     comps = doc["components"]
     if not isinstance(comps, list) or not comps:
@@ -194,16 +190,9 @@ def load_gmm(path: str | Path) -> Gmm1D:
         for key in ("weight", "mean", "var"):
             if key not in comp:
                 raise SchemaError(f"{path}: component {i} needs {key!r}")
-            value = comp[key]
-            # JSON true and false load as bool, which is an int subclass
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{path}: component {i} {key} must be a number, got {value!r}")
-            # a JSON integer can overflow float(), and JSON Infinity loads
-            if abs(value) > sys.float_info.max:
-                raise SchemaError(f"{path}: component {i} {key} is outside the float64 range")
-        rows.append((float(comp["weight"]), float(comp["mean"]), float(comp["var"])))
-    w, m, v = zip(*rows)
+            rows.append(float(json_number(comp[key], f"{path}: component {i} {key}")))
+    w, m, v = np.array(rows).reshape(-1, 3).T
     try:
-        return Gmm1D(np.array(w), np.array(m), np.array(v))
+        return Gmm1D(w, m, v)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc

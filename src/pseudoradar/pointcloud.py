@@ -13,8 +13,14 @@ stages always return new frames. Three on-disk formats are supported:
   point count, then float64 x6 per point (x, y, z, intensity, vx, vy).
 
 A corpus is a directory of frame files plus a ``manifest.json`` giving the
-format (``csv`` or ``bin``) and listing ``{"frame_id", "timestamp", "path"}``
-per frame, each path inside the corpus directory.
+format (a key of ``FORMATS``: ``csv`` or ``bin``) and listing
+``{"frame_id", "timestamp", "path"}`` per frame, each path inside the corpus
+directory.
+
+Every JSON document the package reads (manifests, mixture models, sampling
+configs) goes through ``read_json_object``, and every number in one through
+``json_number``, so a bad file fails the same way wherever it is read: a
+``ParseError`` or ``SchemaError`` that names the file and the field.
 """
 
 from __future__ import annotations
@@ -226,20 +232,22 @@ def read_frame_bin(path: str | Path, frame_id: str | None = None,
 # corpora
 
 
+# corpus format -> (frame reader, frame writer); the format is the file suffix
+FORMATS = {"csv": (read_frame_csv, write_frame_csv), "bin": (read_frame_bin, write_frame_bin)}
+
+
 def write_corpus(dirpath: str | Path, frames: Sequence[PointCloudFrame],
                  fmt: str = "csv", extra: dict | None = None) -> dict:
     """Write frames plus a manifest; returns the manifest dict."""
-    if fmt not in ("csv", "bin"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")
+    write = FORMATS[fmt][1]
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     entries = []
     for frame in frames:
         name = f"{frame.frame_id}.{fmt}"
-        if fmt == "csv":
-            write_frame_csv(frame, dirpath / name)
-        else:
-            write_frame_bin(frame, dirpath / name)
+        write(frame, dirpath / name)
         entries.append({"frame_id": frame.frame_id,
                         "timestamp": frame.timestamp, "path": name})
     manifest = {"format": fmt, "frames": entries}
@@ -255,13 +263,14 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     manifest_path = dirpath / "manifest.json"
     if "frames" not in manifest or "format" not in manifest:
         raise SchemaError(f"{manifest_path}: manifest needs 'format' and 'frames'")
-    if manifest["format"] not in ("csv", "bin"):
-        raise SchemaError(f"{manifest_path}: format must be 'csv' or 'bin', "
-                          f"got {manifest['format']!r}")
+    fmt = manifest["format"]
+    if not isinstance(fmt, str) or fmt not in FORMATS:
+        raise SchemaError(f"{manifest_path}: format must be one of "
+                          f"{', '.join(map(repr, FORMATS))}, got {fmt!r}")
     if not isinstance(manifest["frames"], list):
         raise SchemaError(f"{manifest_path}: 'frames' must be a list, "
                           f"got {type(manifest['frames']).__name__}")
-    reader = read_frame_csv if manifest["format"] == "csv" else read_frame_bin
+    read = FORMATS[fmt][0]
     root = dirpath.resolve()
     frames = []
     for i, entry in enumerate(manifest["frames"]):
@@ -272,15 +281,11 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
         if not isinstance(fid, str):
             raise SchemaError(f"{manifest_path}: frame {i}: frame_id must be a string, "
                               f"got {fid!r}")
-        # abs(ts) <= max fails for NaN, infinities and ints past the float range
-        if (isinstance(ts, bool) or not isinstance(ts, (int, float))
-                or not abs(ts) <= sys.float_info.max):
-            raise SchemaError(f"{manifest_path}: frame {i}: timestamp must be a finite "
-                              f"number, got {ts!r}")
+        ts = json_number(ts, f"{manifest_path}: frame {i}: timestamp")
         if (not isinstance(rel, str) or Path(rel).is_absolute()
                 or not (dirpath / rel).resolve().is_relative_to(root)):
             raise SchemaError(f"{manifest_path}: frame path {rel!r} is not inside {dirpath}")
-        frames.append(reader(dirpath / rel, frame_id=fid, timestamp=float(ts)))
+        frames.append(read(dirpath / rel, frame_id=fid, timestamp=float(ts)))
     return frames
 
 
@@ -289,14 +294,44 @@ def load_manifest(dirpath: str | Path) -> dict:
     manifest_path = Path(dirpath) / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"{dirpath}: no manifest.json")
+    return read_json_object(manifest_path)
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+def read_json_object(path: str | Path) -> dict:
+    """Decode ``path`` as UTF-8 JSON holding an object. Text that is not
+    UTF-8, not JSON, or holds an integer past Python's digit limit raises
+    ParseError naming the file, and any other top-level value SchemaError;
+    a missing file raises the OSError that names it."""
+    path = Path(path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise SchemaError(f"{manifest_path}: expected a JSON object, "
-                          f"got {type(manifest).__name__}")
-    return manifest
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_number(value, what: str, integer: bool = False) -> int | float:
+    """``value`` if it is a JSON number fit for a field named ``what``, else
+    SchemaError. An integer field takes an int; a float field an int or a
+    float of finite float64 magnitude. JSON true and false load as bool,
+    which is an int subclass, and are refused."""
+    kinds = (int,) if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    # fails for NaN, the infinities and integers that overflow float()
+    if not integer and not abs(value) <= sys.float_info.max:
+        if isinstance(value, float):
+            raise SchemaError(f"{what} must be finite, got {value!r}")
+        raise SchemaError(f"{what} must be within float64 range, "
+                          f"got a {len(str(abs(value)))}-digit integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,7 @@ class KdTree:
     """Immutable balanced kd-tree over an (N, 3) coordinate array."""
 
     def __init__(self, points: np.ndarray):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.size == 0:
-            pts = pts.reshape(0, 3)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("kd-tree input contains non-finite coordinates")
-        self.points = pts
+        self.points = pts = _cloud(points, "kd-tree points")
         if len(pts) == 0:
             return
         self._members, self._first = _equal_rows(pts)
@@ -110,7 +103,8 @@ class KdTree:
 
     def query(self, queries, k: int,
               exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k nearest neighbors of each row of an (M, 3) query array.
+        """Exact k nearest neighbors of each row of an (M, 3) query array;
+        any empty query list counts as (0, 3).
 
         Returns ``(idx, d2)``, both (M, k): point indices (intp) and squared
         distances (float64), each row ascending by (distance, index). Slots
@@ -120,11 +114,7 @@ class KdTree:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        qs = np.asarray(queries, dtype=np.float64)
-        if qs.ndim != 2 or qs.shape[1] != 3:
-            raise ValueError(f"expected (M, 3) queries, got shape {qs.shape}")
-        if not np.isfinite(qs).all():
-            raise ValueError("kd-tree query contains non-finite coordinates")
+        qs = _cloud(queries, "kd-tree queries")
         idx = np.full((len(qs), k), -1, dtype=np.intp)
         d2 = np.full((len(qs), k), np.inf)
         if len(self.points):

@@ -121,6 +121,12 @@ class TestFitGmm:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_counts_file_exits_two_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "counts.txt"
+        assert main(["fit-gmm", "--counts", str(missing), "--components", "1",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+
     def test_non_integer_count_exits_two(self, tmp_path):
         counts = tmp_path / "bad.txt"
         counts.write_text("12\nnope\n")
@@ -221,6 +227,62 @@ class TestSample:
                      str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["center_radius", "alpha_int", "d_threshold",
+                                     "dist_epsilon"])
+    def test_integer_past_float_range_exits_two_naming_it(self, corpus, gmm_model, tmp_path,
+                                                          capsys, key):
+        # a float key given an integer that overflows float() must fail at the
+        # config, not later inside the draw
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": 1%s}' % (key, "0" * 400))
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm",
+                     str(gmm_model), "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"cfg.json: {key} must be within float64 range, got a 401-digit integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["config", "gmm"])
+    def test_non_utf8_file_exits_two_naming_it(self, corpus, gmm_model, tmp_path, capsys,
+                                               which):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"alpha_int": "\xff"}')
+        model = bad if which == "gmm" else gmm_model
+        config = ["--config", str(bad)] if which == "config" else []
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm", str(model),
+                     *config, "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["config", "gmm", "manifest"])
+    def test_integer_past_digit_limit_exits_two_naming_the_file(self, corpus, gmm_model,
+                                                                tmp_path, capsys, which):
+        import shutil
+        huge = "1" + "0" * 5000  # past Python's 4,300-digit int parsing limit
+        lidar = tmp_path / "lidar"
+        shutil.copytree(corpus / "lidar", lidar)
+        if which == "manifest":
+            bad = lidar / "manifest.json"
+            bad.write_text(bad.read_text().replace('"timestamp": 0.0', f'"timestamp": {huge}'))
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text('{"seed": %s}' % huge if which == "config" else
+                           '{"components": [{"weight": 1.0, "mean": %s, "var": 1.0}]}' % huge)
+        model = bad if which == "gmm" else gmm_model
+        config = ["--config", str(bad)] if which == "config" else []
+        assert main(["sample", "--input", str(lidar), "--gmm", str(model), *config,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--gmm"])
+    def test_missing_file_exits_two_naming_it(self, corpus, gmm_model, tmp_path, capsys,
+                                              flag):
+        missing = tmp_path / "missing.json"
+        files = (["--gmm", str(missing)] if flag == "--gmm" else
+                 ["--gmm", str(gmm_model), "--config", str(missing)])
+        assert main(["sample", "--input", str(corpus / "lidar"), *files,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
 
     def test_integer_config_value_for_float_field(self, corpus, gmm_model, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -399,6 +461,14 @@ class TestPretrainToy:
         assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "5",
                      "--lr", "0", "--seed", "1",
                      "--report", str(tmp_path / "t.json")]) == 1
+
+    def test_divergence_exits_one_and_writes_no_report(self, corpus, tmp_path, capsys):
+        report = tmp_path / "t.json"
+        with np.errstate(all="ignore"):
+            assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "3",
+                         "--lr", "1e300", "--seed", "1", "--report", str(report)]) == 1
+        assert "non-finite loss at step 1" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
     def test_bad_learning_rate_exits_two_naming_it(self, corpus, tmp_path, capsys, lr):

@@ -54,6 +54,11 @@ def test_non_finite_input_rejected():
         thin_redundant(np.array([[np.inf, 0, 0]]), 0.5)
 
 
+def test_kd_tree_takes_an_empty_query_list_as_zero_rows():
+    idx, d2 = KdTree(np.zeros((4, 3))).query([], 3)
+    assert idx.shape == d2.shape == (0, 3)
+
+
 def test_thin_redundant_rejects_other_shapes_naming_the_shape():
     pts = np.random.default_rng(0).normal(size=(30, 3))
     for bad, shape in ((pts[:, :2], r"\(30, 2\)"), (pts[:, 0], r"\(30,\)")):
