@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
@@ -24,10 +23,10 @@ from .contrastive import (MAP_NAMES, ContrastiveConfig, ContrastiveParams, Featu
                           aggregate_global, bcsa, global_loss, info_nce,
                           local_loss, total_loss, toy_pretrain)
 from .errors import DivergenceError, EmptyFrameError, SchemaError
-from .gmm import DEFAULT_COMPONENTS, fit_em, load_gmm, save_gmm
+from .gmm import DEFAULT_COMPONENTS, fit_em, load_counts, load_gmm, save_gmm
 from .metrics import mean_chamfer
 from .pointcloud import (FORMATS, atomic_write_text, json_number, load_corpus,
-                         load_manifest, read_json_object, write_corpus)
+                         read_json_object, write_corpus, write_json)
 from .rng import philox
 from .sampling import SamplingConfig, lidar_to_radar
 from .synth import SceneSpec, gen_feature_batch, gen_scene
@@ -37,10 +36,6 @@ GRADCHECK_TOL = 1e-5
 
 # the declared type of every config key, resolved from the string annotations
 _CONFIG_TYPES = typing.get_type_hints(SamplingConfig)
-
-
-class CliError(Exception):
-    """A usage problem the CLI finds itself; ``main`` maps it to exit code 2."""
 
 
 def load_config_file(path: str | None) -> dict:
@@ -69,10 +64,6 @@ def _report_header(resolved_config: dict) -> dict:
     return {"version": __version__, "config": resolved_config}
 
 
-def _write_json(path: str | Path, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # synth-gen
 
@@ -95,7 +86,7 @@ def cmd_synth_gen(args) -> int:
         "motions": [m.to_dict() for m in scene.motions],
         "radar_counts": counts,
     }
-    _write_json(out / "manifest.json", top)
+    write_json(out / "manifest.json", top)
     print(f"wrote {len(scene.lidar_frames)} lidar + {len(scene.radar_frames)} radar "
           f"frames to {out}")
     return 0
@@ -106,33 +97,21 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_fit_gmm(args) -> int:
-    path = Path(args.counts)
-    counts = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise CliError(f"{path} line {lineno}: not an integer: {raw!r}") from exc
-        if value <= 0:
-            raise CliError(f"{path} line {lineno}: counts must be positive, got {value}")
-        counts.append(value)
+    counts = load_counts(args.counts)
     result = fit_em(counts, args.components, tol=args.tol,
                     max_iter=args.max_iter, seed=args.seed)
     save_gmm(result.model, args.out)
     report_path = args.report or f"{args.out}.report.json"
     doc = _report_header({"components": args.components, "tol": args.tol,
                           "max_iter": args.max_iter, "seed": args.seed,
-                          "counts_file": str(path)})
+                          "counts_file": str(Path(args.counts))})
     doc.update({
         "n_counts": len(counts),
         "final_log_likelihood": result.ll_trace[-1],
         "iterations": result.n_iter,
         "converged": result.converged,
     })
-    _write_json(report_path, doc)
+    write_json(report_path, doc)
     print(f"fitted {args.components} components on {len(counts)} counts, "
           f"final log-likelihood {result.ll_trace[-1]:.4f}")
     return 0
@@ -146,18 +125,13 @@ def cmd_sample(args) -> int:
     file_cfg = load_config_file(args.config)
     sampling, resolved = resolve_config(file_cfg, {"seed": args.seed})
     if args.ablate_weights != "none":
-        keep = args.ablate_weights
+        dropped = {f"alpha_{family}": 0.0 for family in ("int", "dist", "spa")
+                   if family != args.ablate_weights}
         try:
-            sampling = dataclasses.replace(
-                sampling,
-                alpha_int=sampling.alpha_int if keep == "int" else 0.0,
-                alpha_dist=sampling.alpha_dist if keep == "dist" else 0.0,
-                alpha_spa=sampling.alpha_spa if keep == "spa" else 0.0,
-            )
+            sampling = dataclasses.replace(sampling, **dropped)
         except ValueError as exc:
-            raise CliError(f"ablation leaves no active weight family: {exc}") from exc
-        resolved = {**resolved, **{k: getattr(sampling, k)
-                                   for k in ("alpha_int", "alpha_dist", "alpha_spa")}}
+            raise ValueError(f"ablation leaves no active weight family: {exc}") from exc
+        resolved = {**resolved, **dropped}
     frames = load_corpus(args.input)
     model = load_gmm(args.gmm)
 
@@ -170,7 +144,7 @@ def cmd_sample(args) -> int:
     doc = _report_header(resolved)
     doc["ablate_weights"] = args.ablate_weights
     doc["frames"] = [r.to_dict() for r in reports]
-    _write_json(out / "reports.json", doc)
+    write_json(out / "reports.json", doc)
     print(f"sampled {len(outputs)} pseudo-radar frames to {out}")
     return 0
 
@@ -183,7 +157,7 @@ def cmd_chamfer(args) -> int:
     report = mean_chamfer(load_corpus(args.a), load_corpus(args.b))
     doc = _report_header({"a": str(args.a), "b": str(args.b)})
     doc.update(report.to_dict())
-    _write_json(args.report, doc)
+    write_json(args.report, doc)
     if args.plot:
         atomic_write_text(args.plot, chamfer_scatter_svg(report.per_frame))
     print(f"{report.mean:.6f}")
@@ -284,7 +258,7 @@ def cmd_gradcheck(args) -> int:
         doc = _report_header({"seed": args.seed, "tol": GRADCHECK_TOL, "tau": 1.0})
         doc["components"] = errors
         doc["failures"] = failures
-        _write_json(args.report, doc)
+        write_json(args.report, doc)
     if failures:
         print(f"gradcheck FAILED: {', '.join(failures)}", file=sys.stderr)
         return 1
@@ -297,10 +271,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_pretrain_toy(args) -> int:
     corpus = Path(args.corpus)
-    manifest = load_manifest(corpus)
-    frame_ids = manifest.get("frames", [])
+    manifest_path = corpus / "manifest.json"
+    frame_ids = read_json_object(manifest_path).get("frames", [])
     if not isinstance(frame_ids, list):
-        raise CliError(f"{corpus / 'manifest.json'}: 'frames' must be a list")
+        raise SchemaError(f"{manifest_path}: 'frames' must be a list")
     # the corpus supplies scene identities; features are synthetic
     # planted-correspondence stand-ins keyed on (seed, corpus size)
     n_scenes = max(2, min(4, len(frame_ids))) if frame_ids else 3
@@ -317,7 +291,7 @@ def cmd_pretrain_toy(args) -> int:
         "scenes": n_scenes,
     })
     doc.update(trace.to_dict())
-    _write_json(args.report, doc)
+    write_json(args.report, doc)
     improved = trace.losses[-1] < trace.losses[0]
     print(f"loss {trace.losses[0]:.6f} -> {trace.losses[-1]:.6f}, "
           f"pos/neg sim {trace.final_pos_sim:.3f}/{trace.final_neg_sim:.3f}")
@@ -404,7 +378,7 @@ def main(argv=None) -> int:
     except (EmptyFrameError, DivergenceError) as exc:  # a check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ValueError, OSError) as exc:  # usage, bad input or I/O
+    except (ValueError, OSError) as exc:  # usage, bad input or I/O
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -568,17 +568,20 @@ def toy_pretrain(
 
     losses: list[float] = []
     for step in range(steps):
-        rng = philox(seed, 0xC0)
-        T.zero_grad(*learnables)
-        loss = total_loss(scenes, config, params, rng)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise DivergenceError(step)
-        losses.append(value)
-        T.backward(loss)
-        for t in learnables:
-            if t.grad is not None:
-                t.data = t.data - learning_rate * t.grad
+        # a step that overflows ends in DivergenceError, which names it;
+        # numpy's floating-point warnings would only bury that line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rng = philox(seed, 0xC0)
+            T.zero_grad(*learnables)
+            loss = total_loss(scenes, config, params, rng)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DivergenceError(step)
+            losses.append(value)
+            T.backward(loss)
+            for t in learnables:
+                if t.grad is not None:
+                    t.data = t.data - learning_rate * t.grad
 
     pos, neg = similarity_stats(scenes, params)
     return PretrainTrace(losses, pos, neg, seed), params

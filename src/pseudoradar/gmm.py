@@ -9,15 +9,15 @@ sampled per frame to pick the target pseudo-radar point count.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientDataError, SchemaError
-from .pointcloud import atomic_write_text, json_number, read_json_object
+from .errors import InsufficientDataError, ParseError, SchemaError
+from .pointcloud import json_number, read_json_object, read_text, write_json
 from .rng import philox
 
 VAR_FLOOR = 1e-6
@@ -173,14 +173,11 @@ def save_gmm(model: Gmm1D, path: str | Path) -> None:
             for w, m, v in zip(model.weights, model.means, model.variances)
         ]
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_gmm(path: str | Path) -> Gmm1D:
-    doc = read_json_object(path)
-    if "components" not in doc:
-        raise SchemaError(f"{path}: missing 'components'")
-    comps = doc["components"]
+    comps = read_json_object(path).get("components")
     if not isinstance(comps, list) or not comps:
         raise SchemaError(f"{path}: 'components' must be a non-empty list")
     rows = []
@@ -196,3 +193,23 @@ def load_gmm(path: str | Path) -> Gmm1D:
         return Gmm1D(w, m, v)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def load_counts(path: str | Path) -> list[int]:
+    """The per-frame point counts of ``path``, one positive integer a line;
+    blank lines are skipped. A line that is not a positive integer of
+    float64 range raises ParseError naming the file and the line."""
+    counts = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from exc  # or past 4,300 digits
+        if not 0 < value <= sys.float_info.max:  # the fit works in float64
+            raise ParseError(f"{path}: a count must be positive and within float64 "
+                             f"range, got {raw!r}", line=lineno)
+        counts.append(value)
+    return counts

@@ -47,7 +47,9 @@ def chamfer_bruteforce(p, q) -> float:
     q = _as_xyz(q)
     if len(p) == 0 or len(q) == 0:
         raise ValueError("chamfer distance is undefined for empty point sets")
-    d2 = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+    # one axis at a time, left to right: the same sum as over a 3-wide last
+    # axis, without numpy's slow reduction over it
+    d2 = sum((p[:, None, i] - q[None, :, i]) ** 2 for i in range(3))
     return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 

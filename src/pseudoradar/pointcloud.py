@@ -17,10 +17,10 @@ format (a key of ``FORMATS``: ``csv`` or ``bin``) and listing
 ``{"frame_id", "timestamp", "path"}`` per frame, each path inside the corpus
 directory.
 
-Every JSON document the package reads (manifests, mixture models, sampling
-configs) goes through ``read_json_object``, and every number in one through
-``json_number``, so a bad file fails the same way wherever it is read: a
-``ParseError`` or ``SchemaError`` that names the file and the field.
+Each rule about a file lives in one function, so a bad file fails alike
+wherever it is read, with a ``FormatError`` naming it: ``read_text`` decodes
+UTF-8, ``read_json_object`` reads JSON, ``json_number`` checks a JSON number
+and ``_frame`` builds every frame read. ``write_json`` writes all JSON.
 """
 
 from __future__ import annotations
@@ -99,6 +99,19 @@ class PointCloudFrame:
                                self.xyz[idx], self.intensity[idx], vel)
 
 
+def _frame(path: Path, frame_id: str | None, timestamp: float, table: np.ndarray,
+           velocity: bool) -> PointCloudFrame:
+    """The frame of a table read from ``path``: x, y, z, intensity, then vx, vy
+    when ``velocity``. ``frame_id`` defaults to the file's stem, and values
+    the frame refuses raise SchemaError naming the file."""
+    try:
+        return PointCloudFrame(path.stem if frame_id is None else frame_id, timestamp,
+                               table[:, 0:3], table[:, 3],
+                               table[:, 4:6] if velocity else None)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -123,16 +136,10 @@ def write_frame_csv(frame: PointCloudFrame, path: str | Path) -> None:
 def read_frame_csv(path: str | Path, frame_id: str | None = None,
                    timestamp: float = 0.0) -> PointCloudFrame:
     path = Path(path)
-    if frame_id is None:
-        frame_id = path.stem
     data = _parse_csv_table(path)
     if data is None:
         data = _parse_csv_lines(path)
-    vel = data[:, 4:6] if data.shape[1] == 6 else None
-    try:
-        return PointCloudFrame(frame_id, timestamp, data[:, 0:3], data[:, 3], vel)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _frame(path, frame_id, timestamp, data, velocity=data.shape[1] == 6)
 
 
 def _parse_csv_table(path: Path) -> np.ndarray | None:
@@ -156,16 +163,12 @@ def _parse_csv_table(path: Path) -> np.ndarray | None:
 
 def _parse_csv_lines(path: Path) -> np.ndarray:
     """Line-by-line parse that names the cause of a failure and its line."""
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_text(path).splitlines()
     header = lines[0].strip() if lines else ""
-    if header == "":
-        raise SchemaError(f"{path}: empty file, expected a CSV header")
-    if header not in _CSV_WIDTH:
-        raise SchemaError(f"{path}: unexpected header {header!r}")
-    width = _CSV_WIDTH[header]
+    width = _CSV_WIDTH.get(header)
+    if width is None:
+        raise SchemaError(f"{path}: expected a header of "
+                          f"{' or '.join(map(repr, _CSV_WIDTH))}, got {header!r}")
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         raw = raw.strip()
@@ -189,15 +192,12 @@ def _parse_csv_lines(path: Path) -> np.ndarray:
 def read_frame_nuscenes_bin(path: str | Path, frame_id: str | None = None,
                             timestamp: float = 0.0) -> PointCloudFrame:
     path = Path(path)
-    if frame_id is None:
-        frame_id = path.stem
     blob = path.read_bytes()
     if len(blob) % _NUSCENES_RECORD != 0:
-        raise FormatError(
-            f"{path}: size {len(blob)} is not a multiple of {_NUSCENES_RECORD} bytes"
-        )
+        raise FormatError(f"{path}: size {len(blob)} is not a multiple of "
+                          f"{_NUSCENES_RECORD} bytes")
     raw = np.frombuffer(blob, dtype="<f4").reshape(-1, 5).astype(np.float64)
-    return PointCloudFrame(frame_id, timestamp, raw[:, 0:3], raw[:, 3], None)
+    return _frame(path, frame_id, timestamp, raw, velocity=False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,6 @@ def write_frame_bin(frame: PointCloudFrame, path: str | Path) -> None:
 def read_frame_bin(path: str | Path, frame_id: str | None = None,
                    timestamp: float = 0.0) -> PointCloudFrame:
     path = Path(path)
-    if frame_id is None:
-        frame_id = path.stem
     blob = path.read_bytes()
     if len(blob) < 16 or blob[:8] != COMPACT_MAGIC:
         raise FormatError(f"{path}: bad or missing magic header")
@@ -225,7 +223,7 @@ def read_frame_bin(path: str | Path, frame_id: str | None = None,
         raise FormatError(f"{path}: expected {expected} bytes for {count} points, "
                           f"got {len(blob)}")
     table = np.frombuffer(blob, dtype="<f8", offset=16).reshape(count, 6)
-    return PointCloudFrame(frame_id, timestamp, table[:, 0:3], table[:, 3], table[:, 4:6])
+    return _frame(path, frame_id, timestamp, table, velocity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +251,25 @@ def write_corpus(dirpath: str | Path, frames: Sequence[PointCloudFrame],
     manifest = {"format": fmt, "frames": entries}
     if extra:
         manifest.update(extra)
-    atomic_write_text(dirpath / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_json(dirpath / "manifest.json", manifest)
     return manifest
 
 
 def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     dirpath = Path(dirpath)
-    manifest = load_manifest(dirpath)
     manifest_path = dirpath / "manifest.json"
-    if "frames" not in manifest or "format" not in manifest:
-        raise SchemaError(f"{manifest_path}: manifest needs 'format' and 'frames'")
-    fmt = manifest["format"]
+    manifest = read_json_object(manifest_path)
+    fmt, entries = manifest.get("format"), manifest.get("frames")
     if not isinstance(fmt, str) or fmt not in FORMATS:
         raise SchemaError(f"{manifest_path}: format must be one of "
                           f"{', '.join(map(repr, FORMATS))}, got {fmt!r}")
-    if not isinstance(manifest["frames"], list):
+    if not isinstance(entries, list):
         raise SchemaError(f"{manifest_path}: 'frames' must be a list, "
-                          f"got {type(manifest['frames']).__name__}")
+                          f"got {type(entries).__name__}")
     read = FORMATS[fmt][0]
     root = dirpath.resolve()
     frames = []
-    for i, entry in enumerate(manifest["frames"]):
+    for i, entry in enumerate(entries):
         try:
             fid, ts, rel = entry["frame_id"], entry["timestamp"], entry["path"]
         except (KeyError, TypeError) as exc:
@@ -289,16 +285,19 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     return frames
 
 
-def load_manifest(dirpath: str | Path) -> dict:
-    """Decode ``dirpath/manifest.json``, which must hold a JSON object."""
-    manifest_path = Path(dirpath) / "manifest.json"
-    if not manifest_path.exists():
-        raise SchemaError(f"{dirpath}: no manifest.json")
-    return read_json_object(manifest_path)
-
-
 # ---------------------------------------------------------------------------
-# JSON documents
+# text and JSON documents
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of ``path`` decoded as UTF-8. Bytes that are not UTF-8 raise
+    ParseError naming the file; a missing file raises the OSError that
+    names it."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}; expected UTF-8 text") from exc
 
 
 def read_json_object(path: str | Path) -> dict:
@@ -306,10 +305,10 @@ def read_json_object(path: str | Path) -> dict:
     UTF-8, not JSON, or holds an integer past Python's digit limit raises
     ParseError naming the file, and any other top-level value SchemaError;
     a missing file raises the OSError that names it."""
-    path = Path(path)
+    text = read_text(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, the digit limit
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -358,3 +357,8 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as two-space indented JSON and a newline."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -26,6 +26,11 @@ from .rng import philox
 from .spatial import _cloud, _knn_sqdist, _nearest, thin_redundant
 from .spatial import KdTree  # noqa: F401  perfbench times kd-tree builds under this name
 
+# The sparsity k-NN holds an (n, k) distance array, and k is clamped only to
+# n - 1, so an unbounded k fills an (n, n - 1) array. The paper's k is small;
+# this is 8x the default.
+MAX_NEIGHBOR_COUNT = 64
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -33,9 +38,9 @@ class SamplingConfig:
 
     alpha_* scale the intensity / distance / sparsity weight families;
     center_radius is the stage-1 exclusion radius in meters; d_threshold is
-    the thinning distance; neighbor_count is how many nearest neighbors feed
-    the sparsity weight; dist_epsilon guards the inverse-square distance
-    weight at the origin.
+    the thinning distance; neighbor_count (at most ``MAX_NEIGHBOR_COUNT``) is
+    how many nearest neighbors feed the sparsity weight; dist_epsilon guards
+    the inverse-square distance weight at the origin.
     """
 
     alpha_int: float = 4.0
@@ -58,8 +63,9 @@ class SamplingConfig:
             raise ValueError(f"center_radius must be > 0, got {self.center_radius}")
         if self.d_threshold < 0:
             raise ValueError(f"d_threshold must be >= 0, got {self.d_threshold}")
-        if self.neighbor_count < 1:
-            raise ValueError(f"neighbor_count must be >= 1, got {self.neighbor_count}")
+        if not 1 <= self.neighbor_count <= MAX_NEIGHBOR_COUNT:
+            raise ValueError(f"neighbor_count must be in [1, {MAX_NEIGHBOR_COUNT}], "
+                             f"got {self.neighbor_count}")
         if self.dist_epsilon < 0:
             raise ValueError(f"dist_epsilon must be >= 0, got {self.dist_epsilon}")
 

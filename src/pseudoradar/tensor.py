@@ -1,10 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Covers exactly the operations the loss stack needs: add, sub, mul and div
-with numpy-style broadcasting, sqrt, sigmoid, matmul, weighted sums along an
-axis (also of rows gathered from a stack, read once per array), trailing-axis
+Covers the operations the loss stack needs: add, sub and mul with
+numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis (also
+of rows gathered from a stack, read once per array), trailing-axis
 transposition, reshaping, concatenation, stacking, gathering (whose backward
-is one product with a one-hot matrix, not a scatter), sums and means. The
+is one product with a one-hot matrix, not a scatter), sums and means. div
+and sqrt serve only the scalar reference losses of the tests. The
 composite functions (softmax, logsumexp, layer norm, L2 normalization and
 batched cosine similarity) are single tape nodes, each with a closed-form
 backward. Every gradient is verifiable against central finite differences

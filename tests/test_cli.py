@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -132,6 +133,21 @@ class TestFitGmm:
         counts.write_text("12\nnope\n")
         assert main(["fit-gmm", "--counts", str(counts), "--components", "1",
                      "--out", str(tmp_path / "m.json")]) == 2
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"12\n\xff\n", "'utf-8' codec can't decode"),
+        (b"12\n\n0\n", "a count must be positive"),
+        (b"12\n1" + b"0" * 400 + b"\n", "within float64 range"),
+    ], ids=["not-utf8", "zero", "past-float64"])
+    def test_bad_counts_file_exits_two_naming_it(self, tmp_path, capsys, blob, message):
+        counts = tmp_path / "counts.txt"
+        counts.write_bytes(blob)
+        out = tmp_path / "m.json"
+        assert main(["fit-gmm", "--counts", str(counts), "--components", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{counts}: " in err and message in err
+        assert not out.exists()
 
 
 class TestSample:
@@ -463,11 +479,14 @@ class TestPretrainToy:
                      "--report", str(tmp_path / "t.json")]) == 1
 
     def test_divergence_exits_one_and_writes_no_report(self, corpus, tmp_path, capsys):
+        # the one line that names the cause is all a diverging run prints:
+        # no floating-point warning comes before it
         report = tmp_path / "t.json"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "3",
                          "--lr", "1e300", "--seed", "1", "--report", str(report)]) == 1
-        assert "non-finite loss at step 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: non-finite loss at step 1\n"
         assert not report.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])

@@ -228,7 +228,8 @@ class TestCorpus:
                 assert a.timestamp == b.timestamp
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(SchemaError):
+        # the OS error, which names the file, as for every missing input
+        with pytest.raises(FileNotFoundError, match=str(tmp_path / "manifest.json")):
             load_corpus(tmp_path)
 
     def test_malformed_manifest(self, tmp_path):
