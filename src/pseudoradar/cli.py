@@ -222,20 +222,21 @@ def gradcheck_components(seed: int = 0) -> dict[str, float]:
 
     anchors = [draw(6) for _ in range(3)]
     cands = [draw(6) for _ in range(3)]
-    f1, f2, f_read = draw(c, h), draw(c, h), draw(c, h, leaf=False)
-    fa, fb, proj = draw(c, h, w), draw(c, h, w), draw(c, leaf=False)
+    f1, f2, f_read = draw(1, c, h), draw(1, c, h), draw(c, h, leaf=False)
+    ab_maps, proj = draw(2, 1, c, h, w), draw(c, leaf=False)  # one scene, two maps
     rad, img = draw(c, h, w), draw(c, h, w)
     scenes, maps = scene_maps(seed + 7, 3, 3)
     scenes2, maps2 = scene_maps(seed + 11, 4, 8)
 
     # (component, scalar function, leaves checked)
     table = [
-        ("info_nce", lambda: info_nce(anchors, cands, cfg.tau), [anchors[0], cands[1]]),
+        ("info_nce", lambda: info_nce(T.stack(anchors), T.stack(cands), cfg.tau),
+         [anchors[0], cands[1]]),
         ("bcsa", lambda: readout(bcsa(f1, f2, params.bcsa), f_read),
          [f1, f2, *params.bcsa.tensors()]),
         ("aggregate_global",
-         lambda: readout(aggregate_global([fa, fb], ((0, 1),), params.global_agg), proj),
-         [fa, fb, *params.global_agg.tensors()]),
+         lambda: readout(aggregate_global(ab_maps, ((0, 1),), params.global_agg), proj),
+         [ab_maps, *params.global_agg.tensors()]),
         ("local_loss", lambda: local_loss(FeatureMap(rad, "radar", "bev"),
                                           FeatureMap(img, "image", "bev"),
                                           cfg, params, philox(seed, 1)), [rad, img]),

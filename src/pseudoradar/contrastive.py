@@ -204,29 +204,32 @@ class ContrastiveParams:
 # InfoNCE
 
 
-def _stack(tensors: Tensor | Sequence[Tensor]) -> Tensor:
-    """A tensor as given, or a list of equal-shape tensors stacked along a new
-    first axis."""
-    return tensors if isinstance(tensors, Tensor) else T.stack(tensors)
+def _form(x) -> str:
+    """What an input is, for an error message: its shape, or its type."""
+    return str(x.shape) if isinstance(x, Tensor) else f"a {type(x).__name__}"
 
 
-def info_nce(anchors: Tensor | Sequence[Tensor], candidates: Tensor | Sequence[Tensor],
-             tau: float) -> Tensor:
+def _check_form(what: str, rank_ok, *xs) -> None:
+    """ValueError naming the expected form ``what`` unless the inputs are
+    tensors of one shape whose rank passes ``rank_ok``."""
+    if not (all(isinstance(x, Tensor) for x in xs) and len({x.shape for x in xs}) == 1
+            and rank_ok(xs[0].data.ndim)):
+        raise ValueError(f"expected {what}, got {' and '.join(map(_form, xs))}")
+
+
+def info_nce(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
     """-(1/N) sum_i log( exp(sim(a_i, c_i)/tau) / sum_j exp(sim(a_i, c_j)/tau) ).
 
-    ``anchors`` and ``candidates`` are N x D tensors or lists of N D-vectors;
-    ... x N x D stacks give one loss per leading index. sim is cosine
-    similarity, so the loss is invariant to positive rescaling of any single
-    vector. Always >= 0; exactly ln N when all similarities coincide; 0 for
-    N = 1. Computed in matrix form: S = A_n B_n^T / tau on the row-normalized
-    inputs, then mean(logsumexp(S) - diag(S)).
+    ``anchors`` and ``candidates`` are ... x N x D tensors, one loss per
+    leading index. sim is cosine similarity, so the loss is invariant to
+    positive rescaling of any single vector. Always >= 0; exactly ln N when
+    all similarities coincide; 0 for N = 1. Computed in matrix form:
+    S = A_n B_n^T / tau on the row-normalized inputs, then
+    mean(logsumexp(S) - diag(S)).
     """
-    a, b = _stack(anchors), _stack(candidates)
-    if a.data.ndim < 2 or a.shape != b.shape:
-        raise ValueError(f"expected matching N x D anchors and candidates, "
-                         f"got {a.shape} and {b.shape}")
-    n = a.shape[-2]
-    sims = T.mul(T.matmul(T.normalize(a), T.transpose_last2(T.normalize(b))),
+    _check_form("matching ... x N x D tensors", lambda rank: rank >= 2, anchors, candidates)
+    n = anchors.shape[-2]
+    sims = T.mul(T.matmul(T.normalize(anchors), T.transpose_last2(T.normalize(candidates))),
                  Tensor(1.0 / tau))
     pos = T.weighted_sum(sims, Tensor(np.eye(n)), axis=-1)
     return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1)), axis=-1), Tensor(-1.0 / n))
@@ -341,8 +344,8 @@ def _attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
 
 
 def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
-    """Bidirectional channel-spatial attention over a C x D feature pair, or
-    over a batch of them stacked as N x C x D.
+    """Bidirectional channel-spatial attention over N C x D feature pairs,
+    stacked as two N x C x D tensors.
 
     Each side is refined by cross-attending to the other along the spatial
     axis and, transposed, along the channel axis; both branches are
@@ -350,10 +353,8 @@ def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
     combination. Output shapes equal input shapes. Both directions share
     each input's transpose, the gate and the affine columns.
     """
-    if f1.data.ndim not in (2, 3) or f1.shape != f2.shape:
-        raise ValueError(f"bcsa needs matching C x D or N x C x D inputs, "
-                         f"got {f1.shape} and {f2.shape}")
-    c = f1.shape[-2]
+    _check_form("matching N x C x D tensors", lambda rank: rank == 3, f1, f2)
+    c = f1.shape[1]
     if c != params.gate_logits.shape[0]:
         raise ValueError(
             f"params sized for {params.gate_logits.shape[0]} channels, input has {c}"
@@ -407,15 +408,14 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
 # global loss
 
 
-def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int, int]],
+def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
                      params: GlobalAggParams) -> tuple[Tensor, Tensor]:
-    """Collapse each pair of C x H x W maps to two C-vectors with attention
-    shared within the pair.
+    """Collapse each pair of C x H x W maps of every scene to two C-vectors
+    with attention shared within the pair.
 
-    ``maps`` is a K x C x H x W stack, a K x S x C x H x W stack of S scenes,
-    or a list of K equal-shape maps or scene stacks; ``pairs`` holds (a, b)
-    indices into it. Returns ``g_a`` and ``g_b``, each P x C (P x S x C), in
-    the order of ``pairs``.
+    ``maps`` is a K x S x C x H x W stack, K maps of each of S scenes, and
+    ``pairs`` holds (a, b) indices into its first axis. Returns ``g_a`` and
+    ``g_b``, each P x S x C, in the order of ``pairs``.
 
     Row scores project the width means of a pair's channel-concatenated maps
     (the first half of ``row_proj`` for map a, the second for map b) and
@@ -426,13 +426,9 @@ def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int,
     weights of all its pairings in one ``weighted_sum_at`` node, however many
     pairings use it.
     """
-    x = _stack(maps)
+    _check_form("a K x S x C x H x W stack", lambda rank: rank == 5, maps)
     pairs = np.asarray(pairs, dtype=np.intp)
-    if x.data.ndim not in (4, 5):
-        raise ValueError(f"aggregate_global needs K x C x H x W maps or K x S x C x H x W "
-                         f"stacks, got {x.shape}")
-    k = x.shape[0]
-    lead, (c, h, w) = x.shape[1:-3], x.shape[-3:]
+    k, s, c, h, w = maps.shape
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size or not (
             0 <= pairs.min() and pairs.max() < k):
         raise ValueError(f"pairs must be a non-empty list of (a, b) indices into {k} maps, "
@@ -442,22 +438,23 @@ def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int,
                          f"maps have {c}")
     p, a, b = len(pairs), pairs[:, 0], pairs[:, 1]
 
-    def halves(proj):  # the a and b halves as 2 x 1 x .. x C weights
-        return T.reshape(proj, (2, *(1,) * (len(lead) + 1), c))
+    def halves(proj):  # the a and b halves as 2 x 1 x 1 x C weights
+        return T.reshape(proj, (2, 1, 1, c))
 
-    means = T.tmean(x, axis=-1)  # K x .. x C x H
+    means = T.tmean(maps, axis=-1)  # K x S x C x H
     row_scores = T.weighted_sum(T.reshape(means, (1, *means.shape)), halves(params.row_proj),
-                                axis=-2)  # 2 x K x .. x H
-    row_scores = T.reshape(row_scores, (2 * k, *lead, h))
+                                axis=-2)  # 2 x K x S x H
+    row_scores = T.reshape(row_scores, (2 * k, s, h))
     row_w = T.softmax(T.add(T.take(row_scores, a, axis=0), T.take(row_scores, k + b, axis=0)),
                       axis=-1)
-    row_w = T.reshape(row_w, (p, *lead, 1, h))  # one weight row for all C
-    cols = T.weighted_sum_at(x, np.concatenate([a, b]), T.concat([row_w, row_w], axis=0),
-                             axis=-2)
-    cols = T.reshape(cols, (2, p, *lead, c, w))  # the a and b slabs of every pair
+    row_w = T.reshape(row_w, (p, s, 1, h))  # one weight row for all C
+    # the rows of every pair once for map a, once for map b
+    cols = T.weighted_sum_at(maps, np.concatenate([a, b]),
+                             T.take(row_w, np.tile(np.arange(p), 2), axis=0), axis=-2)
+    cols = T.reshape(cols, (2, p, s, c, w))  # the a and b slabs of every pair
     col_w = T.softmax(T.tsum(T.weighted_sum(cols, halves(params.col_proj), axis=-2), axis=0),
                       axis=-1)
-    g = T.weighted_sum(cols, T.reshape(col_w, (1, p, *lead, 1, w)), axis=-1)
+    g = T.weighted_sum(cols, T.reshape(col_w, (1, p, s, 1, w)), axis=-1)
     return T.take(g, 0, axis=0), T.take(g, 1, axis=0)
 
 
@@ -465,27 +462,20 @@ def aggregate_global(maps: Tensor | Sequence[Tensor], pairs: Sequence[tuple[int,
 _GLOBAL_INDEX = tuple((MAP_NAMES.index(a), MAP_NAMES.index(b)) for a, b in GLOBAL_PAIRS)
 
 
-def _global_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
-                  params: ContrastiveParams) -> Tensor:
-    """The batch InfoNCE of every entry of GLOBAL_PAIRS, as one P-vector."""
+def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
+                      params: ContrastiveParams) -> Tensor:
+    """The batch InfoNCE of every entry of GLOBAL_PAIRS, as one 6-vector."""
     if len(scenes) < 2:
         raise ValueError(f"global loss needs a batch of >= 2 scenes, got {len(scenes)}")
-    stack = _stack([getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes])
+    stack = T.stack([getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes])
     stack = T.reshape(stack, (len(MAP_NAMES), len(scenes), *scenes[0].shape))
     g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
     return info_nce(g_a, g_b, config.tau)
 
 
-def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
-                      params: ContrastiveParams) -> list[Tensor]:
-    """One batch InfoNCE term per entry of GLOBAL_PAIRS."""
-    terms = _global_terms(scenes, config, params)
-    return [T.take(terms, i, axis=0) for i in range(len(GLOBAL_PAIRS))]
-
-
 def global_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
                 params: ContrastiveParams) -> Tensor:
-    return T.tsum(_global_terms(scenes, config, params))
+    return T.tsum(global_loss_terms(scenes, config, params))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ from .rng import philox
 
 VAR_FLOOR = 1e-6
 DEFAULT_COMPONENTS = 5
+# EM holds several (n, k) arrays and the seeding does O(n k^2) work; the
+# paper's mixtures have 4 to 6 components
+MAX_COMPONENTS = 64
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,13 @@ def fit_em(counts, k: int, tol: float = 1e-6, max_iter: int = 200,
 
     Deterministic for a fixed seed. The returned trace holds one
     log-likelihood per iteration, evaluated before that iteration's M-step,
-    and is non-decreasing up to 1e-9 slack. Raises ValueError naming
-    ``max_iter`` below 1 or a ``tol`` that is negative or not finite.
+    and is non-decreasing up to 1e-9 slack. Raises ValueError naming a
+    component count outside [1, MAX_COMPONENTS], ``max_iter`` below 1 or a
+    ``tol`` that is negative or not finite, before it builds any array.
     """
     x = np.asarray(counts, dtype=np.float64).reshape(-1)
-    if k < 1:
-        raise ValueError(f"component count must be >= 1, got {k}")
+    if not 1 <= k <= MAX_COMPONENTS:
+        raise ValueError(f"component count must be in [1, {MAX_COMPONENTS}], got {k}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):

@@ -9,6 +9,7 @@ oracle used by the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,10 +72,15 @@ def mean_chamfer(frames_a: Sequence[PointCloudFrame],
                  frames_b: Sequence[PointCloudFrame]) -> ChamferReport:
     """Pair frames by frame_id and average their Chamfer distances.
 
-    Ids present on only one side abort with an AlignmentError listing them.
-    Pairs with an empty side abort, before any distance is computed, with an
-    EmptyFrameError listing every such id in ``frames_a`` order.
+    Ids that repeat on either side, then ids present on only one side, abort
+    with an AlignmentError listing them. Pairs with an empty side abort,
+    before any distance is computed, with an EmptyFrameError listing every
+    such id in ``frames_a`` order.
     """
+    repeated = sorted({fid for frames in (frames_a, frames_b)
+                       for fid, n in Counter(f.frame_id for f in frames).items() if n > 1})
+    if repeated:
+        raise AlignmentError(f"repeated frame ids: {', '.join(repeated)}")
     by_id_b = {f.frame_id: f for f in frames_b}
     ids_a = {f.frame_id for f in frames_a}
     orphans = sorted(ids_a.symmetric_difference(by_id_b))

@@ -15,7 +15,8 @@ stages always return new frames. Three on-disk formats are supported:
 A corpus is a directory of frame files plus a ``manifest.json`` giving the
 format (a key of ``FORMATS``: ``csv`` or ``bin``) and listing
 ``{"frame_id", "timestamp", "path"}`` per frame, each path inside the corpus
-directory.
+directory. Frame ids name the frame files, so ``check_frame_ids`` holds them
+to plain, unique file names.
 
 Each rule about a file lives in one function, so a bad file fails alike
 wherever it is read, with a ``FormatError`` naming it: ``read_text`` decodes
@@ -234,11 +235,26 @@ def read_frame_bin(path: str | Path, frame_id: str | None = None,
 FORMATS = {"csv": (read_frame_csv, write_frame_csv), "bin": (read_frame_bin, write_frame_bin)}
 
 
+def check_frame_ids(ids: Sequence[str]) -> None:
+    """Raise ValueError naming the first id that is not a plain, unique file
+    name: empty, holding a path separator ('/' or '\\') or NUL, or equal to
+    an id before it."""
+    seen = set()
+    for fid in ids:
+        if not fid or any(ch in fid for ch in "/\\\0"):
+            raise ValueError(f"frame id {fid!r} is not a plain file name")
+        if fid in seen:
+            raise ValueError(f"frame id {fid!r} repeats")
+        seen.add(fid)
+
+
 def write_corpus(dirpath: str | Path, frames: Sequence[PointCloudFrame],
                  fmt: str = "csv", extra: dict | None = None) -> dict:
-    """Write frames plus a manifest; returns the manifest dict."""
+    """Write frames plus a manifest; returns the manifest dict. Ids that
+    ``check_frame_ids`` refuses raise ValueError before any file is written."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")
+    check_frame_ids([frame.frame_id for frame in frames])
     write = FORMATS[fmt][1]
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
@@ -266,9 +282,8 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
     if not isinstance(entries, list):
         raise SchemaError(f"{manifest_path}: 'frames' must be a list, "
                           f"got {type(entries).__name__}")
-    read = FORMATS[fmt][0]
     root = dirpath.resolve()
-    frames = []
+    fields = []
     for i, entry in enumerate(entries):
         try:
             fid, ts, rel = entry["frame_id"], entry["timestamp"], entry["path"]
@@ -281,8 +296,13 @@ def load_corpus(dirpath: str | Path) -> list[PointCloudFrame]:
         if (not isinstance(rel, str) or Path(rel).is_absolute()
                 or not (dirpath / rel).resolve().is_relative_to(root)):
             raise SchemaError(f"{manifest_path}: frame path {rel!r} is not inside {dirpath}")
-        frames.append(read(dirpath / rel, frame_id=fid, timestamp=float(ts)))
-    return frames
+        fields.append((fid, float(ts), dirpath / rel))
+    try:
+        check_frame_ids([fid for fid, _, _ in fields])
+    except ValueError as exc:
+        raise SchemaError(f"{manifest_path}: {exc}") from exc
+    read = FORMATS[fmt][0]
+    return [read(path, frame_id=fid, timestamp=ts) for fid, ts, path in fields]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,25 @@ from .rng import philox
 from .tensor import Tensor
 
 
+# what a spec may ask for, so that a scene is built in bounded time and memory
+# and every coordinate is finite: the magnitude of any float field (meters,
+# seconds, meters per second, points per square meter, and the noise of a
+# feature batch), the frame and object counts, the lidar or radar points of
+# one frame, and the points of all frames together
+MAX_MAGNITUDE = 1e6
+MAX_FRAMES = 1_000
+MAX_OBJECTS = 1_000
+MAX_FRAME_POINTS = 1_000_000
+MAX_SCENE_POINTS = 10_000_000
+
+
+def _check_noise(sigma: float) -> None:
+    """Refuse a noise scale numpy would refuse (a negative one, -0.0
+    included), or one past MAX_MAGNITUDE or NaN."""
+    if not (sigma <= MAX_MAGNITUDE and math.copysign(1.0, sigma) > 0):
+        raise ValueError(f"noise_sigma must be in [0, {MAX_MAGNITUDE:g}], got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int = 0
@@ -40,20 +59,48 @@ class SceneSpec:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            # NaN fails the comparison too
+            if name not in ("seed", "n_frames", "n_objects") and not abs(value) <= MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be finite and within +-{MAX_MAGNITUDE:g}, "
+                                 f"got {value!r}")
+        _check_noise(self.noise_sigma)
         if self.frame_dt <= 0:
             raise ValueError(f"frame_dt must be > 0, got {self.frame_dt}")
-        if self.lidar_density <= 0 or self.radar_density <= 0:
-            raise ValueError("densities must be > 0")
+        for name in ("lidar_density", "radar_density"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.radar_density >= self.lidar_density:
-            raise ValueError("radar density must be below lidar density")
-        if self.n_frames < 0 or self.n_objects < 0:
-            raise ValueError("n_frames and n_objects must be >= 0")
-        if not (0 < self.ego_radius < self.world_radius):
-            raise ValueError("need 0 < ego_radius < world_radius")
+            raise ValueError(f"radar_density must be below lidar_density, got "
+                             f"{self.radar_density} and {self.lidar_density}")
+        for name, bound in (("n_frames", MAX_FRAMES), ("n_objects", MAX_OBJECTS)):
+            if not 0 <= getattr(self, name) <= bound:
+                raise ValueError(f"{name} must be in [0, {bound}], got {getattr(self, name)}")
+        # objects are placed between ego_radius and 0.9 world_radius
+        if not (0 < self.ego_radius < 0.9 * self.world_radius):
+            raise ValueError(f"need 0 < ego_radius < 0.9 * world_radius, got "
+                             f"{self.ego_radius} and {self.world_radius}")
+        lidar_bg, lidar_obj, radar_bg, radar_obj = self.point_counts()
+        per_frame = {"lidar": lidar_bg + self.n_objects * lidar_obj,
+                     "radar": radar_bg + self.n_objects * radar_obj}
+        for kind, n in per_frame.items():
+            if n > MAX_FRAME_POINTS:
+                raise ValueError(f"a frame would hold {n} {kind} points, above "
+                                 f"{MAX_FRAME_POINTS}: lower {kind}_density, world_radius, "
+                                 f"n_objects or object_extent")
+        if self.n_frames * sum(per_frame.values()) > MAX_SCENE_POINTS:
+            raise ValueError(f"{self.n_frames} frames of {sum(per_frame.values())} points "
+                             f"exceed {MAX_SCENE_POINTS}: lower n_frames, lidar_density, "
+                             f"radar_density, world_radius, n_objects or object_extent")
+
+    def point_counts(self) -> tuple[int, int, int, int]:
+        """Points of the lidar background, of each lidar object, of the radar
+        background and of each radar object. Objects are denser than their
+        surroundings, and a radar frame keeps a share of its background."""
+        area = np.pi * self.world_radius**2
+        return (max(1, int(round(self.lidar_density * area))),
+                max(8, int(round(3.0 * self.lidar_density * self.object_extent**2))),
+                max(2, int(round(self.radar_density * area))),
+                max(2, int(round(30.0 * self.radar_density * self.object_extent**2))))
 
 
 @dataclass(frozen=True)
@@ -95,15 +142,13 @@ def gen_scene(spec: SceneSpec) -> SceneData:
     background counts vary Poisson-style per frame so a count mixture fitted
     on them has real spread.
     """
-    area = np.pi * spec.world_radius**2
     base_rng = philox(spec.seed, 0)
+    n_lidar_bg, n_obj_lidar, n_radar_bg, n_obj_radar = spec.point_counts()
 
-    n_lidar_bg = max(1, int(round(spec.lidar_density * area)))
     lidar_bg_xy = _disc_center_heavy(base_rng, n_lidar_bg, spec.world_radius)
     lidar_bg_z = base_rng.uniform(0.0, 0.3, n_lidar_bg)
     lidar_bg_int = base_rng.uniform(1.0, 20.0, n_lidar_bg)
 
-    n_radar_bg = max(2, int(round(spec.radar_density * area)))
     radar_bg_xy = _disc_uniform(base_rng, n_radar_bg, spec.world_radius)
     radar_bg_int = base_rng.uniform(1.0, 20.0, n_radar_bg)
 
@@ -120,13 +165,11 @@ def gen_scene(spec: SceneSpec) -> SceneData:
         motions.append(ObjectMotion((float(center[0]), float(center[1])),
                                     (float(velocity[0]), float(velocity[1])),
                                     spec.object_extent))
-        # objects reflect strongly and are denser than their surroundings
-        n_obj_lidar = max(8, int(round(3.0 * spec.lidar_density * spec.object_extent**2)))
+        # objects reflect strongly
         off = base_rng.uniform(-0.5, 0.5, (n_obj_lidar, 2)) * spec.object_extent
         z = base_rng.uniform(0.2, 1.8, n_obj_lidar)
         inten = base_rng.uniform(15.0, 40.0, n_obj_lidar)
         obj_lidar.append((center + off, z, inten))
-        n_obj_radar = max(2, int(round(30.0 * spec.radar_density * spec.object_extent**2)))
         r_off = base_rng.uniform(-0.5, 0.5, (n_obj_radar, 2)) * spec.object_extent
         r_int = base_rng.uniform(10.0, 40.0, n_obj_radar)
         obj_radar.append((center + r_off, r_int))
@@ -197,6 +240,7 @@ def gen_feature_batch(
     """
     if min(batch, channels, height, width) < 1:
         raise ValueError("all dimensions must be >= 1")
+    _check_noise(noise_sigma)
     scenes: list[SceneMaps] = []
     offsets: list[np.ndarray] = []
     for s in range(batch):

@@ -1,15 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Covers the operations the loss stack needs: add, sub and mul with
-numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis (also
-of rows gathered from a stack, read once per array), trailing-axis
-transposition, reshaping, concatenation, stacking, gathering (whose backward
-is one product with a one-hot matrix, not a scatter), sums and means. div
-and sqrt serve only the scalar reference losses of the tests. The
-composite functions (softmax, logsumexp, layer norm, L2 normalization and
-batched cosine similarity) are single tape nodes, each with a closed-form
-backward. Every gradient is verifiable against central finite differences
-via :func:`finite_diff_check`.
+Covers the operations the loss stack runs and no more: add, sub and mul
+with numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis
+(also of rows gathered from a stack, read once per array), trailing-axis
+transposition, reshaping, stacking, gathering (whose backward is one product
+with a one-hot matrix, not a scatter), sums and means. The composite
+functions (softmax, logsumexp, layer norm, and L2 normalization and batched
+cosine similarity over the last axis) are single tape nodes, each with a
+closed-form backward. Every gradient is verifiable against central finite
+differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -26,6 +25,12 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+# added to every L2 norm by normalize and cosine_sim, and to every variance
+# by layer_norm
+NORM_EPS = 1e-12
+LAYER_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -146,27 +151,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def bw(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g / b.data)
-        if b.requires_grad:
-            _accum(grads, b, -g * a.data / (b.data * b.data))
-
-    return _make(data, (a, b), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def bw(g, grads):
-        _accum(grads, a, g * 0.5 * a.data ** -0.5)
-
-    return _make(data, (a,), bw)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     # evaluate exp only on the non-overflowing side
     z = np.exp(-np.abs(a.data))
@@ -178,21 +162,20 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bw(g, grads):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(grads, a, np.broadcast_to(g, a.data.shape))
 
     return _make(data, (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(tsum(a, axis=axis), Tensor(1.0 / n))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -223,11 +206,10 @@ def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
 
     The forward is one einsum contraction. It adds the terms in the order
     of the axis, as ``tsum`` does when the axes after ``axis`` hold more
-    than one element, so there the result is bit-equal to the chain: the
-    matcher breaks exact score ties as the scalar reference does only
-    because of this. A BLAS matmul rounds differently. The backward forms
-    ``dx`` as one broadcast product and ``dw`` as a matmul plus a sum over
-    broadcast axes.
+    than one element, so there the result is bit-equal to the chain; a
+    BLAS matmul would round differently and change the trained numbers in
+    their last bits. The backward forms ``dx`` as one broadcast product and
+    ``dw`` as a matmul plus a sum over broadcast axes.
     """
     if x.data.ndim == 0 or w.data.ndim == 0:
         raise ShapeError(f"weighted_sum needs rank >= 1 operands, got {x.shape} and {w.shape}")
@@ -322,29 +304,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = list(tensors)
-    if not ts:
-        raise ShapeError("concat of an empty list")
-    ref = ts[0].shape
-    for t in ts[1:]:
-        if len(t.shape) != len(ref) or any(
-            t.shape[i] != ref[i] for i in range(len(ref)) if i != axis % len(ref)
-        ):
-            raise ShapeError(f"concat shapes differ off axis {axis}: {ref} vs {t.shape}")
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g, grads):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(grads, t, g[tuple(sl)])
-
-    return _make(data, ts, bw)
-
-
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new first axis.
 
@@ -369,39 +328,31 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 def take(a: Tensor, indices, axis: int) -> Tensor:
     """Gather along an axis. A scalar index drops the axis, numpy style.
 
-    The backward of an index array is one product of the gradient with an
-    (indices x axis length) one-hot matrix, so repeated indices add up
-    without a scatter. A non-finite gradient entry therefore spreads NaN
-    over its whole slice of the axis.
+    The backward is one product of the gradient with an (indices x axis
+    length) one-hot matrix, so repeated indices add up without a scatter. A
+    non-finite gradient entry therefore spreads NaN over its whole slice of
+    the axis.
     """
-    scalar = np.isscalar(indices) or (isinstance(indices, np.ndarray) and indices.ndim == 0)
     idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(a.data, idx if not scalar else int(idx), axis=axis)
+    data = np.take(a.data, idx, axis=axis)
     axis %= a.data.ndim
     n = a.shape[axis]
 
     def bw(g, grads):
         if not a.requires_grad:
             return
-        if scalar:
-            full = np.zeros_like(a.data)
-            full[(slice(None),) * axis + (int(idx),)] = g
-        else:
-            onehot = (idx.reshape(-1, 1) % n == np.arange(n)).astype(np.float64)
-            pre, post = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
-            g3 = g.reshape(pre, idx.size, post)
-            if post == 1:
-                full = g3[..., 0] @ onehot
-            else:
-                full = onehot.T @ g3
+        onehot = (idx.reshape(-1, 1) % n == np.arange(n)).astype(np.float64)
+        pre, post = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
+        g3 = g.reshape(pre, idx.size, post)
+        full = g3[..., 0] @ onehot if post == 1 else onehot.T @ g3
         _accum(grads, a, full.reshape(a.shape), owned=True)
 
     return _make(data, (a,), bw)
 
 
-def _norm(x: np.ndarray, axis: int) -> np.ndarray:
-    """L2 norms of the slices along ``axis``, which is kept with length 1."""
-    return np.sqrt((x * x).sum(axis=axis, keepdims=True))
+def _norm(x: np.ndarray) -> np.ndarray:
+    """L2 norms along the last axis, which is kept with length 1."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=True))
 
 
 def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -410,46 +361,45 @@ def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
 
 
-def normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """``a / (||a|| + eps)`` for every slice along ``axis``.
+def normalize(a: Tensor) -> Tensor:
+    """``a / (||a|| + NORM_EPS)`` for every vector along the last axis.
 
-    A zero slice maps to zero, and its gradient stays finite.
+    A zero vector maps to zero, and its gradient stays finite.
     """
     if a.data.ndim == 0:
         raise ShapeError("normalize needs at least rank 1")
-    norm = _norm(a.data, axis)
-    den = norm + eps
+    norm = _norm(a.data)
+    den = norm + NORM_EPS
     data = a.data / den
 
     def bw(g, grads):
-        radial = (g * data).sum(axis=axis, keepdims=True)
+        radial = (g * data).sum(axis=-1, keepdims=True)
         _accum(grads, a, (g - radial * _unit(a.data, norm)) / den)
 
     return _make(data, (a,), bw)
 
 
-def cosine_sim(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity of the slices along ``axis``, which is reduced.
+def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of the vectors along the last axis, which is reduced.
 
-    The other axes broadcast, so one call scores many pairs. ``eps`` is
-    added to both norms, so a zero vector has similarity 0 to everything
+    The other axes broadcast, so one call scores many pairs. ``NORM_EPS``
+    is added to both norms, so a zero vector has similarity 0 to everything
     and the value always lies strictly inside [-1, 1].
     """
-    if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[axis] != b.shape[axis]:
-        raise ShapeError(f"cosine_sim needs equal lengths along axis {axis}, "
-                         f"got {a.shape} and {b.shape}")
-    na, nb = _norm(a.data, axis), _norm(b.data, axis)
-    den = (na + eps) * (nb + eps)
-    full = (a.data * b.data).sum(axis=axis, keepdims=True) / den
+    if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"cosine_sim needs equal last axes, got {a.shape} and {b.shape}")
+    na, nb = _norm(a.data), _norm(b.data)
+    den = (na + NORM_EPS) * (nb + NORM_EPS)
+    full = (a.data * b.data).sum(axis=-1, keepdims=True) / den
 
     def bw(g, grads):
-        g = np.expand_dims(g, axis)
+        g = g[..., None]
         if a.requires_grad:
-            _accum(grads, a, g * (b.data / den - full / (na + eps) * _unit(a.data, na)))
+            _accum(grads, a, g * (b.data / den - full / (na + NORM_EPS) * _unit(a.data, na)))
         if b.requires_grad:
-            _accum(grads, b, g * (a.data / den - full / (nb + eps) * _unit(b.data, nb)))
+            _accum(grads, b, g * (a.data / den - full / (nb + NORM_EPS) * _unit(b.data, nb)))
 
-    return _make(np.squeeze(full, axis=axis), (a, b), bw)
+    return _make(full[..., 0], (a, b), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -482,15 +432,17 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, axis: int = -1) -> Tensor:
     """Zero-mean unit-variance normalization of each slice along ``axis``.
 
-    The variance is the biased one (divided by n); the backward is the
-    closed form of Ba, Kiros and Hinton (arXiv:1607.06450).
+    The variance is the biased one (divided by n) plus ``LAYER_NORM_EPS``;
+    the backward is the closed form of Ba, Kiros and Hinton
+    (arXiv:1607.06450).
     """
     inv_n = 1.0 / a.data.shape[axis]
     centered = a.data - a.data.sum(axis=axis, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n + eps)
+    std = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n
+                  + LAYER_NORM_EPS)
     data = centered / std
 
     def bw(g, grads):

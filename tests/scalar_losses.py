@@ -4,7 +4,9 @@ column is matched on its own, and every scene is aggregated on its own.
 
 This is the loss stack as it was before the matrix form, kept only so that
 tests can compare the batched code in ``pseudoradar.contrastive`` against
-it. It is slow by design and is not part of the package.
+it. It is slow by design and is not part of the package. The three tape ops
+that only it needs (div, sqrt and concat) are defined here on the engine's
+node maker, not in ``pseudoradar.tensor``.
 """
 
 from __future__ import annotations
@@ -21,15 +23,58 @@ from pseudoradar.contrastive import (GLOBAL_PAIRS, MATCH_TIE_TOL, BcsaParams,
 from pseudoradar.tensor import Tensor
 
 
+def div(a: Tensor, b: Tensor) -> Tensor:
+    data = a.data / b.data
+
+    def bw(g, grads):
+        if a.requires_grad:
+            T._accum(grads, a, g / b.data)
+        if b.requires_grad:
+            T._accum(grads, b, -g * a.data / (b.data * b.data))
+
+    return T._make(data, (a, b), bw)
+
+
+def sqrt(a: Tensor) -> Tensor:
+    data = np.sqrt(a.data)
+
+    def bw(g, grads):
+        T._accum(grads, a, g * 0.5 * a.data ** -0.5)
+
+    return T._make(data, (a,), bw)
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    ts = list(tensors)
+    if not ts:
+        raise T.ShapeError("concat of an empty list")
+    ref = ts[0].shape
+    for t in ts[1:]:
+        if len(t.shape) != len(ref) or any(
+            t.shape[i] != ref[i] for i in range(len(ref)) if i != axis % len(ref)
+        ):
+            raise T.ShapeError(f"concat shapes differ off axis {axis}: {ref} vs {t.shape}")
+    data = np.concatenate([t.data for t in ts], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+
+    def bw(g, grads):
+        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            T._accum(grads, t, g[tuple(sl)])
+
+    return T._make(data, ts, bw)
+
+
 def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    return T.concat([T.reshape(s, (1,)) for s in scalars], axis=0)
+    return concat([T.reshape(s, (1,)) for s in scalars], axis=0)
 
 
 def cosine_sim(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
     num = T.tsum(T.mul(a, b))
-    na = T.sqrt(T.tsum(T.mul(a, a)))
-    nb = T.sqrt(T.tsum(T.mul(b, b)))
-    return T.div(num, T.mul(T.add(na, Tensor(eps)), T.add(nb, Tensor(eps))))
+    na = sqrt(T.tsum(T.mul(a, a)))
+    nb = sqrt(T.tsum(T.mul(b, b)))
+    return div(num, T.mul(T.add(na, Tensor(eps)), T.add(nb, Tensor(eps))))
 
 
 def info_nce(anchors: Sequence[Tensor], candidates: Sequence[Tensor], tau: float) -> Tensor:
@@ -121,13 +166,13 @@ def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,
 def aggregate_global(f_a: Tensor, f_b: Tensor,
                      params: GlobalAggParams) -> tuple[Tensor, Tensor]:
     c, h, w = f_a.shape
-    cat = T.concat([f_a, f_b], axis=0)
+    cat = concat([f_a, f_b], axis=0)
     row_desc = T.tmean(cat, axis=2)
     row_scores = T.reshape(T.matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
     row_w = T.reshape(T.softmax(row_scores, axis=0), (1, h, 1))
     a_cols = T.tsum(T.mul(f_a, row_w), axis=1)
     b_cols = T.tsum(T.mul(f_b, row_w), axis=1)
-    cat_cols = T.concat([a_cols, b_cols], axis=0)
+    cat_cols = concat([a_cols, b_cols], axis=0)
     col_scores = T.reshape(T.matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
     col_w = T.reshape(T.softmax(col_scores, axis=0), (1, w))
     return T.tsum(T.mul(a_cols, col_w), axis=1), T.tsum(T.mul(b_cols, col_w), axis=1)

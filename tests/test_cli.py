@@ -59,6 +59,17 @@ class TestSynthGen:
         assert main(["synth-gen", "--noise", "nan", "--out", str(tmp_path / "c")]) == 2
         assert "noise_sigma must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--objects", "1001", "--frames", "0"], "n_objects"),
+        (["--noise", "1e308", "--frames", "1"], "noise_sigma"),
+        (["--noise", "-0.0", "--frames", "1"], "noise_sigma"),
+    ])
+    def test_value_past_its_bound_exits_two_naming_it(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "c"
+        assert main(["synth-gen", *flags, "--out", str(out)]) == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_dir_exits_two(self):
         assert main(["synth-gen", "--frames", "1",
                      "--out", "/proc/definitely/not/writable"]) == 2
@@ -120,6 +131,15 @@ class TestFitGmm:
         assert main(["fit-gmm", "--counts", str(counts), "--components", "1",
                      "--out", str(out), *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_component_count_past_its_bound_exits_two_naming_it(self, tmp_path, capsys):
+        counts = tmp_path / "counts.txt"
+        counts.write_text("".join(f"{c}\n" for c in range(1, 101)))
+        out = tmp_path / "m.json"
+        assert main(["fit-gmm", "--counts", str(counts), "--components", "65",
+                     "--out", str(out)]) == 2
+        assert "component count must be in [1, 64], got 65" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_counts_file_exits_two_naming_it(self, tmp_path, capsys):
@@ -414,6 +434,31 @@ class TestChamfer:
         assert main(args) == 2
         assert f"manifest.json: frame {index}: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, frame_id, message", [
+        ("sample", "../../escaped", "is not a plain file name"),
+        ("sample", "frame_0000", "'frame_0000' repeats"),
+        ("chamfer", "frame_0000", "'frame_0000' repeats"),
+    ])
+    def test_bad_frame_id_exits_two_naming_it(self, corpus, gmm_model, tmp_path, capsys,
+                                              command, frame_id, message):
+        # before, sample wrote outside --out, or wrote 2 files for 3 frames,
+        # and chamfer of such a corpus against itself was not 0
+        import shutil
+        bad = tmp_path / "d" / "bad"
+        shutil.copytree(corpus / "lidar", bad)
+        manifest = read_json(bad / "manifest.json")
+        manifest["frames"][1]["frame_id"] = frame_id
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "d" / "out" / "p"
+        args = (["chamfer", "--a", str(bad), "--b", str(bad),
+                 "--report", str(tmp_path / "r.json")] if command == "chamfer" else
+                ["sample", "--input", str(bad), "--gmm", str(gmm_model), "--out", str(out)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(bad / "manifest.json") in err and message in err
+        assert not out.exists() and not (tmp_path / "r.json").exists()
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["bad"]
+
     def test_empty_frames_exit_one_and_write_no_report(self, tmp_path, capsys):
         full, empty = np.ones((2, 3)), np.zeros((0, 3))
         write_corpus(tmp_path / "a", [PointCloudFrame("f0", 0.0, full, np.ones(2)),
@@ -438,7 +483,17 @@ class TestChamfer:
 
 
 class TestGradcheck:
-    def test_default_seed_passes_and_reports(self, tmp_path, capsys):
+    def test_default_seed_passes_and_reports(self, tmp_path, capsys, monkeypatch,
+                                             gradcheck_seed0):
+        # the one seed-0 gradcheck of the test run stands in for the command's own
+        from pseudoradar import cli as cli_mod
+        errors, _ = gradcheck_seed0
+
+        def seed0(seed=0):
+            assert seed == 0
+            return dict(errors)
+
+        monkeypatch.setattr(cli_mod, "gradcheck_components", seed0)
         report = tmp_path / "g.json"
         assert main(["gradcheck", "--seed", "0", "--report", str(report)]) == 0
         out = capsys.readouterr().out
@@ -495,6 +550,14 @@ class TestPretrainToy:
         assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "2",
                      "--lr", lr, "--seed", "1", "--report", str(report)]) == 2
         assert "learning_rate" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf", "1e308"])
+    def test_bad_noise_exits_two_naming_it(self, corpus, tmp_path, capsys, noise):
+        report = tmp_path / "t.json"
+        assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "2",
+                     "--noise", noise, "--report", str(report)]) == 2
+        assert "error: noise_sigma must be in [0, 1e+06]" in capsys.readouterr().err
         assert not report.exists()
 
     def test_same_seed_identical_trace(self, corpus, tmp_path):

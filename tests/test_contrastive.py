@@ -20,23 +20,32 @@ def philox(*key):
 
 
 def vecs(n, dim, seed=0, grad=False):
-    rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=dim), requires_grad=grad) for _ in range(n)]
+    """N random D-vectors stacked as an N x D tensor."""
+    return Tensor(np.random.default_rng(seed).normal(size=(n, dim)), requires_grad=grad)
+
+
+def rows(*vectors):
+    return Tensor(np.array(vectors, dtype=np.float64))
+
+
+def one_scene(*maps):
+    """K maps of one scene as the K x 1 x C x H x W stack aggregate_global takes."""
+    return Tensor(np.stack(maps)[:, None])
 
 
 class TestInfoNce:
     def test_single_pair_is_zero(self):
-        v = Tensor([1.0, 2.0, 3.0])
-        assert info_nce([v], [v], 0.07).item() == 0.0
+        v = rows([1.0, 2.0, 3.0])
+        assert info_nce(v, v, 0.07).item() == 0.0
 
     def test_uniform_similarities_give_log_n(self):
-        v = Tensor([0.3, -1.2, 0.7])
-        loss = info_nce([v] * 4, [v] * 4, 0.07).item()
+        v = rows(*[[0.3, -1.2, 0.7]] * 4)
+        loss = info_nce(v, v, 0.07).item()
         assert loss == pytest.approx(math.log(4.0), abs=1e-9)
 
     def test_identity_vs_orthogonal_closed_form(self):
-        e1, e2 = Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
-        loss = info_nce([e1, e2], [e1, e2], 1.0).item()
+        e = rows([1.0, 0.0], [0.0, 1.0])
+        loss = info_nce(e, e, 1.0).item()
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-6)
 
     def test_always_non_negative(self):
@@ -47,10 +56,12 @@ class TestInfoNce:
     def test_invariant_to_positive_rescaling(self):
         anchors, cands = vecs(4, 6, 1), vecs(4, 6, 2)
         base = info_nce(anchors, cands, 0.07).item()
-        scaled = [Tensor(anchors[0].data * 53.0)] + anchors[1:]
-        assert abs(info_nce(scaled, cands, 0.07).item() - base) < 1e-9
-        cscaled = cands[:2] + [Tensor(cands[2].data * 0.001)] + cands[3:]
-        assert abs(info_nce(anchors, cscaled, 0.07).item() - base) < 1e-9
+        scaled = anchors.data.copy()
+        scaled[0] *= 53.0
+        assert abs(info_nce(Tensor(scaled), cands, 0.07).item() - base) < 1e-9
+        cscaled = cands.data.copy()
+        cscaled[2] *= 0.001
+        assert abs(info_nce(anchors, Tensor(cscaled), 0.07).item() - base) < 1e-9
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -58,21 +69,43 @@ class TestInfoNce:
         with pytest.raises(ValueError):
             info_nce(vecs(2, 3), vecs(2, 4), 0.07)
 
-    def test_matrix_input_equals_vector_lists(self):
-        anchors, cands = vecs(4, 6, 5), vecs(4, 6, 6)
-        stack = lambda vs: Tensor(np.stack([v.data for v in vs]))
-        assert (info_nce(stack(anchors), stack(cands), 0.07).item()
-                == info_nce(anchors, cands, 0.07).item())
-        with pytest.raises(ValueError):
-            info_nce(stack(anchors), Tensor(np.zeros((3, 6))), 0.07)
-        with pytest.raises(ValueError):
-            info_nce([], [], 0.07)
+    def test_stacks_give_one_loss_per_leading_index(self):
+        anchors, cands = vecs(6, 5, 5), vecs(6, 5, 6)
+        losses = info_nce(T.reshape(anchors, (2, 3, 5)), T.reshape(cands, (2, 3, 5)), 0.07)
+        assert losses.shape == (2,)
+        for i in range(2):
+            one = info_nce(Tensor(anchors.data[3 * i:3 * i + 3]),
+                           Tensor(cands.data[3 * i:3 * i + 3]), 0.07)
+            assert losses.data[i] == pytest.approx(one.item(), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         anchors, cands = vecs(3, 5, 3, grad=True), vecs(3, 5, 4, grad=True)
         f = lambda t: info_nce(anchors, cands, 1.0)
-        assert finite_diff_check(f, anchors[0]) < 1e-5
-        assert finite_diff_check(f, cands[2]) < 1e-5
+        assert finite_diff_check(f, anchors) < 1e-5
+        assert finite_diff_check(f, cands) < 1e-5
+
+
+# (function, arguments after the inputs, the expected form, inputs in a form
+# it does not take): lists, unstacked pairs and maps without a scene axis
+_V = Tensor(np.ones(3))
+_MAP = Tensor(np.ones((2, 3, 4)))
+OTHER_FORMS = [
+    (info_nce, (0.07,), r"\.\.\. x N x D", ([_V, _V], [_V, _V])),
+    (info_nce, (0.07,), r"\.\.\. x N x D", (_V, _V)),
+    (bcsa, (BcsaParams.init(2),), "N x C x D", (Tensor(np.ones((2, 5))),) * 2),
+    (bcsa, (BcsaParams.init(2),), "N x C x D", ([Tensor(np.ones((2, 5)))],) * 2),
+    (aggregate_global, (((0, 1),), GlobalAggParams.init(2)), "K x S x C x H x W",
+     ([_MAP, _MAP],)),
+    (aggregate_global, (((0, 1),), GlobalAggParams.init(2)), "K x S x C x H x W",
+     (Tensor(np.ones((2, 2, 3, 4))),)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(OTHER_FORMS)))
+def test_other_input_forms_are_refused_naming_the_form(case):
+    fn, args, form, inputs = OTHER_FORMS[case]
+    with pytest.raises(ValueError, match=f"expected .*{form}"):
+        fn(*inputs, *args)
 
 
 class TestSlidingWindowMatch:
@@ -149,9 +182,9 @@ class TestBcsa:
     def test_output_shapes_match_input(self):
         rng = np.random.default_rng(0)
         params = BcsaParams.init(5)
-        r1, r2 = bcsa(Tensor(rng.normal(size=(5, 7))),
-                      Tensor(rng.normal(size=(5, 7))), params)
-        assert r1.shape == (5, 7) and r2.shape == (5, 7)
+        r1, r2 = bcsa(Tensor(rng.normal(size=(2, 5, 7))),
+                      Tensor(rng.normal(size=(2, 5, 7))), params)
+        assert r1.shape == (2, 5, 7) and r2.shape == (2, 5, 7)
 
     def test_one_by_one_reduces_to_gated_biases(self):
         # single-key attention passes the partner's value through; layer norm
@@ -159,7 +192,7 @@ class TestBcsa:
         params = BcsaParams.init(1)
         params.ln_spatial_bias.data[:] = 2.0
         params.ln_channel_bias.data[:] = -4.0
-        r1, _ = bcsa(Tensor([[3.5]]), Tensor([[-1.25]]), params)
+        r1, _ = bcsa(Tensor([[[3.5]]]), Tensor([[[-1.25]]]), params)
         assert r1.item() == pytest.approx(0.5 * 2.0 + 0.5 * (-4.0), abs=1e-12)
 
     def test_attention_rows_sum_to_one_in_both_branches(self):
@@ -183,8 +216,8 @@ class TestBcsa:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         params = BcsaParams.init(4)
-        f1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        f2 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        f1 = Tensor(rng.normal(size=(1, 4, 5)), requires_grad=True)
+        f2 = Tensor(rng.normal(size=(1, 4, 5)), requires_grad=True)
         readout = Tensor(rng.normal(size=(4, 5)))
 
         def f(_):
@@ -203,43 +236,42 @@ class TestBcsa:
         f1, f2 = rng.normal(size=(5, 4, 6)), rng.normal(size=(5, 4, 6))
         r1, r2 = bcsa(Tensor(f1), Tensor(f2), params)
         for i in range(5):
-            s1, s2 = bcsa(Tensor(f1[i]), Tensor(f2[i]), params)
-            assert np.allclose(r1.data[i], s1.data, rtol=0, atol=1e-12)
-            assert np.allclose(r2.data[i], s2.data, rtol=0, atol=1e-12)
+            s1, s2 = bcsa(Tensor(f1[i:i + 1]), Tensor(f2[i:i + 1]), params)
+            assert np.allclose(r1.data[i], s1.data[0], rtol=0, atol=1e-12)
+            assert np.allclose(r2.data[i], s2.data[0], rtol=0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         params = BcsaParams.init(3)
         with pytest.raises(ValueError):
-            bcsa(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))), params)
+            bcsa(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 5))), params)
 
 
 class TestAggregateGlobal:
     def test_constant_map_aggregates_to_cell_value(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=4)
-        const = Tensor(np.tile(v[:, None, None], (1, 5, 6)))
-        other = Tensor(rng.normal(size=(4, 5, 6)))
+        const = np.tile(v[:, None, None], (1, 5, 6))
+        other = rng.normal(size=(4, 5, 6))
         params = GlobalAggParams.init(4, seed=3)
-        g_a, _ = aggregate_global([const, other], ((0, 1),), params)
-        assert np.allclose(g_a.data, [v], atol=1e-12)
+        g_a, _ = aggregate_global(one_scene(const, other), ((0, 1),), params)
+        assert np.allclose(g_a.data, [[v]], atol=1e-12)
 
     def test_output_length_is_channel_count(self):
         rng = np.random.default_rng(1)
         for c, hw in ((2, (3, 9)), (6, (1, 1)), (5, (7, 2))):
             params = GlobalAggParams.init(c, seed=0)
-            maps = [Tensor(rng.normal(size=(c, *hw))) for _ in range(3)]
+            maps = one_scene(*rng.normal(size=(3, c, *hw)))
             g_a, g_b = aggregate_global(maps, ((0, 1), (2, 0)), params)
-            assert g_a.shape == (2, c) and g_b.shape == (2, c)
+            assert g_a.shape == (2, 1, c) and g_b.shape == (2, 1, c)
 
     def test_zeroed_projections_give_plain_means(self):
         # uniform attention everywhere collapses to the mean over all cells
         rng = np.random.default_rng(2)
         params = GlobalAggParams(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        x = Tensor(rng.normal(size=(2, 2, 2)))
-        y = Tensor(rng.normal(size=(2, 2, 2)))
-        g_a, g_b = aggregate_global([x, y], ((0, 1),), params)
-        assert np.allclose(g_a.data, [x.data.mean(axis=(1, 2))], atol=1e-12)
-        assert np.allclose(g_b.data, [y.data.mean(axis=(1, 2))], atol=1e-12)
+        x, y = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
+        g_a, g_b = aggregate_global(one_scene(x, y), ((0, 1),), params)
+        assert np.allclose(g_a.data, [[x.mean(axis=(1, 2))]], atol=1e-12)
+        assert np.allclose(g_b.data, [[y.mean(axis=(1, 2))]], atol=1e-12)
 
     def test_attention_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -255,25 +287,24 @@ class TestAggregateGlobal:
         rng = np.random.default_rng(5)
         params = GlobalAggParams.init(3, seed=4)
         fa, fb = rng.normal(size=(4, 3, 5, 6)), rng.normal(size=(4, 3, 5, 6))
-        g_a, g_b = aggregate_global([Tensor(fa), Tensor(fb)], ((0, 1),), params)
+        g_a, g_b = aggregate_global(Tensor(np.stack([fa, fb])), ((0, 1),), params)
         assert g_a.shape == (1, 4, 3) and g_b.shape == (1, 4, 3)
         for s in range(4):
-            one_a, one_b = aggregate_global([Tensor(fa[s]), Tensor(fb[s])], ((0, 1),), params)
-            assert np.allclose(g_a.data[0, s], one_a.data[0], rtol=0, atol=1e-12)
-            assert np.allclose(g_b.data[0, s], one_b.data[0], rtol=0, atol=1e-12)
+            one_a, one_b = aggregate_global(one_scene(fa[s], fb[s]), ((0, 1),), params)
+            assert np.allclose(g_a.data[0, s], one_a.data[0, 0], rtol=0, atol=1e-12)
+            assert np.allclose(g_b.data[0, s], one_b.data[0, 0], rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         params = GlobalAggParams.init(3, seed=2)
-        fa = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-        fb = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        maps = Tensor(rng.normal(size=(2, 1, 3, 4, 5)), requires_grad=True)
         proj = Tensor(rng.normal(size=3))
 
         def f(_):
-            g_a, g_b = aggregate_global([fa, fb], ((0, 1),), params)
+            g_a, g_b = aggregate_global(maps, ((0, 1),), params)
             return T.add(T.tsum(T.mul(g_a, proj)), T.tsum(T.mul(g_b, proj)))
 
-        for x in (fa, fb, params.row_proj, params.col_proj):
+        for x in (maps, params.row_proj, params.col_proj):
             assert finite_diff_check(f, x) < 1e-5
 
 
@@ -346,9 +377,9 @@ class TestGlobalLoss:
         cfg = ContrastiveConfig()
         params = ContrastiveParams.init(4, seed=0)
         terms = global_loss_terms(scenes, cfg, params)
-        assert len(terms) == len(GLOBAL_PAIRS) == 6
+        assert terms.shape == (len(GLOBAL_PAIRS),) == (6,)
         total = global_loss(scenes, cfg, params).item()
-        assert total == pytest.approx(sum(t.item() for t in terms), abs=1e-12)
+        assert total == pytest.approx(sum(terms.data.tolist()), abs=1e-12)
 
     def test_pair_list_covers_all_modality_view_combinations(self):
         flat = [p for pair in GLOBAL_PAIRS for p in pair]
@@ -422,7 +453,7 @@ def test_total_loss_tape_node_count():
     # all its pairings in one weighted_sum_at node and scores them in one
     # info_nce call, and BCSA builds each transpose, its gate and its affine
     # columns once; the same loss at the benchmark's C64 x H32 x W64 size
-    # holds 356
+    # holds 355
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoradar.errors import InsufficientDataError, ParseError, SchemaError
-from pseudoradar.gmm import (VAR_FLOOR, Gmm1D, fit_em, load_gmm, sample_count,
+from pseudoradar.gmm import (MAX_COMPONENTS, VAR_FLOOR, Gmm1D, fit_em, load_gmm, sample_count,
                              save_gmm)
 
 
@@ -59,6 +59,18 @@ class TestFitEm:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_em([10, 20], 3)
+
+    @pytest.mark.parametrize("k", [0, -1, MAX_COMPONENTS + 1, 10_000])
+    def test_component_count_outside_its_bound_rejected_by_name(self, monkeypatch, k):
+        # refused before seeding, so a large k builds no (n, k) array
+        monkeypatch.setattr("pseudoradar.gmm._seed_centers", None)
+        with pytest.raises(ValueError, match=rf"^component count must be in "
+                                             rf"\[1, {MAX_COMPONENTS}\], got {k}$"):
+            fit_em(np.arange(1, 11), k)
+
+    def test_component_count_at_its_bound_fits(self):
+        counts = np.arange(1, MAX_COMPONENTS + 1) * 10
+        assert fit_em(counts, MAX_COMPONENTS, max_iter=2).model.n_components == MAX_COMPONENTS
 
     def test_non_positive_count_rejected(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,16 @@ class TestMeanChamfer:
             mean_chamfer(a, b)
         assert err.value.orphans == ["a", "c"]
 
+    def test_repeated_ids_listed(self):
+        # pairing by id would keep only the last frame of each repeated id
+        once = [frame_of(np.ones((2, 3)), frame_id=fid) for fid in ("a", "b")]
+        twice_a = once + [frame_of(np.zeros((2, 3)), frame_id="a")]
+        twice_b = once + [frame_of(np.zeros((2, 3)), frame_id="b")]
+        for left, right, ids in ((twice_a, once, "a"), (once, twice_a, "a"),
+                                 (twice_b, twice_a, "a, b")):
+            with pytest.raises(AlignmentError, match=f"^repeated frame ids: {ids}$"):
+                mean_chamfer(left, right)
+
     def test_every_empty_frame_listed_before_any_distance(self, monkeypatch):
         # f1 is empty on one side, f2 on the other; both are named, in order
         full, empty = np.ones((2, 3)), np.zeros((0, 3))

@@ -277,6 +277,33 @@ class TestCorpus:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert load_corpus(tmp_path)[0].timestamp == 3.0
 
+    @pytest.mark.parametrize("fid", ["", "../escaped", "a/b", "a\\b", "nul\0"])
+    def test_writer_refuses_an_id_that_is_not_a_file_name(self, tmp_path, fid):
+        with pytest.raises(ValueError, match="not a plain file name"):
+            write_corpus(tmp_path / "c", [random_frame(3, frame_id=fid)])
+        assert not (tmp_path / "c").exists() and list(tmp_path.iterdir()) == []
+
+    def test_writer_refuses_a_repeated_id_before_writing(self, tmp_path):
+        frames = [random_frame(3, frame_id="a"), random_frame(3, frame_id="b"),
+                  random_frame(3, seed=1, frame_id="a")]
+        with pytest.raises(ValueError, match="'a' repeats"):
+            write_corpus(tmp_path / "c", frames)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("fid, message", [
+        ("../../escaped", "not a plain file name"), ("", "not a plain file name"),
+        ("a", "'a' repeats"),
+    ])
+    def test_reader_refuses_a_bad_id_naming_manifest_and_id(self, tmp_path, fid, message):
+        write_corpus(tmp_path, [random_frame(3, frame_id="a"), random_frame(3, frame_id="b")])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["frames"][1]["frame_id"] = fid
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=message) as err:
+            load_corpus(tmp_path)
+        assert str(tmp_path / "manifest.json") in str(err.value)
+        assert repr(fid) in str(err.value)
+
     def test_manifest_missing_fields(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{}]}))
         with pytest.raises(SchemaError):

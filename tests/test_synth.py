@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoradar.contrastive import sliding_window_match
-from pseudoradar.synth import SceneSpec, gen_feature_batch, gen_scene
+from pseudoradar.synth import MAX_FRAMES, MAX_MAGNITUDE, SceneSpec, gen_feature_batch, gen_scene
 from pseudoradar.tensor import Tensor
 
 
@@ -60,13 +64,45 @@ class TestGenScene:
     @pytest.mark.parametrize("field, value", [
         ("noise_sigma", float("nan")), ("noise_sigma", -0.1), ("world_radius", float("inf")),
         ("object_extent", float("inf")), ("frame_dt", 0.0), ("frame_dt", -0.1),
-        ("frame_dt", float("nan"))])
+        ("frame_dt", float("nan")), ("noise_sigma", 1e308), ("frame_dt", 1e308),
+        ("world_radius", 1e160), ("object_extent", 1e200), ("lidar_density", 1e4),
+        ("n_objects", 100_000_000), ("n_frames", MAX_FRAMES + 1), ("n_frames", -1),
+        ("radar_density", 0.0), ("noise_sigma", -0.0), ("world_radius", 16.0)])
     def test_values_it_cannot_generate_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             SceneSpec(**{field: value})
 
 
+# a spec whose sizes are all tiny, so that any one field may grow to its bound
+TINY = SceneSpec(n_frames=2, n_objects=1, object_extent=1.0, ego_radius=1.0,
+                 world_radius=4.0, lidar_density=0.5, radar_density=0.05)
+INTEGER_FIELDS = ("seed", "n_frames", "n_objects")
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SceneSpec)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_each_value_generates_or_is_refused_by_name(field, data):
+    value = data.draw(st.integers() if field in INTEGER_FIELDS else st.floats())
+    try:
+        spec = dataclasses.replace(TINY, **{field: value})
+    except ValueError as exc:
+        assert field in str(exc)
+        return
+    scene = gen_scene(spec)
+    assert len(scene.lidar_frames) == len(scene.radar_frames) == spec.n_frames
+    for frame in scene.lidar_frames + scene.radar_frames:
+        assert np.isfinite(frame.xyz).all() and np.isfinite(frame.timestamp)
+
+
 class TestGenFeatureBatch:
+    @pytest.mark.parametrize("noise", [-1.0, -0.0, float("nan"), float("inf"), 1e308,
+                                       MAX_MAGNITUDE * 2])
+    def test_noise_it_cannot_generate_rejected_by_name(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_feature_batch(seed=0, batch=2, channels=2, height=2, width=4,
+                              noise_sigma=noise)
+
     def test_zero_noise_zero_offset_maps_identical(self):
         batch = gen_feature_batch(seed=0, batch=2, channels=3, height=4, width=8,
                                   noise_sigma=0.0, offset_choices=(0,))

@@ -1,5 +1,8 @@
+import inspect
 import math
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoradar import tensor as T
 from pseudoradar.tensor import ShapeError, Tensor, backward, finite_diff_check, zero_grad
+from scalar_losses import concat, div, sqrt
 
 
 def rand(shape, seed=0, scale=2.0):
@@ -66,7 +70,8 @@ class TestLayerNorm:
         assert np.isfinite(out.data).all()
 
     def test_hand_value(self):
-        out = T.layer_norm(Tensor([1.0, 3.0]), axis=0, eps=1e-15)
+        # a variance of 1e6 leaves LAYER_NORM_EPS below the tolerance
+        out = T.layer_norm(Tensor([1e3, 3e3]), axis=0)
         assert np.allclose(out.data, [-1.0, 1.0], atol=1e-7)
 
     def test_zero_mean_unit_var(self):
@@ -207,7 +212,7 @@ class TestWeightedSum:
         assert values[0].shape == values[1].shape
         assert np.abs(values[0] - values[1]).max() <= 1e-12 * np.abs(values[1]).max()
         if math.prod(x_shape[axis % len(x_shape) + 1:]) > 1:
-            # tsum adds these in order too; the matcher's tie-breaks rely on it
+            # tsum adds these in order too, so trained numbers do not move
             assert np.array_equal(values[0], values[1])
         for new, old in zip(grads[0], grads[1]):
             assert new.shape == old.shape
@@ -371,12 +376,6 @@ class TestCosineSim:
             for k in range(4):
                 assert out[i, k] == T.cosine_sim(Tensor(a[i]), Tensor(b[k])).item()
 
-    def test_other_axis(self):
-        a, b = rand((5, 3), seed=22), rand((5, 3), seed=23)
-        out = T.cosine_sim(Tensor(a), Tensor(b), axis=0).data
-        assert np.allclose(out, [T.cosine_sim(Tensor(a[:, k]), Tensor(b[:, k])).item()
-                                 for k in range(3)], rtol=1e-15, atol=0)
-
     def test_zero_vector_gradient_is_finite(self):
         a = Tensor(np.zeros(3), requires_grad=True)
         b = Tensor([1.0, 2.0, -1.0], requires_grad=True)
@@ -409,23 +408,24 @@ class TestNormalize:
 
 
 class TestConcatAndTake:
+    # concat is the scalar reference's op, defined in scalar_losses.py
     def test_concat_axis1(self):
-        out = T.concat([Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])], axis=1)
+        out = concat([Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])], axis=1)
         assert out.data.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
     def test_concat_single_is_identity(self):
         x = Tensor(rand((2, 3)))
-        assert np.array_equal(T.concat([x], axis=0).data, x.data)
+        assert np.array_equal(concat([x], axis=0).data, x.data)
 
     def test_concat_then_slice_recovers_bit_exact(self):
         a, b = Tensor(rand((3, 4), 5)), Tensor(rand((2, 4), 6))
-        cat = T.concat([a, b], axis=0)
+        cat = concat([a, b], axis=0)
         assert np.array_equal(T.take(cat, np.arange(3), axis=0).data, a.data)
         assert np.array_equal(T.take(cat, np.arange(3, 5), axis=0).data, b.data)
 
     def test_concat_off_axis_mismatch(self):
         with pytest.raises(ShapeError):
-            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+            concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
     def test_sum_of_zeros(self):
         assert T.tsum(Tensor(np.zeros(7))).item() == 0.0
@@ -554,7 +554,7 @@ class TestGradientAccumulation:
         # slices of one stacked gradient, and the one g that add hands over
         batch = rand((3, 4), seed=60)
         leaves = [Tensor(batch[i % 3], requires_grad=True) for i in range(5)]
-        stack = T.concat([T.reshape(t, (1, 4)) for t in leaves[:3]], axis=0)
+        stack = concat([T.reshape(t, (1, 4)) for t in leaves[:3]], axis=0)
         doubled = T.add(stack, stack)
         w = Tensor(rand((3, 3), seed=61))
         loss = T.add(T.add(T.tsum(T.mul(doubled, Tensor(batch))),
@@ -585,7 +585,7 @@ class TestGradientAccumulation:
         a = T.mul(x, consts[0])
         b = T.matmul(consts[1], a)  # 4 x 4
         c = T.weighted_sum(T.matmul(a, consts[1]), consts[2], axis=-1)
-        d = T.div(x, consts[3])
+        d = div(x, consts[3])
         e = T.cosine_sim(consts[4], d)
         loss = T.add(T.add(T.tsum(b), T.tsum(c)), T.tsum(e))
         backward(loss)
@@ -606,11 +606,13 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: T.tsum(T.mul(t, t)), x) < 1e-8
 
 
+# the ops of pseudoradar.tensor, and div, sqrt and concat of the scalar
+# reference
 OPS = {
     "add": lambda t, u: T.add(t, u),
     "sub": lambda t, u: T.sub(t, u),
     "mul": lambda t, u: T.mul(t, u),
-    "div": lambda t, u: T.div(t, T.add(T.mul(u, u), Tensor(1.0))),
+    "div": lambda t, u: div(t, T.add(T.mul(u, u), Tensor(1.0))),
     "sigmoid": lambda t, u: T.sigmoid(t),
     "matmul": lambda t, u: T.matmul(t, T.transpose_last2(u)),
     "transpose": lambda t, u: T.transpose_last2(t),
@@ -618,7 +620,8 @@ OPS = {
     "logsumexp": lambda t, u: T.logsumexp(t, axis=1),
     "layer_norm": lambda t, u: T.layer_norm(t, axis=1),
     "mean": lambda t, u: T.tmean(t, axis=0),
-    "concat": lambda t, u: T.concat([t, u], axis=0),
+    "concat": lambda t, u: concat([t, u], axis=0),
+    "sqrt": lambda t, u: sqrt(T.add(T.mul(t, t), Tensor(1.0))),
     "take": lambda t, u: T.take(t, np.array([1, 3, 1]), axis=1),
     # x and w both depend on t; w's leading axis broadcasts against x's
     "weighted_sum": lambda t, u: T.weighted_sum(
@@ -628,7 +631,7 @@ OPS = {
         T.reshape(t, (2, 3, 4)), np.array([1, 0, 1, 1]),
         T.take(t, np.array([0, 2, 5]), axis=1), axis=1),
     "stack": lambda t, u: T.stack([t, u, t]),
-    "normalize": lambda t, u: T.normalize(t, axis=1),
+    "normalize": lambda t, u: T.normalize(t),
     "cosine_sim": lambda t, u: T.cosine_sim(T.reshape(t, (4, 1, 6)), T.reshape(u, (1, 4, 6))),
 }
 
@@ -667,7 +670,18 @@ def test_no_forward_op_produces_non_finite(seed):
     outs = [
         T.add(x, y), T.mul(x, y), T.softmax(x, axis=1), T.layer_norm(x, axis=0),
         T.sigmoid(x), T.logsumexp(x, axis=1), T.matmul(x, T.transpose_last2(y)),
-        T.tsum(x), T.tmean(x, axis=1), T.concat([x, y], axis=1),
+        T.tsum(x), T.tmean(x, axis=1), concat([x, y], axis=1),
     ]
     for out in outs:
         assert np.isfinite(out.data).all()
+
+
+def test_every_public_op_has_a_caller_in_the_package():
+    # an op that only tests run belongs next to them, not in the engine
+    package = Path(T.__file__).parent
+    source = "".join(p.read_text() for p in package.glob("*.py") if p.name != "tensor.py")
+    ops = [name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__ and name[0] != "_"]
+    assert len(ops) >= 20
+    unused = [name for name in ops if not re.search(rf"(?<![\w.])(T\.)?{name}\(", source)]
+    assert unused == []
