@@ -10,8 +10,10 @@ ones, so each traced stage's median and quartiles come from five runs a
 side. With equal paths the two processes differ only in the code they run:
 identical code has measured slower from one directory than from another.
 Writes one JSON file holding every result line, the per-metric medians and
-interquartile ranges, how many pairs the change won, the tier-1 test count
-and wall time of both sides, and a machine header. Each run also records
+interquartile ranges, how many pairs the change won, the tier-1 test counts
+and wall times of both sides (``TIER1_RUNS`` runs a side, alternating which
+side goes first, each run recorded with each side's median), and a machine
+header. Each run also records
 the user and system CPU seconds and minor page faults of its process tree,
 with each side's quartiles per workload, so that a throughput reading can be
 split into compute and page-fault cost.
@@ -45,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TRACED_PAIRS = 5  # per workload, after the untraced pairs
+TIER1_RUNS = 3  # a side, alternating which side goes first
 RUSAGE = ("user_s", "sys_s", "minflt")  # per run, from RUSAGE_CHILDREN
 
 
@@ -121,6 +124,20 @@ def tier1(tree: Path) -> dict:
                                                    summary)}
     return {"returncode": proc.returncode, "summary": summary, "counts": counts,
             "wall_s": wall}
+
+
+def tier1_pairs(trees: dict[str, Path]) -> dict:
+    """``TIER1_RUNS`` tier-1 runs a side in alternating order, so that drift
+    in the machine's speed falls on both sides; each run, and each side's
+    median wall time."""
+    runs = {side: [] for side in trees}
+    for i in range(TIER1_RUNS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(tier1(trees[side]))
+            print(f"tier1 {i} {side}: {runs[side][-1]['summary']}", flush=True)
+    return {side: {"runs": side_runs,
+                   "median_wall_s": statistics.median(r["wall_s"] for r in side_runs)}
+            for side, side_runs in runs.items()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -207,7 +224,7 @@ def main(argv=None) -> int:
                 for p in runs["pairs"] + runs["traced_pairs"] for s in ("parent", "change"))
             doc["workloads"][workload] = runs
         if args.tier1:
-            doc["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
+            doc["tier1"] = tier1_pairs(trees)
     doc["wall_s"] = time.perf_counter() - start
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -462,14 +462,23 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
 _GLOBAL_INDEX = tuple((MAP_NAMES.index(a), MAP_NAMES.index(b)) for a, b in GLOBAL_PAIRS)
 
 
+def _map_stack(scenes: Sequence[SceneMaps], detached: bool = False) -> Tensor:
+    """The maps of ``scenes`` as one K x S x C x H x W stack, K over
+    MAP_NAMES; ``detached`` stacks their data off the tape. The stack copies
+    nothing when the maps are the consecutive slices of one buffer, as
+    ``toy_pretrain`` lays them out."""
+    leaves = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
+    if detached:
+        leaves = [Tensor(t.data) for t in leaves]
+    return T.reshape(T.stack(leaves), (len(MAP_NAMES), len(scenes), *scenes[0].shape))
+
+
 def global_loss_terms(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
                       params: ContrastiveParams) -> Tensor:
     """The batch InfoNCE of every entry of GLOBAL_PAIRS, as one 6-vector."""
     if len(scenes) < 2:
         raise ValueError(f"global loss needs a batch of >= 2 scenes, got {len(scenes)}")
-    stack = T.stack([getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes])
-    stack = T.reshape(stack, (len(MAP_NAMES), len(scenes), *scenes[0].shape))
-    g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
+    g_a, g_b = aggregate_global(_map_stack(scenes), _GLOBAL_INDEX, params.global_agg)
     return info_nce(g_a, g_b, config.tau)
 
 
@@ -501,9 +510,8 @@ def similarity_stats(scenes: Sequence[SceneMaps],
                      params: ContrastiveParams) -> tuple[float, float]:
     """Mean same-scene and cross-scene cosine similarity of the aggregated
     global vectors, over the six pairings. Gradient-free."""
-    stack = Tensor(np.stack([[getattr(scene, name).tensor.data for scene in scenes]
-                             for name in MAP_NAMES]))
-    g_a, g_b = aggregate_global(stack, _GLOBAL_INDEX, params.global_agg)
+    g_a, g_b = aggregate_global(_map_stack(scenes, detached=True), _GLOBAL_INDEX,
+                                params.global_agg)
     p, s = g_a.shape[:2]
     sims = T.cosine_sim(T.reshape(g_a, (p, s, 1, -1)), T.reshape(g_b, (p, 1, s, -1))).data
     same = np.eye(s, dtype=bool)
@@ -540,6 +548,13 @@ def toy_pretrain(
     redrawn from the same seed every step, so with learning_rate 0 the trace
     is flat. Raises ValueError for a NaN, infinite or negative learning rate
     and DivergenceError if the loss goes non-finite.
+
+    Memory: the maps are copied once per call into one C-contiguous buffer,
+    in MAP_NAMES x scenes order, and each map tensor's ``data`` is rebound
+    to its slice, so the global loss stacks them without a copy. The caller's
+    arrays are never written; the map tensors end up holding the trained
+    maps. Every update is done in place. Each step's graph is released once
+    its backward is done, so one tape is alive at a time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -549,12 +564,11 @@ def toy_pretrain(
     if not scenes:
         raise ValueError("empty batch")
     params = ContrastiveParams.init(scenes[0].shape[0], seed)
-    learnables = params.tensors()
-    for scene in scenes:
-        for name in MAP_NAMES:
-            t = getattr(scene, name).tensor
-            t.requires_grad = True
-            learnables.append(t)
+    maps = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
+    for t, data in zip(maps, np.stack([t.data for t in maps])):
+        t.data = data
+        t.requires_grad = True
+    learnables = params.tensors() + maps
 
     losses: list[float] = []
     for step in range(steps):
@@ -562,16 +576,20 @@ def toy_pretrain(
         # numpy's floating-point warnings would only bury that line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             rng = philox(seed, 0xC0)
-            T.zero_grad(*learnables)
             loss = total_loss(scenes, config, params, rng)
+            # the last step's gradients go only once this forward has reused
+            # the memory the last tape freed: freeing both first lets the
+            # allocator hand it all back to the system, to be faulted in again
+            T.zero_grad(*learnables)
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(step)
             losses.append(value)
             T.backward(loss)
+            del loss  # the tape, so that the next forward starts without it
             for t in learnables:
                 if t.grad is not None:
-                    t.data = t.data - learning_rate * t.grad
+                    np.subtract(t.data, learning_rate * t.grad, out=t.data)
 
     pos, neg = similarity_stats(scenes, params)
     return PretrainTrace(losses, pos, neg, seed), params

@@ -34,6 +34,11 @@ MAX_FRAMES = 1_000
 MAX_OBJECTS = 1_000
 MAX_FRAME_POINTS = 1_000_000
 MAX_SCENE_POINTS = 10_000_000
+# what a feature batch may ask for, so that it and a training step on it fit
+# in memory: each of its sizes (the loss forms C x C and H x H attention per
+# sampled column), and the values of all its scenes' four maps together
+MAX_FEATURE_SIZE = 256
+MAX_FEATURE_VALUES = 10_000_000
 
 
 def _check_noise(sigma: float) -> None:
@@ -238,8 +243,14 @@ def gen_feature_batch(
     in the image map (clipped at the borders), so matcher recovery can be
     scored exactly.
     """
-    if min(batch, channels, height, width) < 1:
-        raise ValueError("all dimensions must be >= 1")
+    sizes = {"batch": batch, "channels": channels, "height": height, "width": width}
+    for name, value in sizes.items():
+        if not 1 <= value <= MAX_FEATURE_SIZE:
+            raise ValueError(f"{name} must be in [1, {MAX_FEATURE_SIZE}], got {value!r}")
+    values = 4 * math.prod(sizes.values())
+    if values > MAX_FEATURE_VALUES:
+        raise ValueError(f"4 maps x batch x channels x height x width = {values} values "
+                         f"exceed {MAX_FEATURE_VALUES}: lower batch, channels, height or width")
     _check_noise(noise_sigma)
     scenes: list[SceneMaps] = []
     offsets: list[np.ndarray] = []

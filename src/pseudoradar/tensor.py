@@ -17,6 +17,11 @@ graph over the same leaves accumulates into ``.grad``; call
 backward pass forms no gradient for an operand that does not require one,
 and sums the gradients a node collects in place, in a buffer it allocated
 itself.
+
+An op's data is a new array, with two exceptions that alias their parents:
+``reshape`` returns a view of its parent's data, and ``stack`` reuses its
+parents' common base array when they are exactly that base's consecutive
+leading-axis slices, in order. No op writes to any tensor's data.
 """
 
 from __future__ import annotations
@@ -304,8 +309,33 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), bw)
 
 
+def _stacked_base(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The array that ``np.stack(arrays)`` would copy, as a view of the
+    arrays' common base, when the arrays are exactly that base's consecutive
+    leading-axis slices in order; None otherwise.
+
+    Slices are found by address, never by indexing the base, whose slices
+    are numpy scalars when it is 1-D.
+    """
+    base = arrays[0].base
+    if not (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags["C_CONTIGUOUS"] and base.size == len(arrays) * arrays[0].size):
+        return None
+    start, step = base.ctypes.data, arrays[0].nbytes
+    if any(a.base is not base or not a.flags["C_CONTIGUOUS"] or a.ctypes.data != start + i * step
+           for i, a in enumerate(arrays)):
+        return None
+    return base.reshape(len(arrays), *arrays[0].shape)
+
+
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack equal-shape tensors along a new first axis.
+
+    When the parents' data are, in order, the consecutive leading-axis slices
+    of one C-contiguous base array (as ``toy_pretrain`` lays out its maps),
+    the result's data is that base, reshaped, with no copy: it aliases the
+    parents, so writing to a parent's data changes the stack. Otherwise the
+    data are copied.
 
     The backward hands each parent a copy of its slice, so a parent that
     waits for more gradients does not keep the whole stacked gradient alive.
@@ -315,7 +345,10 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeError("stack of an empty list")
     if any(t.shape != ts[0].shape for t in ts):
         raise ShapeError(f"stack needs equal shapes, got {[t.shape for t in ts]}")
-    data = np.stack([t.data for t in ts])
+    arrays = [t.data for t in ts]
+    data = _stacked_base(arrays)
+    if data is None:
+        data = np.stack(arrays)
 
     def bw(g, grads):
         for t, part in zip(ts, g):

@@ -560,6 +560,20 @@ class TestPretrainToy:
         assert "error: noise_sigma must be in [0, 1e+06]" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--width", "257"], "width must be in [1, 256], got 257"),
+        (["--channels", "0"], "channels must be in [1, 256], got 0"),
+        (["--channels", "256", "--height", "256", "--width", "64"],
+         "lower batch, channels, height or width"),
+    ])
+    def test_sizes_past_their_bounds_exit_two_naming_them(self, corpus, tmp_path, capsys,
+                                                          flags, message):
+        report = tmp_path / "t.json"
+        assert main(["pretrain-toy", "--corpus", str(corpus), "--steps", "2",
+                     *flags, "--report", str(report)]) == 2
+        assert message in capsys.readouterr().err
+        assert not report.exists()
+
     def test_same_seed_identical_trace(self, corpus, tmp_path):
         blobs = []
         for name in ("t1.json", "t2.json"):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from pseudoradar import contrastive as C
 from pseudoradar import tensor as T
 from pseudoradar.contrastive import (GLOBAL_PAIRS, MAP_NAMES, BcsaParams,
                                      ContrastiveConfig, ContrastiveParams, FeatureMap,
@@ -505,6 +508,73 @@ class TestToyPretrain:
             toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=3), steps=3,
                          learning_rate=learning_rate, seed=5)
         assert steps == []
+
+    def test_caller_arrays_untouched_and_maps_trained_in_one_buffer(self):
+        batch = gen_feature_batch(4, 2, 3, 3, 8, noise_sigma=1.0)
+        maps = [getattr(scene, name).tensor for name in MAP_NAMES for scene in batch.scenes]
+        given = [t.data for t in maps]
+        kept = [a.copy() for a in given]
+        toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=3), steps=3,
+                     learning_rate=0.05, seed=4)
+        assert all(np.array_equal(a, b) for a, b in zip(given, kept))
+        assert all(not np.array_equal(t.data, a) for t, a in zip(maps, kept))
+        buffer = maps[0].data.base
+        assert buffer.shape == (len(maps), 3, 3, 8)
+        assert all(t.data.base is buffer and np.shares_memory(t.data, buffer[i])
+                   for i, t in enumerate(maps))
+
+    def test_one_tape_alive_at_a_time(self, monkeypatch):
+        # a step's loss, and so its graph, is gone before the next forward
+        # or the final similarity pass starts
+        real_total, real_stats = C.total_loss, C.similarity_stats
+        losses, dead_at_start = [], []
+
+        def total(*args):
+            dead_at_start.append([ref() is None for ref in losses])
+            out = real_total(*args)
+            losses.append(weakref.ref(out.data))
+            return out
+
+        def stats(*args):
+            dead_at_start.append([ref() is None for ref in losses])
+            return real_stats(*args)
+
+        monkeypatch.setattr(C, "total_loss", total)
+        monkeypatch.setattr(C, "similarity_stats", stats)
+        toy_pretrain(gen_feature_batch(6, 2, 3, 3, 8, noise_sigma=1.0).scenes,
+                     ContrastiveConfig(batch_size=3), steps=3, learning_rate=0.05, seed=6)
+        assert dead_at_start == [[], [True], [True, True], [True, True, True]]
+
+    def test_c64_step_peak_below_95_mb(self, monkeypatch):
+        # the benchmark's C64 x H32 x W64 batch of 4 scenes and 16 columns:
+        # each step (forward, backward and update) allocates under 95 MB
+        # beyond what was held when it started, and the whole call holds at
+        # most that plus one copy of the maps
+        batch = gen_feature_batch(83 * 4, 4, 64, 32, 64, noise_sigma=2.0)
+        maps_bytes = sum(getattr(s, name).tensor.data.nbytes
+                         for s in batch.scenes for name in MAP_NAMES)
+        marks = []  # (allocated, peak since the last mark) at each step's start
+
+        def spy(real):
+            def call(*args):
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(C, "total_loss", spy(C.total_loss))
+        monkeypatch.setattr(C, "similarity_stats", spy(C.similarity_stats))
+        tracemalloc.start()
+        try:
+            toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=16), steps=2,
+                         learning_rate=0.05, seed=83)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        mb = 1e6
+        step_peaks = [(peak - start) / mb for (start, _), (_, peak) in zip(marks, marks[1:-1])]
+        assert len(step_peaks) == 2 and max(step_peaks) < 95.0, step_peaks
+        assert max(peak for _, peak in marks) < 95.0 * mb + maps_bytes
 
     def test_trace_json_schema(self):
         batch = gen_feature_batch(2, 2, 3, 3, 8, noise_sigma=1.0)

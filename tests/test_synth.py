@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoradar.contrastive import sliding_window_match
-from pseudoradar.synth import MAX_FRAMES, MAX_MAGNITUDE, SceneSpec, gen_feature_batch, gen_scene
+from pseudoradar.synth import (MAX_FEATURE_SIZE, MAX_FRAMES, MAX_MAGNITUDE, SceneSpec,
+                              gen_feature_batch, gen_scene)
 from pseudoradar.tensor import Tensor
 
 
@@ -102,6 +103,25 @@ class TestGenFeatureBatch:
         with pytest.raises(ValueError, match="noise_sigma"):
             gen_feature_batch(seed=0, batch=2, channels=2, height=2, width=4,
                               noise_sigma=noise)
+
+    @pytest.mark.parametrize("sizes, field", [
+        ((0, 2, 2, 4), "batch must be in"),
+        ((2, -1, 2, 4), "channels must be in"),
+        ((2, 2, MAX_FEATURE_SIZE + 1, 4), "height must be in"),
+        ((2, 2, 2, 10**30), "width must be in"),
+        ((4, MAX_FEATURE_SIZE, MAX_FEATURE_SIZE, 39), "lower batch, channels, height or width"),
+    ])
+    def test_sizes_past_their_bounds_rejected_by_name_before_drawing(self, monkeypatch,
+                                                                     sizes, field):
+        # the bound is checked before any map is drawn or allocated
+        monkeypatch.setattr("pseudoradar.synth.philox",
+                            lambda *key: pytest.fail("drew a map before checking sizes"))
+        with pytest.raises(ValueError, match=field):
+            gen_feature_batch(0, *sizes)
+
+    def test_sizes_at_their_bounds_accepted(self):
+        batch = gen_feature_batch(0, 2, 1, 1, MAX_FEATURE_SIZE)
+        assert batch.scenes[0].shape == (1, 1, MAX_FEATURE_SIZE)
 
     def test_zero_noise_zero_offset_maps_identical(self):
         batch = gen_feature_batch(seed=0, batch=2, channels=3, height=4, width=8,

@@ -296,6 +296,24 @@ class TestWeightedSumAt:
             T.weighted_sum_at(x, [[0, 1]], Tensor(np.ones((2, 3))), axis=1)
 
 
+def _stack_cases():
+    """Per case: the parents' data, their base, and whether stack may share
+    the base."""
+    cube, wide = rand((3, 2, 4), seed=82), rand((6, 2, 4), seed=83)
+    fortran, line = np.asfortranarray(rand((4, 3), seed=84)), rand(3, seed=85)
+    first, second = cube[0], cube[1]
+    return {
+        "in order": ([cube[i] for i in range(3)], cube, True),
+        "reversed": ([cube[i] for i in (2, 1, 0)], cube, False),
+        "a gap": ([wide[i] for i in (0, 1, 3)], wide, False),
+        "a prefix": ([wide[i] for i in range(3)], wide, False),
+        "a repeated parent": ([first, second, second], cube, False),
+        "a non-contiguous base": ([fortran[:, j] for j in range(3)], fortran, False),
+        "1-D base, scalars": ([line[i] for i in range(3)], line, False),
+        "1-D base, 0-d views": ([line[i, ...] for i in range(3)], line, True),
+    }
+
+
 class TestStack:
     def test_values_and_shape_contract(self):
         a, b = Tensor(rand((2, 3), seed=75)), Tensor(rand((2, 3), seed=76))
@@ -328,6 +346,28 @@ class TestStack:
         parts += [(g, owned) for t, g, owned in handed if t is y and owned]
         assert len(parts) == 3
         assert all(owned and g.base is None for g, owned in parts)
+
+    @pytest.mark.parametrize("case", list(_stack_cases()))
+    def test_shares_only_in_order_slices_of_one_contiguous_base(self, case):
+        arrays, base, shared = _stack_cases()[case]
+
+        def run(leaf_data):
+            # one leaf per distinct array object, so a repeated parent is one leaf
+            leaves = {}
+            ts = [leaves.setdefault(id(a), Tensor(d, requires_grad=True))
+                  for a, d in zip(arrays, leaf_data)]
+            out = T.stack(ts)
+            weights = rand(out.shape, seed=86)
+            backward(T.tsum(T.mul(T.sigmoid(out), Tensor(weights))))
+            return out, [t.grad for t in ts]
+
+        out, grads = run(arrays)
+        copied, copied_grads = run([np.array(a) for a in arrays])
+        assert np.shares_memory(out.data, base) == shared
+        assert np.shares_memory(copied.data, base) is False
+        assert np.array_equal(out.data, np.stack(arrays))
+        assert np.array_equal(out.data, copied.data)
+        assert all(np.array_equal(g, h) for g, h in zip(grads, copied_grads))
 
 
 class TestTransposeLast2:
