@@ -462,14 +462,11 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
 _GLOBAL_INDEX = tuple((MAP_NAMES.index(a), MAP_NAMES.index(b)) for a, b in GLOBAL_PAIRS)
 
 
-def _map_stack(scenes: Sequence[SceneMaps], detached: bool = False) -> Tensor:
+def _map_stack(scenes: Sequence[SceneMaps]) -> Tensor:
     """The maps of ``scenes`` as one K x S x C x H x W stack, K over
-    MAP_NAMES; ``detached`` stacks their data off the tape. The stack copies
-    nothing when the maps are the consecutive slices of one buffer, as
-    ``toy_pretrain`` lays them out."""
+    MAP_NAMES. The stack copies nothing when the maps are the consecutive
+    slices of one buffer, as ``toy_pretrain`` lays them out."""
     leaves = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
-    if detached:
-        leaves = [Tensor(t.data) for t in leaves]
     return T.reshape(T.stack(leaves), (len(MAP_NAMES), len(scenes), *scenes[0].shape))
 
 
@@ -509,9 +506,9 @@ def total_loss(scenes: Sequence[SceneMaps], config: ContrastiveConfig,
 def similarity_stats(scenes: Sequence[SceneMaps],
                      params: ContrastiveParams) -> tuple[float, float]:
     """Mean same-scene and cross-scene cosine similarity of the aggregated
-    global vectors, over the six pairings. Gradient-free."""
-    g_a, g_b = aggregate_global(_map_stack(scenes, detached=True), _GLOBAL_INDEX,
-                                params.global_agg)
+    global vectors, over the six pairings; no backward runs on the graph it
+    builds."""
+    g_a, g_b = aggregate_global(_map_stack(scenes), _GLOBAL_INDEX, params.global_agg)
     p, s = g_a.shape[:2]
     sims = T.cosine_sim(T.reshape(g_a, (p, s, 1, -1)), T.reshape(g_b, (p, 1, s, -1))).data
     same = np.eye(s, dtype=bool)
@@ -546,8 +543,9 @@ def toy_pretrain(
     Updates the feature maps themselves and the attention and BCSA
     parameters, which are initialised from ``seed``. Column selection is
     redrawn from the same seed every step, so with learning_rate 0 the trace
-    is flat. Raises ValueError for a NaN, infinite or negative learning rate
-    and DivergenceError if the loss goes non-finite.
+    is flat. Raises ValueError for a batch of fewer than two scenes and for
+    a NaN, infinite or negative learning rate, and DivergenceError if the
+    loss goes non-finite.
 
     Memory: the maps are copied once per call into one C-contiguous buffer,
     in MAP_NAMES x scenes order, and each map tensor's ``data`` is rebound
@@ -561,8 +559,8 @@ def toy_pretrain(
     if not 0.0 <= learning_rate < math.inf:
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     scenes = list(batch)
-    if not scenes:
-        raise ValueError("empty batch")
+    if len(scenes) < 2:  # the global loss and the cross-scene similarity need two
+        raise ValueError(f"toy_pretrain needs a batch of >= 2 scenes, got {len(scenes)}")
     params = ContrastiveParams.init(scenes[0].shape[0], seed)
     maps = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
     for t, data in zip(maps, np.stack([t.data for t in maps])):

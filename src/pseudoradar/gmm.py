@@ -42,7 +42,7 @@ class Gmm1D:
         if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(v).all()):
             raise ValueError("mixture parameters must be finite")
         if abs(w.sum() - 1.0) > 1e-9 or (w <= 0).any():
-            raise ValueError(f"weights must be positive and sum to 1, got sum {w.sum()!r}")
+            raise ValueError(f"weights must be positive and sum to 1, got sum {float(w.sum())!r}")
         if (v < VAR_FLOOR).any():
             raise ValueError(f"variances must be >= {VAR_FLOOR}")
         for arr in (w, m, v):

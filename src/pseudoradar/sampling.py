@@ -115,8 +115,8 @@ def intensity_weights(intensities: np.ndarray) -> tuple[np.ndarray, bool]:
     inten = np.asarray(intensities, dtype=np.float64).reshape(-1)
     if inten.size == 0:
         raise ValueError("intensity_weights needs at least one point")
-    if (inten < 0).any():
-        raise ValueError("intensities must be >= 0")
+    if not (np.isfinite(inten) & (inten >= 0)).all():
+        raise ValueError("intensities must be finite and >= 0")
     roots = np.sqrt(inten)
     total = roots.sum()
     if total == 0.0:
@@ -153,11 +153,13 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
     return raw / total
 
 
-def distance_weights(xyz: np.ndarray, dist_epsilon: float = 1e-6) -> np.ndarray:
-    """Inverse squared distance to the origin, epsilon-guarded, normalized.
-    Raises ``ValueError`` when the weights overflow, as a point at the origin
-    does with ``dist_epsilon`` 0."""
-    pts = np.asarray(xyz, dtype=np.float64)
+def distance_weights(xyz: np.ndarray, dist_epsilon: float) -> np.ndarray:
+    """Inverse squared distance to the origin, guarded by ``dist_epsilon``
+    (``SamplingConfig.dist_epsilon`` in the pipeline), normalized. Raises
+    ``ValueError`` for points that are not a finite (N, 3) array and when
+    the weights overflow, as a point at the origin does with
+    ``dist_epsilon`` 0."""
+    pts = _cloud(xyz, "distance_weights input")
     if len(pts) == 0:
         raise ValueError("distance_weights needs at least one point")
     with np.errstate(divide="ignore", over="ignore"):
@@ -214,7 +216,7 @@ def two_stage_sample(xyz: np.ndarray, weights: np.ndarray, n_target: int,
     fallback_stage1 is set; if the whole cloud is smaller than N every point
     is returned and the result is flagged truncated.
     """
-    pts = np.asarray(xyz, dtype=np.float64)
+    pts = _cloud(xyz, "two_stage_sample input")
     w = np.asarray(weights, dtype=np.float64)
     if len(pts) != len(w):
         raise ValueError(f"{len(w)} weights for {len(pts)} points")
@@ -225,19 +227,12 @@ def two_stage_sample(xyz: np.ndarray, weights: np.ndarray, n_target: int,
     outside = np.flatnonzero(dist > center_radius)
 
     fallback = len(outside) < n1_target
-    stage1_local = weighted_sample_without_replacement(
-        w[outside], min(n1_target, len(outside)), rng
-    )
-    stage1 = outside[stage1_local]
+    stage1 = outside[weighted_sample_without_replacement(w[outside], n1_target, rng)]
 
     chosen = np.zeros(len(pts), dtype=bool)
     chosen[stage1] = True
     pool = np.flatnonzero(~chosen)
-    n2_target = n_target - len(stage1)
-    stage2_local = weighted_sample_without_replacement(
-        w[pool], min(n2_target, len(pool)), rng
-    )
-    stage2 = pool[stage2_local]
+    stage2 = pool[weighted_sample_without_replacement(w[pool], n_target - len(stage1), rng)]
 
     indices = np.concatenate([np.sort(stage1), np.sort(stage2)])
     return TwoStageResult(

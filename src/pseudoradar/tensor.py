@@ -372,8 +372,6 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
     n = a.shape[axis]
 
     def bw(g, grads):
-        if not a.requires_grad:
-            return
         onehot = (idx.reshape(-1, 1) % n == np.arange(n)).astype(np.float64)
         pre, post = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1:])
         g3 = g.reshape(pre, idx.size, post)
@@ -524,10 +522,7 @@ def backward(loss: Tensor) -> None:
     order = _topo_order(loss)
     grads: dict[int, tuple[np.ndarray, bool]] = {id(loss): (np.ones_like(loss.data), True)}
     for node in reversed(order):
-        held = grads.pop(id(node), None)
-        if held is None:
-            continue
-        g, owned = held
+        g, owned = grads.pop(id(node))
         if node._backward is not None:
             node._backward(g, grads)
         elif node.grad is None:

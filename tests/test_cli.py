@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from pseudoradar import __version__
+from pseudoradar import cli as cli_mod
 from pseudoradar.cli import main
 from pseudoradar.pointcloud import PointCloudFrame, write_corpus
 
@@ -202,6 +205,17 @@ class TestSample:
         cfg = read_json(out / "reports.json")["config"]
         assert cfg["alpha_int"] == 0.0 and cfg["alpha_spa"] == 0.0
         assert cfg["alpha_dist"] > 0.0
+
+    def test_ablation_that_leaves_no_family_exits_two(self, corpus, gmm_model, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_dist": 0.0}))
+        out = tmp_path / "o"
+        assert main(["sample", "--input", str(corpus / "lidar"), "--gmm", str(gmm_model),
+                     "--config", str(cfg), "--ablate-weights", "dist",
+                     "--out", str(out)]) == 2
+        assert "ablation leaves no active weight family" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_gmm_exits_two(self, corpus, tmp_path):
         assert main(["sample", "--input", str(corpus / "lidar"),
@@ -486,7 +500,6 @@ class TestGradcheck:
     def test_default_seed_passes_and_reports(self, tmp_path, capsys, monkeypatch,
                                              gradcheck_seed0):
         # the one seed-0 gradcheck of the test run stands in for the command's own
-        from pseudoradar import cli as cli_mod
         errors, _ = gradcheck_seed0
 
         def seed0(seed=0):
@@ -507,7 +520,6 @@ class TestGradcheck:
 
     def test_corrupted_gradient_fails_with_named_component(self, monkeypatch, capsys):
         # simulate a broken backward rule: the harness must exit 1 and name it
-        from pseudoradar import cli as cli_mod
 
         def broken(seed=0):
             return {"info_nce": 1.2e-9, "bcsa": 0.37, "local_loss": 2e-8,
@@ -517,6 +529,28 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 1
         captured = capsys.readouterr()
         assert "bcsa" in captured.err
+
+    def test_negative_seed_accepted(self, monkeypatch):
+        # every instance is drawn; only the finite differences are skipped
+        monkeypatch.setattr(cli_mod, "finite_diff_check", lambda f, x: 0.0)
+        assert main(["gradcheck", "--seed", "-1"]) == 0
+
+
+class TestEntrypoint:
+    def test_exit_code_of_main_becomes_the_process_status(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pseudoradar", "gradcheck"])
+        monkeypatch.setattr(cli_mod, "finite_diff_check", lambda f, x: 1.0)
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.entrypoint()
+        assert exc.value.code == 1
+
+    @pytest.mark.filterwarnings("ignore:'pseudoradar.cli' found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["pseudoradar", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("pseudoradar.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
 
 
 class TestPretrainToy:

@@ -428,6 +428,18 @@ class TestTotalLoss:
         mean_local = (per_scene[0] + per_scene[1]) * (1.0 / 2.0)
         assert total == mean_local
 
+    def test_one_scene_at_lambda_zero_equals_its_local_term(self):
+        # the lambda-0 shortcut is the only path for one scene: the global
+        # loss refuses a batch of one
+        scene = gen_feature_batch(4, 2, 3, 4, 8, noise_sigma=0.4).scenes[0]
+        params = ContrastiveParams.init(3, seed=0)
+        cfg0 = ContrastiveConfig(batch_size=3, lambda_global=0.0)
+        total = total_loss([scene], cfg0, params, philox(6, 0)).item()
+        local = local_loss(scene.rad_bev, scene.img_bev, cfg0, params, philox(6, 0)).item()
+        assert total == local
+        with pytest.raises(ValueError, match="global loss needs a batch of >= 2 scenes"):
+            total_loss([scene], ContrastiveConfig(batch_size=3), params, philox(6, 0))
+
     def test_default_lambda_is_one_sixth(self):
         assert ContrastiveConfig().lambda_global == pytest.approx(1.0 / 6.0, abs=0)
 
@@ -507,6 +519,22 @@ class TestToyPretrain:
         with pytest.raises(ValueError, match="learning_rate"):
             toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=3), steps=3,
                          learning_rate=learning_rate, seed=5)
+        assert steps == []
+
+    @pytest.mark.parametrize("n_scenes", [0, 1])
+    @pytest.mark.parametrize("lambda_global", [0.0, 1.0 / 6.0])
+    def test_fewer_than_two_scenes_rejected_by_count_before_the_first_step(
+            self, monkeypatch, n_scenes, lambda_global):
+        # one scene gave a NaN cross-scene similarity at lambda 0 and failed
+        # inside step 0 at the default lambda
+        scenes = gen_feature_batch(5, 2, 3, 3, 8, noise_sigma=1.0).scenes[:n_scenes]
+        steps = []
+        monkeypatch.setattr("pseudoradar.contrastive.total_loss",
+                            lambda *args: steps.append(args))
+        cfg = ContrastiveConfig(batch_size=3, lambda_global=lambda_global)
+        with pytest.raises(ValueError, match=f"^toy_pretrain needs a batch of >= 2 scenes, "
+                                             f"got {n_scenes}$"):
+            toy_pretrain(scenes, cfg, steps=3, learning_rate=0.05, seed=5)
         assert steps == []
 
     def test_caller_arrays_untouched_and_maps_trained_in_one_buffer(self):
@@ -601,3 +629,52 @@ class TestFeatureMapValidation:
         d = FeatureMap(Tensor(np.zeros((2, 3, 4))), "radar", "fv")
         with pytest.raises(ValueError):
             SceneMaps(img_bev=a, img_fv=b, rad_bev=c, rad_fv=d)
+
+
+def feature_map(modality="radar", view="bev", shape=(2, 3, 4), value=0.0):
+    return FeatureMap(Tensor(np.full(shape, value)), modality, view)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: feature_map(view="top"), "^view must be one of .*, got 'top'$",
+                 id="feature-map-view"),
+    pytest.param(lambda: feature_map(value=np.nan), "^feature map contains non-finite values$",
+                 id="feature-map-non-finite"),
+    pytest.param(lambda: SceneMaps(img_bev=feature_map("radar", "bev"),
+                                   img_fv=feature_map("image", "fv"),
+                                   rad_bev=feature_map("radar", "bev"),
+                                   rad_fv=feature_map("radar", "fv")),
+                 "^img_bev is tagged radar/bev, expected image/bev$", id="scene-tags"),
+    pytest.param(lambda: ContrastiveConfig(tau=0.0), "^tau must be > 0, got 0.0$", id="tau"),
+    pytest.param(lambda: ContrastiveConfig(search_width=3, window_width=3),
+                 "^need 1 <= window_width < search_width, got r=3, R=3$", id="window-width"),
+    pytest.param(lambda: ContrastiveConfig(batch_size=1), "^batch_size must be >= 2, got 1$",
+                 id="batch-size"),
+    pytest.param(lambda: ContrastiveConfig(lambda_global=-0.5),
+                 "^lambda_global must be >= 0, got -0.5$", id="lambda-global"),
+    pytest.param(lambda: sliding_window_match(Tensor(np.zeros((2, 2))),
+                                              Tensor(np.zeros((2, 3, 4))), 0, 5, 3),
+                 r"^anchor shape \(2, 2\) does not match map \(2, 3, 4\)$",
+                 id="match-anchor-shape"),
+    pytest.param(lambda: bcsa(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((1, 3, 4))),
+                              BcsaParams.init(2)),
+                 "^params sized for 2 channels, input has 3$", id="bcsa-channels"),
+    pytest.param(lambda: local_loss(feature_map(), feature_map("image", shape=(2, 3, 5)),
+                                    ContrastiveConfig(), ContrastiveParams.init(2),
+                                    philox(0, 0)),
+                 r"^shape mismatch: radar \(2, 3, 4\) vs image \(2, 3, 5\)$",
+                 id="local-shapes"),
+    pytest.param(lambda: aggregate_global(Tensor(np.zeros((2, 1, 2, 3, 4))), [(0, 2)],
+                                          GlobalAggParams.init(2)),
+                 r"^pairs must be a non-empty list of \(a, b\) indices into 2 maps, "
+                 r"got \[\[0, 2\]\]$", id="global-pairs"),
+    pytest.param(lambda: aggregate_global(Tensor(np.zeros((2, 1, 2, 3, 4))), [(0, 1)],
+                                          GlobalAggParams.init(3)),
+                 "^params sized for 3 channels, maps have 2$", id="global-channels"),
+    pytest.param(lambda: toy_pretrain(gen_feature_batch(0, 2, 2, 3, 4).scenes,
+                                      ContrastiveConfig(), steps=0, learning_rate=0.05),
+                 "^steps must be >= 1, got 0$", id="pretrain-steps"),
+])
+def test_bad_input_is_refused_naming_the_cause(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -183,3 +183,34 @@ class TestJson:
                                                     "var": 1.0}]}))
         with pytest.raises(SchemaError):
             load_gmm(path)
+
+
+@pytest.mark.parametrize("weights, means, variances, match", [
+    pytest.param([0.5, 0.5], [1.0], [1.0, 1.0],
+                 "^weights, means, variances must share a positive length$", id="lengths"),
+    pytest.param([], [], [], "^weights, means, variances must share a positive length$",
+                 id="empty"),
+    pytest.param([1.0], [np.nan], [1.0], "^mixture parameters must be finite$",
+                 id="non-finite"),
+    pytest.param([0.25, 0.25], [1.0, 2.0], [1.0, 1.0],
+                 r"^weights must be positive and sum to 1, got sum 0\.5$", id="weight-sum"),
+    pytest.param([1.0], [1.0], [VAR_FLOOR / 2], f"^variances must be >= {VAR_FLOOR}$",
+                 id="variance-floor"),
+])
+def test_bad_mixture_is_refused_naming_the_cause(weights, means, variances, match):
+    with pytest.raises(ValueError, match=match):
+        Gmm1D(np.array(weights), np.array(means), np.array(variances))
+
+
+@pytest.mark.parametrize("doc, match", [
+    pytest.param({"components": []}, "'components' must be a non-empty list$", id="empty"),
+    pytest.param({"components": {"weight": 1.0}}, "'components' must be a non-empty list$",
+                 id="not-a-list"),
+    pytest.param({"components": [1.0]}, "component 0 must be an object, got 1.0$",
+                 id="not-an-object"),
+])
+def test_bad_components_are_refused_naming_the_file(tmp_path, doc, match):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {match}"):
+        load_gmm(path)

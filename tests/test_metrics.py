@@ -133,3 +133,12 @@ class TestMeanChamfer:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["mean"] == 2.0 and doc["count"] == 2
         assert doc["per_frame"][0] == {"frame_id": "f0", "value": 1.5}
+
+
+@pytest.mark.parametrize("distance", [chamfer, chamfer_bruteforce])
+def test_both_distances_refuse_bad_or_empty_point_sets(distance):
+    with pytest.raises(ValueError, match=r"^expected \(N, 2\) or \(N, 3\) points, "
+                                         r"got shape \(2, 4\)$"):
+        distance(np.ones((2, 4)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^chamfer distance is undefined for empty point sets$"):
+        distance(np.ones((2, 3)), np.zeros((0, 3)))

@@ -345,3 +345,32 @@ class TestAtomicWrite:
                 future.result(timeout=30)
         assert target.read_bytes() in payloads
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
+@pytest.mark.parametrize("xyz, intensity, velocity, match", [
+    pytest.param(np.ones((2, 2)), np.ones(2), None, r"^xyz must be \(N, 3\), got \(2, 2\)$",
+                 id="xyz-shape"),
+    pytest.param(np.ones((2, 3)), np.ones(3), None, "^3 intensities for 2 points$",
+                 id="intensity-count"),
+    pytest.param(np.ones((2, 3)), np.ones(2), np.ones((2, 3)),
+                 r"^velocity must be \(N, 2\), got \(2, 3\)$", id="velocity-shape"),
+    pytest.param(np.ones((2, 3)), np.ones(2), [[0.0, 0.0], [np.inf, 0.0]],
+                 "^frame 'f' has non-finite velocity$", id="velocity-non-finite"),
+])
+def test_bad_frame_is_refused_naming_the_cause(xyz, intensity, velocity, match):
+    with pytest.raises(ValueError, match=match):
+        PointCloudFrame("f", 0.0, xyz, intensity, velocity)
+
+
+def test_unknown_format_is_refused_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="^unknown corpus format 'ply'$"):
+        write_corpus(tmp_path / "c", [random_frame(3)], fmt="ply")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("entry", [{"frame_id": "f0", "timestamp": 0.0}, "f0.csv"],
+                         ids=["missing-path", "not-an-object"])
+def test_bad_frame_entry_is_schema_error_naming_the_manifest(tmp_path, entry):
+    (tmp_path / "manifest.json").write_text(json.dumps({"format": "csv", "frames": [entry]}))
+    with pytest.raises(SchemaError, match=r"manifest\.json: bad frame entry "):
+        load_corpus(tmp_path)

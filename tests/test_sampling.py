@@ -478,3 +478,77 @@ class TestPipeline:
         monkeypatch.setattr(sampling, "nn_flow_estimate", spy)
         lidar_to_radar(scene.lidar_frames, model, SamplingConfig(seed=3))
         assert calls == [f.frame_id for f in scene.lidar_frames[:-1]]
+
+
+NAN, INF = float("nan"), float("inf")
+FIXED_50 = Gmm1D(np.array([1.0]), np.array([50.0]), np.array([VAR_FLOOR]))
+
+
+def run_with_flow(flow):
+    """``lidar_to_radar`` on two 200-point frames, 'a' then 'b', with ``flow``."""
+    rng = np.random.default_rng(4)
+    frames = [frame_of(rng.normal(0, 20, (200, 3)), t=float(i), frame_id=name)
+              for i, name in enumerate("ab")]
+    return lidar_to_radar(frames, FIXED_50, SamplingConfig(), flow=flow)
+
+
+def flow_raising_pipeline_error(frame_t, frame_next, dt):
+    raise PipelineError("inner", "flow failed")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: SamplingConfig(d_threshold=-1.0), ValueError,
+                 r"^d_threshold must be >= 0, got -1.0$", id="negative-d-threshold"),
+    pytest.param(lambda: intensity_weights(np.zeros(0)), ValueError,
+                 "^intensity_weights needs at least one point$", id="no-intensities"),
+    pytest.param(lambda: intensity_weights(np.array([1.0, -1.0])), ValueError,
+                 "^intensities must be finite and >= 0$", id="negative-intensity"),
+    pytest.param(lambda: sparsity_weights(np.zeros((0, 3)), 2), ValueError,
+                 "^sparsity_weights needs at least one point$", id="sparsity-no-points"),
+    pytest.param(lambda: distance_weights(np.zeros((0, 3)), 1e-6), ValueError,
+                 "^distance_weights needs at least one point$", id="distance-no-points"),
+    pytest.param(lambda: two_stage_sample(np.ones((3, 3)), np.full(2, 0.5), 2, 15.0,
+                                          philox(0, 0)), ValueError,
+                 "^2 weights for 3 points$", id="draw-weight-count"),
+    pytest.param(lambda: with_velocity(frame_of(np.ones((2, 3))), np.ones((3, 2))),
+                 ValueError, r"^velocities shape \(3, 2\) does not fit 2 points$",
+                 id="velocity-shape"),
+    pytest.param(lambda: run_with_flow(flow_raising_pipeline_error), PipelineError,
+                 "^frame 'inner': flow failed$", id="flow-pipeline-error-not-wrapped-twice"),
+    pytest.param(lambda: run_with_flow(lambda f, g, dt: np.zeros((f.n_points, 2))),
+                 PipelineError, r"^frame 'a': flow estimator returned shape \(50, 2\), "
+                                r"expected \(50, 3\)$", id="flow-shape"),
+    pytest.param(lambda: run_with_flow(lambda f, g, dt: np.full((f.n_points, 3), NAN)),
+                 PipelineError, "^frame 'a': flow estimator returned non-finite velocities$",
+                 id="flow-non-finite"),
+])
+def test_bad_input_is_refused_naming_the_cause(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: intensity_weights([NAN, 1.0]),
+                 "^intensities must be finite and >= 0$", id="intensity-nan"),
+    pytest.param(lambda: intensity_weights([INF, 1.0]),
+                 "^intensities must be finite and >= 0$", id="intensity-inf"),
+    pytest.param(lambda: distance_weights(np.ones(3), 1e-6),
+                 r"^distance_weights input must be an \(N, 3\) array, got shape \(3,\)$",
+                 id="distance-flat-points"),
+    pytest.param(lambda: distance_weights([[NAN, 1.0, 1.0], [1.0, 0.0, 0.0]], 1e-6),
+                 "^distance_weights input contains non-finite coordinates$",
+                 id="distance-nan-point"),
+    pytest.param(lambda: two_stage_sample([[NAN, 0.0, 0.0], [20.0, 0.0, 0.0]],
+                                          np.full(2, 0.5), 2, 15.0, philox(0, 0)),
+                 "^two_stage_sample input contains non-finite coordinates$",
+                 id="draw-nan-point"),
+])
+def test_stage_functions_refuse_non_finite_or_misshapen_points_by_name(call, match):
+    with np.errstate(all="raise"):  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_sparsity_of_one_point_or_coincident_points_is_uniform():
+    assert sparsity_weights(np.array([[1.0, 2.0, 3.0]]), 8).tolist() == [1.0]
+    assert sparsity_weights(np.full((4, 3), 2.5), 8).tolist() == [0.25] * 4

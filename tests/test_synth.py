@@ -68,7 +68,8 @@ class TestGenScene:
         ("frame_dt", float("nan")), ("noise_sigma", 1e308), ("frame_dt", 1e308),
         ("world_radius", 1e160), ("object_extent", 1e200), ("lidar_density", 1e4),
         ("n_objects", 100_000_000), ("n_frames", MAX_FRAMES + 1), ("n_frames", -1),
-        ("radar_density", 0.0), ("noise_sigma", -0.0), ("world_radius", 16.0)])
+        ("radar_density", 0.0), ("noise_sigma", -0.0), ("world_radius", 16.0),
+        ("n_frames", MAX_FRAMES)])  # 1,000 frames of 10,576 points are past the scene bound
     def test_values_it_cannot_generate_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             SceneSpec(**{field: value})

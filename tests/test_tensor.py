@@ -541,6 +541,15 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(T.mul(x, x))
 
+    def test_constant_loss_changes_no_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        x.grad = np.array([5.0, 6.0])
+        c = Tensor([3.0, 4.0])
+        loss = T.tsum(T.mul(c, c))
+        backward(loss)
+        assert x.grad.tolist() == [5.0, 6.0]
+        assert c.grad is None and loss.grad is None
+
     def test_random_graph_vs_finite_differences(self):
         x = Tensor(rand((4, 4), seed=8), requires_grad=True)
 
@@ -725,3 +734,30 @@ def test_every_public_op_has_a_caller_in_the_package():
     assert len(ops) >= 20
     unused = [name for name in ops if not re.search(rf"(?<![\w.])(T\.)?{name}\(", source)]
     assert unused == []
+
+
+def test_repr_names_the_shape_and_the_gradient_flag():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert repr(Tensor(1.0, requires_grad=True)) == "Tensor(shape=(), requires_grad=True)"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: Tensor([1.0, 2.0]).item(), ShapeError,
+                 r"^item\(\) needs a single-element tensor, got shape \(2,\)$", id="item"),
+    pytest.param(lambda: T.matmul(Tensor(np.ones(2)), Tensor(np.ones((2, 2)))), ShapeError,
+                 r"^matmul needs rank >= 2 operands, got \(2,\) and \(2, 2\)$",
+                 id="matmul-rank"),
+    pytest.param(lambda: T.normalize(Tensor(1.0)), ShapeError,
+                 "^normalize needs at least rank 1$", id="normalize-rank"),
+    pytest.param(lambda: T.softmax(Tensor(1.0)), ShapeError,
+                 "^softmax needs at least rank 1$", id="softmax-rank"),
+    pytest.param(lambda: finite_diff_check(T.tsum, Tensor([1.0, 2.0])), ValueError,
+                 "^finite_diff_check needs requires_grad=True on x$", id="check-constant"),
+    pytest.param(lambda: finite_diff_check(lambda x: T.mul(x, x),
+                                           Tensor([1.0, 2.0], requires_grad=True)),
+                 ShapeError, r"^finite_diff_check needs a scalar function, got shape \(2,\)$",
+                 id="check-non-scalar"),
+])
+def test_bad_input_is_refused_naming_the_cause(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
