@@ -11,11 +11,13 @@ the six modality/view pairings, all scored in one call. The combined objective i
 
 Each stage runs once on stacked tensors rather than once per column, window
 or scene: the matcher scores every window of every sampled column without a
-tape and gathers only the winners on it, BCSA runs on N x C x H stacks,
-InfoNCE is one matmul of row-normalized N x D matrices, and the global path
-aggregates all six pairings of all scenes in one call on one stack of the
-maps, pooling each map once for all its pairings. The tape size therefore
-does not depend on the number of sampled columns.
+tape, from the R x R Gram matrix of each column's search area, and gathers
+only the winners on it, whose window attention is one tape node; BCSA runs
+on N x C x H stacks, InfoNCE is one matmul of row-normalized N x D
+matrices, and the global path aggregates all six pairings of all scenes in
+one call on one stack of the maps, pooling each map once for all its
+pairings. The tape size therefore does not depend on the number of sampled
+columns.
 
 Everything here is differentiable end to end; the gradcheck command and the
 test suite verify every gradient against central finite differences.
@@ -49,9 +51,14 @@ GLOBAL_PAIRS = (
 )
 
 # matcher scores within this of a column's best tie with it. Exact ties (on
-# a constant map a clipped border window sums fewer columns) differ by
-# rounding: at most 2 eps for C <= 64 and H <= 32, at worst about D eps for
-# cosines over D = C * H terms, which is below 1e-12 up to D = 4,000.
+# a constant map a clipped border window sums fewer columns) differ only by
+# rounding. A score is formed from Gram entries and dot products with the
+# anchor, each a sum of D = C * H products: worst-case summation puts each
+# off by D eps relative (Higham's gamma_D), a score (|score| <= 1) by about
+# 1.5 D eps and two tied scores apart by about 3 D eps, below 1e-12 up to
+# D = 1,500. BLAS sums in blocks and stays far inside that bound: tied
+# scores on constant maps differed by at most 89 eps (2e-14) for D from
+# 2,048 to 8,192.
 MATCH_TIE_TOL = 1e-12
 
 
@@ -248,18 +255,51 @@ def _columns(fmap: Tensor, index: np.ndarray) -> Tensor:
     return T.reshape(flat, (*index.shape, c * h))
 
 
+def _masked_softmax(sims: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """``T.softmax``'s forward over the last axis of ``sims``, with the
+    slots outside the map (``inside`` False) at -inf, so of weight 0."""
+    masked = sims + np.where(inside, 0.0, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Tensor:
     """Collapse windows of flat columns (..., r, D) to (..., D).
 
     Each window attends over its columns with softmax of their cosine
     similarity to the label column (slot ``label``); slots outside the map
     (``inside`` False) get zero weight.
+
+    One tape node. Its forward takes the numpy steps of the op chain
+    ``cosine_sim``, masked ``softmax`` and ``weighted_sum``, so it is
+    bit-equal to it. Its backward is closed-form: ``M @ cols``, for one
+    r x r matrix ``M`` per window that holds the cosine terms, plus the
+    outer product of the attention weights with the incoming gradient.
     """
-    select = np.arange(inside.shape[-1]) == label[..., None]
-    query = T.weighted_sum(cols, Tensor(select), axis=-2)
-    sims = T.cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
-    attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
-    return T.weighted_sum(cols, attn, axis=-2)
+    x = cols.data
+    select = np.arange(x.shape[-2]) == label[..., None]  # (..., r)
+    query = np.take_along_axis(x, label[..., None, None], axis=-2)  # (..., 1, D)
+    na, nb = T._norm(query)[..., 0], T._norm(x)[..., 0]  # (..., 1), (..., r)
+    den = (na + T.NORM_EPS) * (nb + T.NORM_EPS)
+    sims = (query * x).sum(axis=-1) / den
+    attn = _masked_softmax(sims, inside)
+    data = np.einsum("...k,...kr->...r", attn, x)
+
+    def bw(g, grads):
+        g_attn = (x @ g[..., None])[..., 0]
+        g_sims = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+        # through sims_t, column t and the label column each get the other
+        # over den_t (across) and lose their own radial part (diag); a
+        # zero-norm column has none, as in _unit
+        across = select[..., :, None] * (g_sims / den)[..., None, :]
+        m = across + across.swapaxes(-1, -2)
+        radial = g_sims * sims
+        diag = T._unit(radial / (nb + T.NORM_EPS), nb) + select * T._unit(
+            radial.sum(axis=-1, keepdims=True) / (na + T.NORM_EPS), na)
+        m[..., np.arange(x.shape[-2]), np.arange(x.shape[-2])] -= diag
+        T._accum(grads, cols, m @ x + attn[..., None] * g[..., None, :], owned=True)
+
+    return T._make(data, (cols,), bw)
 
 
 def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
@@ -268,13 +308,17 @@ def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
     sampled at ``columns``: the offsets (N,) and the aggregates (N x C*H).
 
     Every candidate window of every column is scored at once without a
-    tape; only the winners are aggregated again on the tape.
+    tape, from the Gram matrix of each column's search area: its R columns
+    hold every window's columns, so their R x R dot products and their R
+    dot products with the anchor give each window's attention weights, its
+    aggregate's squared norm and its cosine to the anchor. Only the winners
+    are aggregated, on the tape.
     """
     w = search_map.shape[-1]
+    first = columns - (search_width - 1) // 2  # the search area's first column
     # a window with no column inside the map is replaced by the window at
     # that border, which is a candidate already
-    starts = np.clip(columns[:, None] - (search_width - 1) // 2
-                     + np.arange(search_width - window_width + 1),
+    starts = np.clip(first[:, None] + np.arange(search_width - window_width + 1),
                      1 - window_width, w - 1)  # N x K
     cols = starts[..., None] + np.arange(window_width)  # N x K x r
     inside = (cols >= 0) & (cols < w)
@@ -284,17 +328,33 @@ def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
     label = np.argmin(np.where(inside, np.abs(cols - center[..., None]), window_width),
                       axis=-1)
     delta = np.take_along_axis(cols, label[..., None], axis=-1)[..., 0] - columns[:, None]
-    cols = np.clip(cols, 0, w - 1)
 
-    aggs = _window_aggregates(_columns(Tensor(search_map.data), cols), inside, label)
-    score = T.cosine_sim(Tensor(anchors.data[:, None, :]), aggs).data
+    # every inside slot's column is in the search area, clipped to the map
+    area = np.clip(first[:, None] + np.arange(search_width), 0, w - 1)  # N x R
+    slot = np.clip(cols - first[:, None, None], 0, search_width - 1)  # N x K x r into area
+    flat = search_map.data.reshape(-1, w).T[area]  # N x R x CH
+    gram = flat @ flat.swapaxes(-1, -2)  # N x R x R
+    dots = (flat @ anchors.data[..., None])[..., 0]  # N x R
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))  # N x R
+    row = np.arange(len(columns))[:, None, None]
+    query = np.take_along_axis(slot, label[..., None], axis=-1)  # N x K x 1
+    attn = _masked_softmax(gram[row, query, slot] / ((norms[row, query] + T.NORM_EPS)
+                                                     * (norms[row, slot] + T.NORM_EPS)),
+                           inside)  # N x K x r
+    sq_norm = np.einsum("...s,...st,...t->...", attn,
+                        gram[row[..., None], slot[..., :, None], slot[..., None, :]], attn)
+    # rounding can take a near-zero squared norm below 0
+    score = ((attn * dots[row, slot]).sum(axis=-1)
+             / ((np.sqrt(np.maximum(sq_norm, 0.0)) + T.NORM_EPS)
+                * (T._norm(anchors.data) + T.NORM_EPS)))
     tied = score >= score.max(axis=-1, keepdims=True) - MATCH_TIE_TOL
     # a score tied with the best, then smaller |offset|, then smaller offset,
     # then the earlier window (lexsort is stable)
     best = np.lexsort((delta, np.abs(delta), ~tied), axis=-1)[:, 0]
     rows = np.arange(len(columns))
-    return delta[rows, best], _window_aggregates(_columns(search_map, cols[rows, best]),
-                                                 inside[rows, best], label[rows, best])
+    return delta[rows, best], _window_aggregates(
+        _columns(search_map, np.clip(cols[rows, best], 0, w - 1)),
+        inside[rows, best], label[rows, best])
 
 
 def sliding_window_match(

@@ -156,9 +156,11 @@ def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
 def distance_weights(xyz: np.ndarray, dist_epsilon: float) -> np.ndarray:
     """Inverse squared distance to the origin, guarded by ``dist_epsilon``
     (``SamplingConfig.dist_epsilon`` in the pipeline), normalized. Raises
-    ``ValueError`` for points that are not a finite (N, 3) array and when
-    the weights overflow, as a point at the origin does with
-    ``dist_epsilon`` 0."""
+    ``ValueError`` for a ``dist_epsilon`` that is not finite and >= 0, for
+    points that are not a finite (N, 3) array and when the weights
+    overflow, as a point at the origin does with ``dist_epsilon`` 0."""
+    if not 0.0 <= dist_epsilon < math.inf:
+        raise ValueError(f"dist_epsilon must be finite and >= 0, got {dist_epsilon!r}")
     pts = _cloud(xyz, "distance_weights input")
     if len(pts) == 0:
         raise ValueError("distance_weights needs at least one point")

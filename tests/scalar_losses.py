@@ -4,9 +4,10 @@ column is matched on its own, and every scene is aggregated on its own.
 
 This is the loss stack as it was before the matrix form, kept only so that
 tests can compare the batched code in ``pseudoradar.contrastive`` against
-it. It is slow by design and is not part of the package. The three tape ops
-that only it needs (div, sqrt and concat) are defined here on the engine's
-node maker, not in ``pseudoradar.tensor``.
+it, together with the op chain that the matcher's window attention fuses
+into one node. It is slow by design and is not part of the package. The
+three tape ops that only it needs (div, sqrt and concat) are defined here on
+the engine's node maker, not in ``pseudoradar.tensor``.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def info_nce(anchors: Sequence[Tensor], candidates: Sequence[Tensor], tau: float
     for t in terms[1:]:
         total = T.add(total, t)
     return T.mul(total, Tensor(-1.0 / n))
+
+
+def window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Tensor:
+    """The op chain that ``contrastive._window_aggregates`` computes as one
+    node: each window of flat columns (..., r, D) attends over its columns
+    by softmax of their cosine to the label column, masked slots excluded."""
+    select = np.arange(inside.shape[-1]) == label[..., None]
+    query = T.weighted_sum(cols, Tensor(select), axis=-2)
+    sims = T.cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
+    attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
+    return T.weighted_sum(cols, attn, axis=-2)
 
 
 def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,

@@ -466,16 +466,16 @@ class TestTotalLoss:
 def test_total_loss_tape_node_count():
     # each weighted pooling is one weighted_sum node, the global path pools
     # all its pairings in one weighted_sum_at node and scores them in one
-    # info_nce call, and BCSA builds each transpose, its gate and its affine
-    # columns once; the same loss at the benchmark's C64 x H32 x W64 size
-    # holds 355
+    # info_nce call, BCSA builds each transpose, its gate and its affine
+    # columns once, and the matcher's window attention is one node; the same
+    # loss at the benchmark's C64 x H32 x W64 size holds 335
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 278
+    assert len(T._topo_order(loss)) == 263
 
 
 class TestToyPretrain:

@@ -242,6 +242,117 @@ def test_constant_map_gives_offset_zero(case):
         assert delta == 0
 
 
+@st.composite
+def batched_match_cases(draw):
+    c = draw(st.integers(1, 8))
+    h = draw(st.integers(1, 64 // c))
+    w = draw(st.integers(1, 9))
+    search_width = draw(st.integers(2, 7))
+    window_width = draw(st.integers(1, search_width - 1))
+    kind = draw(st.sampled_from(["random", "constant", "duplicated", "negated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        m = rng.normal(size=(c, h, w))
+    elif kind == "constant":
+        m = np.full((c, h, w), rng.normal())
+    elif kind == "duplicated":  # columns drawn with repetition from a few distinct ones
+        m = rng.normal(size=(c, h, 2))[:, :, rng.integers(0, 2, size=w)]
+    else:  # one column and its negation, in any order
+        m = rng.normal(size=(c, h, 1)) * rng.choice([-1.0, 1.0], size=w)
+    own = m.reshape(c * h, w).T
+    anchors = draw(st.sampled_from([own, -own, rng.normal(size=(w, c * h))]))
+    return anchors, m, search_width, window_width
+
+
+@given(batched_match_cases())
+@settings(max_examples=200, deadline=None)
+def test_batched_matcher_matches_scalar_reference_per_column(case):
+    # every column of the map at once against one reference call per column
+    anchors, m, search_width, window_width = case
+    c, h, w = m.shape
+    deltas, aggs = C._match_windows(Tensor(anchors), Tensor(m), np.arange(w),
+                                    search_width, window_width)
+    for j in range(w):
+        delta, agg = ref.sliding_window_match(Tensor(anchors[j].reshape(c, h)), Tensor(m), j,
+                                              search_width, window_width)
+        assert deltas[j] == delta, f"column {j}"
+        assert np.allclose(aggs.data[j], agg.data.reshape(-1), rtol=1e-12, atol=1e-300)
+
+
+@st.composite
+def window_cases(draw):
+    b, r, d = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(b, r, d))
+    kind = draw(st.sampled_from(["random", "zero", "duplicated", "negated"]))
+    if kind == "zero":
+        cols[rng.random((b, r)) < 0.4] = 0.0
+    elif kind == "duplicated":
+        cols = cols[:, rng.integers(0, r, size=r)]
+    elif kind == "negated":
+        cols = cols[:, :1] * rng.choice([-1.0, 1.0], size=(b, r, 1))
+    inside = rng.random((b, r)) < 0.7
+    label = rng.integers(0, r, size=b)
+    inside[np.arange(b), label] = True  # a window's label column is in the map
+    return cols, inside, label
+
+
+@given(window_cases())
+@settings(max_examples=200, deadline=None)
+def test_fused_window_attention_equals_the_op_chain(case):
+    cols, inside, label = case
+    x = Tensor(cols, requires_grad=True)
+    fused = C._window_aggregates(x, inside, label)
+    chain = ref.window_aggregates(x, inside, label)
+    assert np.array_equal(fused.data, chain.data)
+    proj = Tensor(np.random.default_rng(0).normal(size=fused.shape))
+    want = value_and_grads(lambda: T.tsum(T.mul(chain, proj)), [x])[1][0]
+    got = value_and_grads(lambda: T.tsum(T.mul(fused, proj)), [x])[1][0]
+    assert np.abs(got - want).max() <= GRAD_TOL * max(np.abs(want).max(), 1e-300)
+
+
+# (columns (B x r x D), inside, label): a window inside the map, a clipped
+# border window whose masked slot repeats the border column, a window that
+# repeats a column, and a window holding a zero column; then r = 1, where a
+# zero column is its own window
+_rng = np.random.default_rng(21)
+_COLS3 = _rng.normal(size=(4, 3, 5))
+_COLS3[1, 0] = _COLS3[1, 1]
+_COLS3[2, 2] = _COLS3[2, 0]
+_COLS3[3, 2] = 0.0
+_COLS1 = _rng.normal(size=(3, 1, 4))
+_COLS1[1] = 0.0
+WINDOWS = [
+    (_COLS3, np.array([[True] * 3, [False, True, True], [True] * 3, [True] * 3]),
+     np.array([1, 1, 1, 0])),
+    (_COLS1, np.ones((3, 1), bool), np.zeros(3, int)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(WINDOWS)), ids=["r3", "r1"])
+def test_fused_window_attention_gradient_matches_finite_differences(case):
+    cols, inside, label = WINDOWS[case]
+    # the cosine to a zero column is not differentiable there, so its
+    # entries stay fixed (and are checked against the chain's subgradient)
+    fixed = np.zeros(cols.shape)
+    if cols.shape[1] > 1:
+        fixed[3, 2] = 1.0
+    proj = Tensor(np.random.default_rng(22).normal(size=(cols.shape[0], cols.shape[2])))
+
+    def f(t):
+        free = T.mul(t, Tensor(1.0 - fixed))
+        return T.tsum(T.mul(C._window_aggregates(free, inside, label), proj))
+
+    assert T.finite_diff_check(f, Tensor(cols.copy(), requires_grad=True)) < 1e-6
+    x = Tensor(cols, requires_grad=True)
+    got = value_and_grads(lambda: T.tsum(T.mul(C._window_aggregates(x, inside, label), proj)),
+                          [x])[1][0]
+    want = value_and_grads(lambda: T.tsum(T.mul(ref.window_aggregates(x, inside, label), proj)),
+                           [x])[1][0]
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= GRAD_TOL * np.abs(want).max()
+
+
 def test_tape_size_does_not_grow_with_sampled_columns():
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     params = C.ContrastiveParams.init(4, seed=0)
@@ -254,4 +365,4 @@ def test_tape_size_does_not_grow_with_sampled_columns():
     assert counts[0] == counts[1]
     # BCSA transposes each input once and shares its gate and affine columns
     # between both directions; the global InfoNCE is one call for all pairings
-    assert counts[0] <= 278
+    assert counts[0] <= 263

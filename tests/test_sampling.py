@@ -507,6 +507,12 @@ def flow_raising_pipeline_error(frame_t, frame_next, dt):
                  "^sparsity_weights needs at least one point$", id="sparsity-no-points"),
     pytest.param(lambda: distance_weights(np.zeros((0, 3)), 1e-6), ValueError,
                  "^distance_weights needs at least one point$", id="distance-no-points"),
+    pytest.param(lambda: distance_weights([[0, 0, 0], [2, 0, 0]], -0.5), ValueError,
+                 "^dist_epsilon must be finite and >= 0, got -0.5$", id="distance-negative-eps"),
+    pytest.param(lambda: distance_weights([[0, 0, 0], [2, 0, 0]], NAN), ValueError,
+                 "^dist_epsilon must be finite and >= 0, got nan$", id="distance-nan-eps"),
+    pytest.param(lambda: distance_weights([[1, 0, 0], [2, 0, 0]], INF), ValueError,
+                 "^dist_epsilon must be finite and >= 0, got inf$", id="distance-inf-eps"),
     pytest.param(lambda: two_stage_sample(np.ones((3, 3)), np.full(2, 0.5), 2, 15.0,
                                           philox(0, 0)), ValueError,
                  "^2 weights for 3 points$", id="draw-weight-count"),
