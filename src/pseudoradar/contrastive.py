@@ -13,11 +13,13 @@ Each stage runs once on stacked tensors rather than once per column, window
 or scene: the matcher scores every window of every sampled column without a
 tape, from the R x R Gram matrix of each column's search area, and gathers
 only the winners on it, whose window attention is one tape node; BCSA runs
-on N x C x H stacks, InfoNCE is one matmul of row-normalized N x D
-matrices, and the global path aggregates all six pairings of all scenes in
-one call on one stack of the maps, pooling each map once for all its
-pairings. The tape size therefore does not depend on the number of sampled
-columns.
+on N x C x H stacks, each direction as two scaled dot-product attention
+nodes and one node that layer-norms, transforms and gates both branches,
+each keeping only what its closed-form backward needs; InfoNCE is one
+matmul of row-normalized N x D matrices, and the global path aggregates
+all six pairings of all scenes in one call on one stack of the maps,
+pooling each map once for all its pairings. The tape size therefore does
+not depend on the number of sampled columns.
 
 Everything here is differentiable end to end; the gradcheck command and the
 test suite verify every gradient against central finite differences.
@@ -26,7 +28,7 @@ test suite verify every gradient against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +62,9 @@ GLOBAL_PAIRS = (
 # scores on constant maps differed by at most 89 eps (2e-14) for D from
 # 2,048 to 8,192.
 MATCH_TIE_TOL = 1e-12
+
+# added to every variance by BCSA's layer norm
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass
@@ -205,6 +210,23 @@ class ContrastiveParams:
 
     def tensors(self) -> list[Tensor]:
         return self.bcsa.tensors() + self.global_agg.tensors()
+
+
+def _check_sizes(params, per_channel: int, channels: int, has: str) -> None:
+    """ValueError unless every tensor of ``params`` (a dataclass of them)
+    is a vector of ``per_channel * channels`` entries. When all are vectors
+    of one other length, the message gives the channel count they fit;
+    otherwise it names the first that does not fit."""
+    want = (per_channel * channels,)
+    named = [(field.name, getattr(params, field.name).shape) for field in fields(params)]
+    shapes = {shape for _, shape in named}
+    if shapes == {want}:
+        return
+    if len(shapes) == 1 and len(named[0][1]) == 1:
+        raise ValueError(f"params sized for {named[0][1][0] // per_channel} channels, "
+                         f"{has} {channels}")
+    name, shape = next((name, shape) for name, shape in named if shape != want)
+    raise ValueError(f"{name} has shape {shape}, expected {want} for {channels} channels")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +420,92 @@ def sliding_window_match(
 
 def _attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
     """softmax(q k_t / sqrt(d)) v over the trailing two axes, d the length of
-    q's last axis; leading axes are a batch."""
-    scores = T.mul(T.matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    q's last axis; leading axes are a batch.
+
+    One tape node. Its forward takes the numpy steps of the op chain
+    ``matmul``, ``mul`` by the scale, ``softmax`` and ``matmul`` in order,
+    so it is bit-equal to it, and it keeps only the attention weights P.
+    Its backward repeats the chain's steps too: ``dP = g vᵀ``,
+    ``dS = P (dP - rowsum(dP P)) * scale``, then the three matmul
+    gradients, handed out in the chain's order (v, q, k_t).
+    """
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = (q.data @ k_t.data) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g, grads):
+        if v.requires_grad:
+            T._accum(grads, v, attn.swapaxes(-1, -2) @ g)
+        if q.requires_grad or k_t.requires_grad:
+            g_attn = g @ v.data.swapaxes(-1, -2)
+            g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                T._accum(grads, q, g_scores @ k_t.data.swapaxes(-1, -2))
+            if k_t.requires_grad:
+                T._accum(grads, k_t, q.data.swapaxes(-1, -2) @ g_scores)
+
+    return T._make(attn @ v.data, (q, k_t, v), bw)
+
+
+def _layer_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-mean unit-variance normalization over the channel axis (-2) of
+    an N x C x D array, with the biased variance plus ``LAYER_NORM_EPS``:
+    the normalized array and the standard deviations (N x 1 x D)."""
+    inv_n = 1.0 / x.shape[-2]
+    centered = x - x.sum(axis=-2, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) * inv_n + LAYER_NORM_EPS)
+    return centered / std, std
+
+
+def _gated_blend(spatial: Tensor, channel: Tensor, gate: Tensor, rest: Tensor,
+                 affine: Tensor) -> Tensor:
+    """``gate * A + rest * B`` for the N x D x C spatial branch and the
+    N x C x D channel branch. A is the layer norm over C of the spatial
+    branch, transposed, times its gain plus its bias; B is the same of the
+    channel branch with its own affine. ``gate`` and ``rest`` weigh each of
+    the C channels, and ``affine`` stacks the spatial gain and bias and the
+    channel gain and bias as a 4 x C tensor.
+
+    One tape node. Its forward takes the numpy steps of the op chain
+    (``transpose_last2``, ``layer_norm``, ``mul`` and ``add``) in order, so
+    it is bit-equal to it; the spatial branch is normalized as a transposed
+    copy, as in the chain, so its reductions run in the same order. It
+    keeps the two normalized branches and their standard deviations. Its
+    backward is closed-form: each branch's gate and affine gradients, with
+    A and B formed again, then the layer-norm backward of Ba, Kiros and
+    Hinton (arXiv:1607.06450).
+    """
+    c = gate.shape[0]
+    inv_c = 1.0 / c
+    affines = affine.data.reshape(2, 2, c, 1)  # (gain, bias) of each branch
+    # each branch with its weight, its layer norm and the standard deviations
+    branches = [(spatial, gate, *_layer_norm(spatial.data.swapaxes(-1, -2).copy())),
+                (channel, rest, *_layer_norm(channel.data))]
+
+    def transformed(i):  # A or B
+        gain, bias = affines[i]
+        return branches[i][2] * gain + bias
+
+    def bw(g, grads):
+        g_affine = np.empty((2, 2, c))
+        for i, (branch, weight, norm, std) in enumerate(branches):
+            if weight.requires_grad:
+                T._accum(grads, weight, (g * transformed(i)).sum(axis=0).sum(axis=1))
+            g_out = g * weight.data.reshape(c, 1)
+            g_affine[i] = (g_out * norm).sum(axis=0).sum(axis=1), g_out.sum(axis=0).sum(axis=1)
+            if branch.requires_grad:
+                g_norm = g_out * affines[i, 0]
+                mean_g = g_norm.sum(axis=-2, keepdims=True) * inv_c
+                mean_gx = (g_norm * norm).sum(axis=-2, keepdims=True) * inv_c
+                g_x = (g_norm - mean_g - norm * mean_gx) / std
+                T._accum(grads, branch, g_x.swapaxes(-1, -2) if i == 0 else g_x)
+        T._accum(grads, affine, g_affine.reshape(4, c), owned=True)
+
+    data = gate.data.reshape(c, 1) * transformed(0) + rest.data.reshape(c, 1) * transformed(1)
+    # the parents in the order the chain's graph met them, so that backward
+    # hands every shared node its gradients in the same order
+    return T._make(data, (gate, affine, spatial, rest, channel), bw)
 
 
 def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
@@ -409,29 +514,24 @@ def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
 
     Each side is refined by cross-attending to the other along the spatial
     axis and, transposed, along the channel axis; both branches are
-    layer-normed and fused by a per-channel sigmoid gate into a convex
-    combination. Output shapes equal input shapes. Both directions share
-    each input's transpose, the gate and the affine columns.
+    layer-normed over C and fused by a per-channel sigmoid gate into a
+    convex combination. Output shapes equal input shapes. Both directions
+    share each input's transpose, the gate and ``1 - gate``. Each direction
+    is three tape nodes: two ``_attend`` nodes and one ``_gated_blend``.
     """
     _check_form("matching N x C x D tensors", lambda rank: rank == 3, f1, f2)
-    c = f1.shape[1]
-    if c != params.gate_logits.shape[0]:
-        raise ValueError(
-            f"params sized for {params.gate_logits.shape[0]} channels, input has {c}"
-        )
-    sp_gain, sp_bias, ch_gain, ch_bias, logits = (T.reshape(p, (c, 1))
-                                                  for p in params.tensors())
-    gate = T.sigmoid(logits)
+    _check_sizes(params, 1, f1.shape[1], "input has")
+    gate = T.sigmoid(params.gate_logits)
     rest = T.sub(Tensor(1.0), gate)
+    # one node sums both directions' affine gradients, so each leaf gets one
+    # gradient per call and adds them in the op chain's order
+    affine = T.stack(params.tensors()[:4])
     t1, t2 = T.transpose_last2(f1), T.transpose_last2(f2)
 
     def refine(f_i, t_i, f_j, t_j):
         # spatial branch: positions attend over the partner's positions;
         # channel branch: channels attend over the partner's channels
-        spatial = T.layer_norm(T.transpose_last2(_attend(t_i, f_j, t_j)), axis=-2)
-        channel = T.layer_norm(_attend(f_i, t_j, f_j), axis=-2)
-        return T.add(T.mul(gate, T.add(T.mul(spatial, sp_gain), sp_bias)),
-                     T.mul(rest, T.add(T.mul(channel, ch_gain), ch_bias)))
+        return _gated_blend(_attend(t_i, f_j, t_j), _attend(f_i, t_j, f_j), gate, rest, affine)
 
     return refine(f1, t1, f2, t2), refine(f2, t2, f1, t1)
 
@@ -493,9 +593,7 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
             0 <= pairs.min() and pairs.max() < k):
         raise ValueError(f"pairs must be a non-empty list of (a, b) indices into {k} maps, "
                          f"got {pairs.tolist()}")
-    if params.row_proj.shape != (2 * c,):
-        raise ValueError(f"params sized for {params.row_proj.shape[0] // 2} channels, "
-                         f"maps have {c}")
+    _check_sizes(params, 2, c, "maps have")
     p, a, b = len(pairs), pairs[:, 0], pairs[:, 1]
 
     def halves(proj):  # the a and b halves as 2 x 1 x 1 x C weights

@@ -5,10 +5,12 @@ with numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis
 (also of rows gathered from a stack, read once per array), trailing-axis
 transposition, reshaping, stacking, gathering (whose backward is one product
 with a one-hot matrix, not a scatter), sums and means. The composite
-functions (softmax, logsumexp, layer norm, and L2 normalization and batched
-cosine similarity over the last axis) are single tape nodes, each with a
-closed-form backward. Every gradient is verifiable against central finite
-differences via :func:`finite_diff_check`.
+functions (softmax, logsumexp, and L2 normalization and batched cosine
+similarity over the last axis) are single tape nodes, each with a
+closed-form backward, as are the fused nodes that ``contrastive`` builds on
+:func:`_make` and :func:`_accum` (window attention, scaled dot-product
+attention and BCSA's gated layer-norm blend). Every gradient is verifiable
+against central finite differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -32,10 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-# added to every L2 norm by normalize and cosine_sim, and to every variance
-# by layer_norm
+# added to every L2 norm by normalize and cosine_sim
 NORM_EPS = 1e-12
-LAYER_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -459,27 +459,6 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     def bw(g, grads):
         # d logsumexp / da is softmax(a), which is e / total
         _accum(grads, a, np.expand_dims(g / total, axis) * e)
-
-    return _make(data, (a,), bw)
-
-
-def layer_norm(a: Tensor, axis: int = -1) -> Tensor:
-    """Zero-mean unit-variance normalization of each slice along ``axis``.
-
-    The variance is the biased one (divided by n) plus ``LAYER_NORM_EPS``;
-    the backward is the closed form of Ba, Kiros and Hinton
-    (arXiv:1607.06450).
-    """
-    inv_n = 1.0 / a.data.shape[axis]
-    centered = a.data - a.data.sum(axis=axis, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n
-                  + LAYER_NORM_EPS)
-    data = centered / std
-
-    def bw(g, grads):
-        mean_g = g.sum(axis=axis, keepdims=True) * inv_n
-        mean_gx = (g * data).sum(axis=axis, keepdims=True) * inv_n
-        _accum(grads, a, (g - mean_g - data * mean_gx) / std)
 
     return _make(data, (a,), bw)
 

@@ -4,10 +4,11 @@ column is matched on its own, and every scene is aggregated on its own.
 
 This is the loss stack as it was before the matrix form, kept only so that
 tests can compare the batched code in ``pseudoradar.contrastive`` against
-it, together with the op chain that the matcher's window attention fuses
-into one node. It is slow by design and is not part of the package. The
-three tape ops that only it needs (div, sqrt and concat) are defined here on
-the engine's node maker, not in ``pseudoradar.tensor``.
+it, together with the op chains that the package fuses into single nodes:
+the matcher's window attention and BCSA's attention and gated layer-norm
+blend. It is slow by design and is not part of the package. The four tape
+ops that only it needs (div, sqrt, concat and layer_norm) are defined here
+on the engine's node maker, not in ``pseudoradar.tensor``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from pseudoradar import tensor as T
-from pseudoradar.contrastive import (GLOBAL_PAIRS, MATCH_TIE_TOL, BcsaParams,
-                                     ContrastiveConfig, ContrastiveParams, FeatureMap,
-                                     GlobalAggParams, SceneMaps)
+from pseudoradar.contrastive import (GLOBAL_PAIRS, LAYER_NORM_EPS, MATCH_TIE_TOL,
+                                     BcsaParams, ContrastiveConfig, ContrastiveParams,
+                                     FeatureMap, GlobalAggParams, SceneMaps)
 from pseudoradar.tensor import Tensor
 
 
@@ -65,6 +66,24 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             T._accum(grads, t, g[tuple(sl)])
 
     return T._make(data, ts, bw)
+
+
+def layer_norm(a: Tensor, axis: int = -1) -> Tensor:
+    """Zero-mean unit-variance normalization of each slice along ``axis``,
+    with the biased variance plus ``LAYER_NORM_EPS``; the backward is the
+    closed form of Ba, Kiros and Hinton (arXiv:1607.06450)."""
+    inv_n = 1.0 / a.data.shape[axis]
+    centered = a.data - a.data.sum(axis=axis, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=axis, keepdims=True) * inv_n
+                  + LAYER_NORM_EPS)
+    data = centered / std
+
+    def bw(g, grads):
+        mean_g = g.sum(axis=axis, keepdims=True) * inv_n
+        mean_gx = (g * data).sum(axis=axis, keepdims=True) * inv_n
+        T._accum(grads, a, (g - mean_g - data * mean_gx) / std)
+
+    return T._make(data, (a,), bw)
 
 
 def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
@@ -134,23 +153,24 @@ def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
     return delta, T.reshape(agg, (c, h))
 
 
-def mat_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    scores = T.mul(T.matmul(q, T.transpose_last2(k)), Tensor(1.0 / math.sqrt(q.shape[1])))
-    return T.matmul(T.softmax(scores, axis=1), v)
+def attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
+    """The op chain that ``contrastive._attend`` computes as one node:
+    softmax(q k_t / sqrt(d)) v over the trailing two axes."""
+    scores = T.mul(T.matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
+    return T.matmul(T.softmax(scores, axis=-1), v)
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    normed = T.layer_norm(x, axis=0)
+    normed = layer_norm(x, axis=0)
     c = x.shape[0]
     return T.add(T.mul(normed, T.reshape(gain, (c, 1))), T.reshape(bias, (c, 1)))
 
 
 def _bcsa_one(fi: Tensor, fj: Tensor, params: BcsaParams) -> Tensor:
-    sp_out = mat_attention(T.transpose_last2(fi), T.transpose_last2(fj),
-                           T.transpose_last2(fj))
+    sp_out = attend(T.transpose_last2(fi), fj, T.transpose_last2(fj))
     spatial = _ln_affine(T.transpose_last2(sp_out),
                          params.ln_spatial_gain, params.ln_spatial_bias)
-    channel = _ln_affine(mat_attention(fi, fj, fj),
+    channel = _ln_affine(attend(fi, T.transpose_last2(fj), fj),
                          params.ln_channel_gain, params.ln_channel_bias)
     gate = T.reshape(T.sigmoid(params.gate_logits), (fi.shape[0], 1))
     return T.add(T.mul(gate, spatial), T.mul(T.sub(Tensor(1.0), gate), channel))
@@ -158,6 +178,26 @@ def _bcsa_one(fi: Tensor, fj: Tensor, params: BcsaParams) -> Tensor:
 
 def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
     return _bcsa_one(f1, f2, params), _bcsa_one(f2, f1, params)
+
+
+def bcsa_chain(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
+    """BCSA on N x C x D stacks as the op chain that ``contrastive.bcsa``
+    fuses: each direction's two ``attend`` chains, then the layer norms,
+    affines and gate, one op at a time."""
+    c = f1.shape[1]
+    sp_gain, sp_bias, ch_gain, ch_bias, logits = (T.reshape(p, (c, 1))
+                                                  for p in params.tensors())
+    gate = T.sigmoid(logits)
+    rest = T.sub(Tensor(1.0), gate)
+    t1, t2 = T.transpose_last2(f1), T.transpose_last2(f2)
+
+    def refine(f_i, t_i, f_j, t_j):
+        spatial = layer_norm(T.transpose_last2(attend(t_i, f_j, t_j)), axis=-2)
+        channel = layer_norm(attend(f_i, t_j, f_j), axis=-2)
+        return T.add(T.mul(gate, T.add(T.mul(spatial, sp_gain), sp_bias)),
+                     T.mul(rest, T.add(T.mul(channel, ch_gain), ch_bias)))
+
+    return refine(f1, t1, f2, t2), refine(f2, t2, f1, t1)
 
 
 def local_loss(f_rad: FeatureMap, f_img: FeatureMap, config: ContrastiveConfig,

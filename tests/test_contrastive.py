@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -249,6 +251,28 @@ class TestBcsa:
             bcsa(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 5))), params)
 
 
+@pytest.mark.parametrize("shape", [(4,), (3, 1)], ids=["length", "rank"])
+@pytest.mark.parametrize("name", [field.name for field in fields(BcsaParams)])
+def test_each_bcsa_parameter_not_shaped_c_is_refused_by_name(name, shape):
+    # a (4,) gain failed inside numpy's reshape, and a (3, 1) bias broadcast
+    params = BcsaParams.init(3)
+    setattr(params, name, Tensor(np.ones(shape), requires_grad=True))
+    f = Tensor(np.ones((2, 3, 5)))
+    with pytest.raises(ValueError, match=rf"^{name} has shape {re.escape(str(shape))}, "
+                                         rf"expected \(3,\) for 3 channels$"):
+        bcsa(f, f, params)
+
+
+@pytest.mark.parametrize("name", ["row_proj", "col_proj"])
+def test_a_global_projection_not_sized_2c_is_refused_by_name(name):
+    # a mis-sized col_proj failed inside numpy's reshape
+    params = GlobalAggParams.init(2)
+    setattr(params, name, Tensor(np.ones(8), requires_grad=True))
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(8,\), expected \(4,\) "
+                                         rf"for 2 channels$"):
+        aggregate_global(Tensor(np.ones((2, 1, 2, 3, 4))), [(0, 1)], params)
+
+
 class TestAggregateGlobal:
     def test_constant_map_aggregates_to_cell_value(self):
         rng = np.random.default_rng(0)
@@ -466,16 +490,17 @@ class TestTotalLoss:
 def test_total_loss_tape_node_count():
     # each weighted pooling is one weighted_sum node, the global path pools
     # all its pairings in one weighted_sum_at node and scores them in one
-    # info_nce call, BCSA builds each transpose, its gate and its affine
-    # columns once, and the matcher's window attention is one node; the same
-    # loss at the benchmark's C64 x H32 x W64 size holds 335
+    # info_nce call, the matcher's window attention is one node, and BCSA is
+    # 11 nodes: each transpose, the gate, 1 - gate and the affine stack once,
+    # then two attention nodes and one gated blend per direction; the same
+    # loss at the benchmark's C64 x H32 x W64 size holds 199
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 263
+    assert len(T._topo_order(loss)) == 161
 
 
 class TestToyPretrain:
@@ -573,11 +598,11 @@ class TestToyPretrain:
                      ContrastiveConfig(batch_size=3), steps=3, learning_rate=0.05, seed=6)
         assert dead_at_start == [[], [True], [True, True], [True, True, True]]
 
-    def test_c64_step_peak_below_95_mb(self, monkeypatch):
+    def test_c64_step_peak_below_70_mb(self, monkeypatch):
         # the benchmark's C64 x H32 x W64 batch of 4 scenes and 16 columns:
-        # each step (forward, backward and update) allocates under 95 MB
+        # each step (forward, backward and update) allocates under 70 MB
         # beyond what was held when it started, and the whole call holds at
-        # most that plus one copy of the maps
+        # most that plus one copy of the maps; the first step peaks at 66.5 MB
         batch = gen_feature_batch(83 * 4, 4, 64, 32, 64, noise_sigma=2.0)
         maps_bytes = sum(getattr(s, name).tensor.data.nbytes
                          for s in batch.scenes for name in MAP_NAMES)
@@ -601,8 +626,8 @@ class TestToyPretrain:
             tracemalloc.stop()
         mb = 1e6
         step_peaks = [(peak - start) / mb for (start, _), (_, peak) in zip(marks, marks[1:-1])]
-        assert len(step_peaks) == 2 and max(step_peaks) < 95.0, step_peaks
-        assert max(peak for _, peak in marks) < 95.0 * mb + maps_bytes
+        assert len(step_peaks) == 2 and max(step_peaks) < 70.0, step_peaks
+        assert max(peak for _, peak in marks) < 70.0 * mb + maps_bytes
 
     def test_trace_json_schema(self):
         batch = gen_feature_batch(2, 2, 3, 3, 8, noise_sigma=1.0)

@@ -353,6 +353,98 @@ def test_fused_window_attention_gradient_matches_finite_differences(case):
     assert np.abs(got - want).max() <= GRAD_TOL * np.abs(want).max()
 
 
+@st.composite
+def bcsa_cases(draw):
+    n, c, d = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # 1e3 gives scores of about 1e6 / sqrt(C), which overflow exp unshifted
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    f1, f2 = rng.normal(0.0, scale, size=(2, n, c, d))
+    kind = draw(st.sampled_from(["random", "zero", "constant-channels"]))
+    if kind == "zero":
+        f1[:], f2[rng.random(n) < 0.5] = 0.0, 0.0
+    elif kind == "constant-channels":
+        # every attention output is constant over C, so each layer norm
+        # divides by sqrt(LAYER_NORM_EPS)
+        f1[:], f2[:] = f1[:, :1], f2[:, :1]
+    params = C.BcsaParams.init(c)
+    for t in params.tensors():
+        t.data[:] = rng.normal(0.0, 2.0, size=c)
+    # logits of both signs reach both branches of sigmoid
+    params.gate_logits.data[:] = rng.choice([-1.0, 1.0], size=c) * rng.uniform(0.0, 30.0, c)
+    return f1, f2, params
+
+
+@given(bcsa_cases())
+@settings(max_examples=200, deadline=None)
+def test_fused_bcsa_equals_the_op_chain(case):
+    f1, f2, params = case
+    x1, x2 = Tensor(f1, requires_grad=True), Tensor(f2, requires_grad=True)
+    fused, chain = C.bcsa(x1, x2, params), ref.bcsa_chain(x1, x2, params)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(fused, chain))
+    rng = np.random.default_rng(0)
+    proj = [Tensor(rng.normal(size=f1.shape)) for _ in range(2)]
+
+    def readout(pair):
+        return T.add(T.tsum(T.mul(pair[0], proj[0])), T.tsum(T.mul(pair[1], proj[1])))
+
+    leaves = [x1, x2, *params.tensors()]
+    want = value_and_grads(lambda: readout(ref.bcsa_chain(x1, x2, params)), leaves)[1]
+    got = value_and_grads(lambda: readout(C.bcsa(x1, x2, params)), leaves)[1]
+    for g_got, g_want in zip(got, want):
+        assert np.abs(g_got - g_want).max() <= GRAD_TOL * max(np.abs(g_want).max(), 1e-300)
+
+
+def test_total_loss_gradients_are_bit_equal_to_the_bcsa_chain(batch, monkeypatch):
+    # the fused nodes repeat the chain's numpy steps and hand every shared
+    # node its gradients in the chain's order, so training keeps its bits
+    scenes, cfg, params, leaves = batch
+    fused = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
+    monkeypatch.setattr(C, "bcsa", ref.bcsa_chain)
+    chain = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
+    assert fused[0] == chain[0]
+    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+
+
+# (q, k_t, v): a batch of two, and one query over one key (D = 1)
+_rng = np.random.default_rng(23)
+ATTEND = [tuple(_rng.normal(size=shape) for shape in ((2, 3, 4), (2, 4, 5), (2, 5, 3))),
+          tuple(_rng.normal(size=shape) for shape in ((1, 2, 1), (1, 1, 1), (1, 1, 4)))]
+
+
+@pytest.mark.parametrize("case", range(len(ATTEND)), ids=["batch", "one-key"])
+@pytest.mark.parametrize("wrt", range(3), ids=["q", "k_t", "v"])
+def test_fused_attention_gradient_matches_finite_differences(case, wrt):
+    arrays = ATTEND[case]
+    inputs = [Tensor(a.copy(), requires_grad=i == wrt) for i, a in enumerate(arrays)]
+    proj = Tensor(np.random.default_rng(24).normal(size=arrays[0].shape[:-1]
+                                                   + arrays[2].shape[-1:]))
+
+    def f(t):
+        args = inputs[:wrt] + [t] + inputs[wrt + 1:]
+        return T.tsum(T.mul(C._attend(*args), proj))
+
+    assert T.finite_diff_check(f, inputs[wrt]) < 1e-6
+
+
+# (N, C, D): three channels, and one channel, whose layer norm is 0
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 1, 3)], ids=["C3", "C1"])
+@pytest.mark.parametrize("wrt", ["spatial", "channel", "gate", "rest", "affine"])
+def test_fused_blend_gradient_matches_finite_differences(shape, wrt):
+    n, c, d = shape
+    rng = np.random.default_rng(25)
+    inputs = {"spatial": rng.normal(size=(n, d, c)), "channel": rng.normal(size=(n, c, d)),
+              "gate": rng.uniform(0.0, 1.0, c), "rest": rng.uniform(0.0, 1.0, c),
+              "affine": rng.normal(size=(4, c))}
+    inputs = {key: Tensor(a, requires_grad=key == wrt) for key, a in inputs.items()}
+    proj = Tensor(rng.normal(size=shape))
+
+    def f(t):
+        return T.tsum(T.mul(C._gated_blend(**{**inputs, wrt: t}), proj))
+
+    assert T.finite_diff_check(f, inputs[wrt]) < 1e-6
+
+
 def test_tape_size_does_not_grow_with_sampled_columns():
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     params = C.ContrastiveParams.init(4, seed=0)
@@ -363,6 +455,7 @@ def test_tape_size_does_not_grow_with_sampled_columns():
                                       philox(4, 0)))
               for n in (4, 8)]
     assert counts[0] == counts[1]
-    # BCSA transposes each input once and shares its gate and affine columns
-    # between both directions; the global InfoNCE is one call for all pairings
-    assert counts[0] <= 263
+    # BCSA transposes each input once, shares its gate and affine stack
+    # between both directions and is three nodes a direction; the global
+    # InfoNCE is one call for all pairings
+    assert counts[0] <= 161
