@@ -689,6 +689,22 @@ class PretrainTrace:
         }
 
 
+def _descend(buffer: np.ndarray, maps: list[Tensor], others: list[Tensor],
+             learning_rate: float) -> None:
+    """One gradient-descent update in place. The maps, whose data are the
+    slices of ``buffer``, are updated in one subtraction when their
+    gradients are the slices of one buffer too; every other tensor that has
+    a gradient is updated on its own. No reference to a gradient outlives
+    the call, so zeroing the gradients frees them."""
+    grads = [t.grad for t in maps]
+    whole = None if any(g is None for g in grads) else T._stacked_base(grads)
+    if whole is not None:
+        np.subtract(buffer, learning_rate * whole, out=buffer)
+    for t in others if whole is not None else others + maps:
+        if t.grad is not None:
+            np.subtract(t.data, learning_rate * t.grad, out=t.data)
+
+
 def toy_pretrain(
     batch: Sequence[SceneMaps],
     config: ContrastiveConfig,
@@ -707,10 +723,15 @@ def toy_pretrain(
 
     Memory: the maps are copied once per call into one C-contiguous buffer,
     in MAP_NAMES x scenes order, and each map tensor's ``data`` is rebound
-    to its slice, so the global loss stacks them without a copy. The caller's
-    arrays are never written; the map tensors end up holding the trained
-    maps. Every update is done in place. Each step's graph is released once
-    its backward is done, so one tape is alive at a time.
+    to its slice, so the global loss stacks them without a copy. That
+    stack's gradient becomes the maps' gradients, the local loss's gradients
+    are added into its slices, and one subtraction updates all the maps
+    (with ``lambda_global`` 0 no stack runs, and each map that has a
+    gradient is updated on its own). The caller's arrays are never written.
+    After the call the map tensors hold the trained maps, and each one's
+    ``grad`` the last step's unscaled gradient, a slice of one buffer. Every
+    update is done in place. Each step's graph is released once its
+    backward is done, so one tape is alive at a time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -721,7 +742,8 @@ def toy_pretrain(
         raise ValueError(f"toy_pretrain needs a batch of >= 2 scenes, got {len(scenes)}")
     params = ContrastiveParams.init(scenes[0].shape[0], seed)
     maps = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
-    for t, data in zip(maps, np.stack([t.data for t in maps])):
+    buffer = np.stack([t.data for t in maps])
+    for t, data in zip(maps, buffer):
         t.data = data
         t.requires_grad = True
     learnables = params.tensors() + maps
@@ -743,9 +765,7 @@ def toy_pretrain(
             losses.append(value)
             T.backward(loss)
             del loss  # the tape, so that the next forward starts without it
-            for t in learnables:
-                if t.grad is not None:
-                    np.subtract(t.data, learning_rate * t.grad, out=t.data)
+            _descend(buffer, maps, params.tensors(), learning_rate)
 
     pos, neg = similarity_stats(scenes, params)
     return PretrainTrace(losses, pos, neg, seed), params

@@ -210,19 +210,13 @@ class KdTree:
         best_d[u] = old_d
 
 
-def _equal_rows(pts):
-    """Group the equal rows of a finite (N, 3) array: returns ``(order,
-    first)``, the row indices with equal rows adjacent and each group's
-    indices ascending, and the position in ``order`` where each group starts.
-
-    Rows are stably sorted by a hash of their coordinate bits: the splitmix64
-    finaliser folds in one coordinate at a time. Its xor-shifts carry high
-    bits down, so coordinates that differ only in their high bits (integers
-    and other short mantissas) still spread over the whole hash. A hash
-    collision, or equal rows with different bits (0.0 and -0.0), can split a
-    group; both callers stay exact when one is split.
-    """
-    bits = np.ascontiguousarray(pts).view(np.uint64)
+def _row_hashes(pts):
+    """A uint64 hash of each row's coordinate bits, with -0.0 read as 0.0 so
+    that equal rows hash equal: the splitmix64 finaliser folds in one
+    coordinate at a time. Its xor-shifts carry high bits down, so
+    coordinates that differ only in their high bits (integers and other
+    short mantissas) still spread over the whole hash."""
+    bits = np.add(pts, 0.0, order="C").view(np.uint64)  # -0.0 + 0.0 is 0.0
     h = np.zeros(len(bits), dtype=np.uint64)
     for axis in range(3):
         h ^= bits[:, axis]
@@ -231,7 +225,29 @@ def _equal_rows(pts):
         h ^= h >> 27
         h *= _MIX[1]
         h ^= h >> 31
-    order = np.argsort(h, kind="stable")
+    return h
+
+
+def _equal_rows(pts):
+    """Group the equal rows of a finite (N, 3) array: returns ``(order,
+    first)``, the row indices with equal rows adjacent and each group's
+    indices ascending, and the position in ``order`` where each group starts.
+
+    ``order`` is the stable sort of the rows by :func:`_row_hashes`. It is
+    formed by the default (unstable) sort, which on uint64 keys takes about
+    half the time of the stable one (timsort); then only the runs of equal
+    hashes, nearly all of length 1, are put back in ascending index order. A
+    hash collision can split a group; both callers stay exact when one is
+    split.
+    """
+    h = _row_hashes(pts)
+    order = np.argsort(h)
+    h = h[order]
+    tie = h[1:] == h[:-1]
+    if tie.any():
+        at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # in a run
+        run = np.cumsum(np.r_[True, ~tie])[at]
+        order[at] = order[at][np.lexsort((order[at], run))]
     srt = pts[order]
     ne = srt[1:] != srt[:-1]
     return order, np.flatnonzero(np.r_[True, ne[:, 0] | ne[:, 1] | ne[:, 2]])

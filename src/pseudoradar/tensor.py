@@ -17,13 +17,16 @@ the leaves; intermediate nodes get none. Calling backward again on a fresh
 graph over the same leaves accumulates into ``.grad``; call
 :func:`zero_grad` between steps when accumulation is not wanted. The
 backward pass forms no gradient for an operand that does not require one,
-and sums the gradients a node collects in place, in a buffer it allocated
-itself.
+and sums the gradients a node collects in place, in a buffer that one of
+them owns. A closure gets its node's gradient writeable when the node owns
+it and read-only when it is shared, so an op that hands its gradient on as
+a view (``reshape``, ``stack``) can hand the ownership on with it.
 
 An op's data is a new array, with two exceptions that alias their parents:
 ``reshape`` returns a view of its parent's data, and ``stack`` reuses its
 parents' common base array when they are exactly that base's consecutive
-leading-axis slices, in order. No op writes to any tensor's data.
+leading-axis slices, in order; the parents' gradients are then slices of
+one buffer too. No op writes to any tensor's data.
 """
 
 from __future__ import annotations
@@ -96,15 +99,20 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable) ->
     return out
 
 
-def _accum(grads: dict, t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def _accum(grads: dict, t: Tensor, g: np.ndarray, owned: bool = False,
+           sink: bool = False) -> None:
     """Add ``g`` to the gradient held for ``t``.
 
     ``grads`` maps a node's id to ``(gradient, owned)``. The first gradient
     is held as it arrives, because it may be a view or the same array an op
-    hands to two parents; the second arrival allocates the sum, which is
-    owned, and every later arrival adds into that buffer in place. An op
-    passes ``owned`` for a buffer it allocated for ``t`` alone, which later
-    arrivals then add into from the start.
+    hands to two parents; the second arrival is added into whichever of the
+    two is owned, or else into a new buffer, which is owned, and every later
+    arrival adds into that buffer in place. An op passes ``owned`` for a
+    buffer it allocated for ``t`` alone, which later arrivals then add into
+    from the start, and ``sink`` for an owned slice of a gradient buffer
+    that mirrors its parents' data (see :func:`stack`): a held gradient is
+    added into it, so it ends as ``t``'s gradient. Addition of two terms
+    commutes exactly, so which buffer takes the sum changes no bit.
     """
     if not t.requires_grad:
         return
@@ -112,7 +120,9 @@ def _accum(grads: dict, t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     key = id(t)
     held = grads.get(key)
     if held is None:
-        grads[key] = (g, owned)
+        grads[key] = (g, owned or sink)
+    elif sink or (owned and not held[1]):
+        grads[key] = (np.add(g, held[0], out=g), True)
     elif held[1]:
         np.add(held[0], g, out=held[0])
     else:
@@ -304,7 +314,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def bw(g, grads):
-        _accum(grads, a, g.reshape(a.data.shape))
+        _accum(grads, a, g.reshape(a.data.shape), owned=g.flags.writeable)
 
     return _make(data, (a,), bw)
 
@@ -337,8 +347,13 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     parents, so writing to a parent's data changes the stack. Otherwise the
     data are copied.
 
-    The backward hands each parent a copy of its slice, so a parent that
-    waits for more gradients does not keep the whole stacked gradient alive.
+    The aliasing carries over to the gradients. When the data alias and the
+    stacked gradient is the node's own, the backward hands each parent its
+    slice as a sink: every other gradient of that parent is added into the
+    slice, so the parents' gradients end as the consecutive slices of one
+    buffer, as their data are. Otherwise each parent gets a copy of its
+    slice, so a parent that waits for more gradients does not keep the whole
+    stacked gradient alive.
     """
     ts = list(tensors)
     if not ts:
@@ -347,13 +362,18 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeError(f"stack needs equal shapes, got {[t.shape for t in ts]}")
     arrays = [t.data for t in ts]
     data = _stacked_base(arrays)
-    if data is None:
+    aliased = data is not None
+    if not aliased:
         data = np.stack(arrays)
 
     def bw(g, grads):
+        sink = aliased and g.flags.writeable
         for t, part in zip(ts, g):
             if t.requires_grad:
-                _accum(grads, t, part.copy(), owned=True)
+                if sink:
+                    _accum(grads, t, part, sink=True)
+                else:
+                    _accum(grads, t, part.copy(), owned=True)
 
     return _make(data, ts, bw)
 
@@ -503,6 +523,9 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         g, owned = grads.pop(id(node))
         if node._backward is not None:
+            if not owned:  # so that a closure reads ownership off the flag
+                g = np.asarray(g).view()
+                g.flags.writeable = False
             node._backward(g, grads)
         elif node.grad is None:
             node.grad = g if owned else g.copy()

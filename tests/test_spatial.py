@@ -205,6 +205,32 @@ def test_equal_rows_group_count_on_integer_lattices(seed, n, side, step, shift):
     assert_groups_are_distinct_rows(pts)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 600), st.integers(1, 4),
+       st.sampled_from(["duplicate rows", "integer grid", "signed zeros"]))
+@settings(max_examples=80, deadline=None)
+def test_equal_rows_order_is_the_stable_sort_of_the_hashes(seed, n, side, kind):
+    # equal rows give equal hashes, which the default sort leaves in any
+    # order; each run of them must come back in ascending index order
+    rng = np.random.default_rng(seed)
+    if kind == "duplicate rows":
+        pts = rng.normal(size=(side, 3))[rng.integers(0, side, n)]
+    elif kind == "integer grid":
+        pts = rng.integers(-side, side + 1, size=(n, 3)).astype(np.float64)
+    else:  # 0.0 and -0.0: equal rows with different bits
+        pts = rng.choice([0.0, -0.0, 1.0], size=(n, 3))
+    order, _ = spatial._equal_rows(pts)
+    assert np.array_equal(order, np.argsort(spatial._row_hashes(pts), kind="stable"))
+    assert_groups_are_distinct_rows(pts)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.sampled_from([0.1, 0.5, 1.5]))
+@settings(max_examples=60, deadline=None)
+def test_thinning_keeps_the_first_of_rows_equal_up_to_signed_zeros(seed, n, thr):
+    # a -0.0 row and its 0.0 twin are one point: the earlier one is kept
+    pts = np.random.default_rng(seed).choice([0.0, -0.0, 0.3, 1.0], size=(n, 3))
+    assert thin_redundant(pts, thr).tolist() == scalar_thinning.thin_redundant(pts, thr).tolist()
+
+
 class TestThinRedundant:
     def test_zero_threshold_keeps_all(self):
         pts = np.random.default_rng(0).normal(size=(50, 3))

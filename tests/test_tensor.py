@@ -349,6 +349,40 @@ class TestStack:
         assert len(parts) == 3
         assert all(owned and g.base is None for g, owned in parts)
 
+    @pytest.mark.parametrize("stack_first", [True, False])
+    def test_an_owned_gradient_of_an_aliasing_stack_becomes_the_parents_gradients(
+            self, stack_first):
+        # y also gets a gradient of its own, before or after its slice; it is
+        # added into the slice, so all three gradients stay slices of one buffer
+        c, d = rand((3, 4), seed=87), rand(4, seed=88)
+
+        def run(arrays):
+            x, y, z = (Tensor(a, requires_grad=True) for a in arrays)
+            # take hands on a buffer it allocated, so the stack owns its gradient
+            stacked = T.tsum(T.mul(T.take(T.stack([x, y, z]), [0, 1, 2, 1], axis=0),
+                                   Tensor(np.r_[c, c[1:2]])))
+            local = T.tsum(T.mul(T.take(y, [3, 0, 0], axis=0), Tensor(d[:3])))
+            backward(T.add(stacked, local) if stack_first else T.add(local, stacked))
+            return [x.grad, y.grad, z.grad]
+
+        base = rand((3, 4), seed=89)
+        grads = run(list(base))
+        assert all(np.array_equal(g, h) for g, h in zip(grads, run([a.copy() for a in base])))
+        assert T._stacked_base(grads) is not None
+
+    def test_a_closure_gets_its_gradient_writeable_only_when_its_node_owns_it(self):
+        seen = []
+        x = Tensor(rand(3, seed=90), requires_grad=True)
+
+        def bw(g, grads):
+            seen.append(g.flags.writeable)
+            T._accum(grads, x, g)
+
+        spy = T._make(x.data.copy(), (x,), bw)
+        backward(T.tsum(spy))  # tsum hands out one broadcast row
+        backward(T.tsum(T.take(spy, [0, 2], axis=0)))  # take allocates a buffer
+        assert seen == [False, True]
+
     @pytest.mark.parametrize("case", list(_stack_cases()))
     def test_shares_only_in_order_slices_of_one_contiguous_base(self, case):
         arrays, base, shared = _stack_cases()[case]
