@@ -18,8 +18,8 @@ the user and system CPU seconds and minor page faults of its process tree,
 with each side's quartiles per workload, so that a throughput reading can be
 split into compute and page-fault cost. With train-c64, the ``tracemalloc``
 peak of each ``toy_pretrain`` step on the C64 batch that the step-peak test
-pins is recorded for each side too, from one fresh process in that side's
-tree.
+pins is recorded for each side too, by ``scripts/step_peaks.py`` in one
+fresh process on that side's package.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seed 83 --pairs 10 \\
         --workload pipeline-10k --workload cli-36k --workload train-c64 --tier1
@@ -52,34 +52,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 TRACED_PAIRS = 5  # per workload, after the untraced pairs
 TIER1_RUNS = 3  # a side, alternating which side goes first
 RUSAGE = ("user_s", "sys_s", "minflt")  # per run, from RUSAGE_CHILDREN
-# the C64 batch and trajectory of tests/test_contrastive.py's step-peak test
-C64_PEAK_BATCH = {"seed": 83 * 4, "scenes": 4, "channels": 64, "height": 32, "width": 64,
-                  "columns": 16, "pretrain_seed": 83}
-# run in a side's tree: the peak of each step beyond what it started with,
-# and of the whole call, in MB, as the step-peak test measures them
-STEP_PEAKS = """
-import json, sys, tracemalloc
-from pseudoradar import contrastive as C
-from pseudoradar.synth import gen_feature_batch
-b = json.loads(sys.argv[1])
-batch = gen_feature_batch(b["seed"], b["scenes"], b["channels"], b["height"], b["width"],
-                          noise_sigma=2.0)
-marks = []  # (allocated, peak since the last mark) at each step's start
-def spy(real):
-    def call(*args):
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
-        return real(*args)
-    return call
-C.total_loss, C.similarity_stats = spy(C.total_loss), spy(C.similarity_stats)
-tracemalloc.start()
-C.toy_pretrain(batch.scenes, C.ContrastiveConfig(batch_size=b["columns"]), steps=2,
-               learning_rate=0.05, seed=b["pretrain_seed"])
-marks.append(tracemalloc.get_traced_memory())
-print(json.dumps({"step_peak_mb": [(peak - start) / 1e6 for (start, _), (_, peak)
-                                   in zip(marks, marks[1:-1])],
-                  "call_peak_mb": max(peak for _, peak in marks) / 1e6}))
-"""
+STEP_PEAKS = ROOT / "scripts" / "step_peaks.py"
 
 
 def parse_args(argv=None):
@@ -144,13 +117,15 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "result": result, "stderr": proc.stderr[-2000:]}
 
 
-def step_peaks(tree: Path, batch: dict) -> dict:
-    """The ``tracemalloc`` peak of each ``toy_pretrain`` step on ``batch``,
-    and of the whole call, from one fresh process on the tree's package."""
+def step_peaks(tree: Path, batch: dict | None = None) -> dict:
+    """``scripts/step_peaks.py`` on the tree's package, in one fresh process:
+    the ``tracemalloc`` peak of each ``toy_pretrain`` step and of the whole
+    call, on ``batch`` or on the C64 batch the step-peak test pins."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-c", STEP_PEAKS, json.dumps(batch)], cwd=tree,
-                          env=env, check=True, capture_output=True, text=True)
-    return {**json.loads(proc.stdout), "batch": batch}
+    args = [] if batch is None else [json.dumps(batch)]
+    proc = subprocess.run([sys.executable, str(STEP_PEAKS), *args], cwd=tree, env=env,
+                          check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
 
 
 def tier1(tree: Path) -> dict:
@@ -263,7 +238,7 @@ def main(argv=None) -> int:
                 not (p[s]["result"] or {}).get("correct", False)
                 for p in runs["pairs"] + runs["traced_pairs"] for s in ("parent", "change"))
             if workload == "train-c64":
-                runs["step_peaks"] = {side: step_peaks(tree, C64_PEAK_BATCH)
+                runs["step_peaks"] = {side: step_peaks(tree)
                                       for side, tree in trees.items()}
                 print(f"step peaks: {json.dumps(runs['step_peaks'])}", flush=True)
             doc["workloads"][workload] = runs

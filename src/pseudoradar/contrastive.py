@@ -689,22 +689,6 @@ class PretrainTrace:
         }
 
 
-def _descend(buffer: np.ndarray, maps: list[Tensor], others: list[Tensor],
-             learning_rate: float) -> None:
-    """One gradient-descent update in place. The maps, whose data are the
-    slices of ``buffer``, are updated in one subtraction when their
-    gradients are the slices of one buffer too; every other tensor that has
-    a gradient is updated on its own. No reference to a gradient outlives
-    the call, so zeroing the gradients frees them."""
-    grads = [t.grad for t in maps]
-    whole = None if any(g is None for g in grads) else T._stacked_base(grads)
-    if whole is not None:
-        np.subtract(buffer, learning_rate * whole, out=buffer)
-    for t in others if whole is not None else others + maps:
-        if t.grad is not None:
-            np.subtract(t.data, learning_rate * t.grad, out=t.data)
-
-
 def toy_pretrain(
     batch: Sequence[SceneMaps],
     config: ContrastiveConfig,
@@ -723,15 +707,13 @@ def toy_pretrain(
 
     Memory: the maps are copied once per call into one C-contiguous buffer,
     in MAP_NAMES x scenes order, and each map tensor's ``data`` is rebound
-    to its slice, so the global loss stacks them without a copy. That
-    stack's gradient becomes the maps' gradients, the local loss's gradients
-    are added into its slices, and one subtraction updates all the maps
-    (with ``lambda_global`` 0 no stack runs, and each map that has a
-    gradient is updated on its own). The caller's arrays are never written.
-    After the call the map tensors hold the trained maps, and each one's
-    ``grad`` the last step's unscaled gradient, a slice of one buffer. Every
-    update is done in place. Each step's graph is released once its
-    backward is done, so one tape is alive at a time.
+    to its slice, so the global loss stacks them without a copy, and that
+    stack's gradient becomes the maps' gradients, one slice each (see
+    :func:`~pseudoradar.tensor.stack`). The caller's arrays are never
+    written. After the call the map tensors hold the trained maps, and each
+    one's ``grad`` the last step's unscaled gradient. Every update is done
+    in place. Each step's graph is released once its backward is done, so
+    one tape is alive at a time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -742,8 +724,7 @@ def toy_pretrain(
         raise ValueError(f"toy_pretrain needs a batch of >= 2 scenes, got {len(scenes)}")
     params = ContrastiveParams.init(scenes[0].shape[0], seed)
     maps = [getattr(scene, name).tensor for name in MAP_NAMES for scene in scenes]
-    buffer = np.stack([t.data for t in maps])
-    for t, data in zip(maps, buffer):
+    for t, data in zip(maps, np.stack([t.data for t in maps])):
         t.data = data
         t.requires_grad = True
     learnables = params.tensors() + maps
@@ -765,7 +746,9 @@ def toy_pretrain(
             losses.append(value)
             T.backward(loss)
             del loss  # the tape, so that the next forward starts without it
-            _descend(buffer, maps, params.tensors(), learning_rate)
+            for t in learnables:
+                if t.grad is not None:
+                    np.subtract(t.data, learning_rate * t.grad, out=t.data)
 
     pos, neg = similarity_stats(scenes, params)
     return PretrainTrace(losses, pos, neg, seed), params

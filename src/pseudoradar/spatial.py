@@ -216,10 +216,11 @@ def _row_hashes(pts):
     coordinate at a time. Its xor-shifts carry high bits down, so
     coordinates that differ only in their high bits (integers and other
     short mantissas) still spread over the whole hash."""
-    bits = np.add(pts, 0.0, order="C").view(np.uint64)  # -0.0 + 0.0 is 0.0
-    h = np.zeros(len(bits), dtype=np.uint64)
+    col = np.empty(len(pts))  # one coordinate at a time, reused
+    h = np.zeros(len(pts), dtype=np.uint64)
     for axis in range(3):
-        h ^= bits[:, axis]
+        np.add(pts[:, axis], 0.0, out=col)  # -0.0 + 0.0 is 0.0
+        h ^= col.view(np.uint64)
         h ^= h >> 30
         h *= _MIX[0]
         h ^= h >> 27

@@ -14,4 +14,5 @@ def test_step_peaks_records_each_step_of_a_tiny_batch():
     assert got["batch"] == batch
     assert len(got["step_peak_mb"]) == 2 and all(p > 0 for p in got["step_peak_mb"])
     assert got["call_peak_mb"] >= max(got["step_peak_mb"])
+    assert got["maps_mb"] == 2 * 4 * 3 * 3 * 8 * 8 / 1e6  # scenes x maps x C x H x W
 

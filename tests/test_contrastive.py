@@ -1,8 +1,9 @@
+import importlib.util
 import math
 import re
-import tracemalloc
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from pseudoradar.contrastive import (GLOBAL_PAIRS, MAP_NAMES, BcsaParams,
 from pseudoradar.errors import DivergenceError
 from pseudoradar.synth import gen_feature_batch
 from pseudoradar.tensor import Tensor, finite_diff_check
+
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_peaks.py"
+spec = importlib.util.spec_from_file_location("step_peaks", SCRIPT)
+step_peaks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(step_peaks)
 
 
 def philox(*key):
@@ -605,18 +612,6 @@ class TestToyPretrain:
         assert all(np.array_equal(g, h) != name.endswith("_bev")
                    for g, h, name in zip(map_grads, global_only, names))
 
-    def test_without_the_global_loss_only_the_bev_maps_train(self):
-        # lambda_global 0 runs no map stack, so the maps that get a gradient
-        # are updated one by one
-        batch = gen_feature_batch(5, 2, 3, 3, 8, noise_sigma=1.0)
-        maps = [(name, getattr(s, name).tensor) for name in MAP_NAMES for s in batch.scenes]
-        kept = [t.data.copy() for _, t in maps]
-        toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=3, lambda_global=0.0),
-                     steps=2, learning_rate=0.05, seed=5)
-        for (name, t), before in zip(maps, kept):
-            assert (t.grad is not None) == name.endswith("_bev")
-            assert np.array_equal(t.data, before) != name.endswith("_bev")
-
     def test_one_tape_alive_at_a_time(self, monkeypatch):
         # a step's loss, and so its graph, is gone before the next forward
         # or the final similarity pass starts
@@ -639,36 +634,14 @@ class TestToyPretrain:
                      ContrastiveConfig(batch_size=3), steps=3, learning_rate=0.05, seed=6)
         assert dead_at_start == [[], [True], [True, True], [True, True, True]]
 
-    def test_c64_step_peak_below_56_mb(self, monkeypatch):
+    def test_c64_step_peak_below_56_mb(self):
         # the benchmark's C64 x H32 x W64 batch of 4 scenes and 16 columns:
         # each step (forward, backward and update) allocates under 56 MB
         # beyond what was held when it started, and the whole call holds at
         # most that plus one copy of the maps; the first step peaks at 53.7 MB
-        batch = gen_feature_batch(83 * 4, 4, 64, 32, 64, noise_sigma=2.0)
-        maps_bytes = sum(getattr(s, name).tensor.data.nbytes
-                         for s in batch.scenes for name in MAP_NAMES)
-        marks = []  # (allocated, peak since the last mark) at each step's start
-
-        def spy(real):
-            def call(*args):
-                marks.append(tracemalloc.get_traced_memory())
-                tracemalloc.reset_peak()
-                return real(*args)
-            return call
-
-        monkeypatch.setattr(C, "total_loss", spy(C.total_loss))
-        monkeypatch.setattr(C, "similarity_stats", spy(C.similarity_stats))
-        tracemalloc.start()
-        try:
-            toy_pretrain(batch.scenes, ContrastiveConfig(batch_size=16), steps=2,
-                         learning_rate=0.05, seed=83)
-            marks.append(tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        mb = 1e6
-        step_peaks = [(peak - start) / mb for (start, _), (_, peak) in zip(marks, marks[1:-1])]
-        assert len(step_peaks) == 2 and max(step_peaks) < 56.0, step_peaks
-        assert max(peak for _, peak in marks) < 56.0 * mb + maps_bytes
+        got = step_peaks.step_peaks(**step_peaks.C64_BATCH)
+        assert len(got["step_peak_mb"]) == 2 and max(got["step_peak_mb"]) < 56.0, got
+        assert got["call_peak_mb"] < 56.0 + got["maps_mb"], got
 
     def test_trace_json_schema(self):
         batch = gen_feature_batch(2, 2, 3, 3, 8, noise_sigma=1.0)
