@@ -254,8 +254,11 @@ def info_nce(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
     positive rescaling of any single vector. Always >= 0; exactly ln N when
     all similarities coincide; 0 for N = 1. Computed in matrix form:
     S = A_n B_n^T / tau on the row-normalized inputs, then
-    mean(logsumexp(S) - diag(S)).
+    mean(logsumexp(S) - diag(S)). Raises ValueError naming a ``tau`` that is
+    not finite and > 0.
     """
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     _check_form("matching ... x N x D tensors", lambda rank: rank >= 2, anchors, candidates)
     n = anchors.shape[-2]
     sims = T.mul(T.matmul(T.normalize(anchors), T.transpose_last2(T.normalize(candidates))),

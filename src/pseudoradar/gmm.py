@@ -103,7 +103,8 @@ def fit_em(counts, k: int, tol: float = 1e-6, max_iter: int = 200,
     log-likelihood per iteration, evaluated before that iteration's M-step,
     and is non-decreasing up to 1e-9 slack. Raises ValueError naming a
     component count outside [1, MAX_COMPONENTS], ``max_iter`` below 1 or a
-    ``tol`` that is negative or not finite, before it builds any array.
+    ``tol`` that is negative or not finite, and counts that are not finite
+    and positive, before it builds any array.
     """
     x = np.asarray(counts, dtype=np.float64).reshape(-1)
     if not 1 <= k <= MAX_COMPONENTS:
@@ -112,8 +113,8 @@ def fit_em(counts, k: int, tol: float = 1e-6, max_iter: int = 200,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if (x <= 0).any():
-        raise ValueError("counts must be positive")
+    if not ((x > 0) & (x < math.inf)).all():  # NaN fails both
+        raise ValueError("counts must be finite and positive")
     if len(x) < k:
         raise InsufficientDataError(f"{len(x)} counts cannot support {k} components")
 

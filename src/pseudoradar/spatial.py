@@ -238,8 +238,8 @@ def _equal_rows(pts):
     formed by the default (unstable) sort, which on uint64 keys takes about
     half the time of the stable one (timsort); then only the runs of equal
     hashes, nearly all of length 1, are put back in ascending index order. A
-    hash collision can split a group; both callers stay exact when one is
-    split.
+    hash collision can split a group; :class:`KdTree`, the one caller, stays
+    exact when one is split.
     """
     h = _row_hashes(pts)
     order = np.argsort(h)
@@ -303,15 +303,8 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     if thr2 == 0.0:  # d * d underflows, so no distance falls below it
         return np.arange(n, dtype=np.intp)
 
-    # an exact duplicate of an earlier point is never kept: the earlier point
-    # or the kept point that removed it removes the duplicate as well
-    order, first = _equal_rows(pts)
-    ids = np.sort(order[first])
-    del order, first
-    pts = pts[ids]
     (key,), near, wrap = _cell_keys(d_threshold, low, high, pts)
     xyz = [np.ascontiguousarray(c) for c in pts.T]
-    del pts
     # one sort by key, which every block compacts
     srt = np.argsort(key).astype(np.int32)
     key = key[srt]
@@ -320,39 +313,33 @@ def thin_redundant(points: np.ndarray, d_threshold: float) -> np.ndarray:
     forward = [(1, 1)] + near[5:]
 
     # blocks of consecutive points: first close every point that conflicts
-    # with a point kept before the block, then resolve the rest in rounds
-    m = len(ids)
-    kept = np.zeros(m, dtype=bool)
-    lo, size = 0, m
-    while lo < m:
-        hi = min(m, lo + size)
-        live = np.zeros(m, dtype=bool)
+    # with a point kept before the block, then resolve the rest in rounds.
+    # An exact duplicate is a conflict at distance 0 like any other
+    kept = np.zeros(n, dtype=bool)
+    lo, size = 0, n
+    while lo < n:
+        hi = min(n, lo + size)
+        size = (hi - lo) // 2  # a block whose pairs overflow is halved and retried
+        live = np.zeros(n, dtype=bool)
         live[lo:hi] = True
         if lo:  # every block after the first has kept points before it
             pairs = _cell_pairs(srt, key, live, kept, near, wrap)
             if pairs is None:
-                size = (hi - lo) // 2
                 continue
             a, b = pairs
             live[a[_conflicts(xyz, a, b, thr2)]] = False
-        # the rest resolve in rounds, in a prefix halved until its pairs fit
-        todo = np.flatnonzero(live[lo:hi]) + lo
-        take = len(todo)
-        while take:
-            live[todo[take - 1] + 1:] = False
+        blk = np.flatnonzero(live[lo:hi]) + lo
+        if len(blk):  # _cell_pairs needs a home point
             pairs = _cell_pairs(srt, key, live, None, forward, wrap)
-            if pairs is not None:
-                a, b = pairs
-                hit = _conflicts(xyz, a, b, thr2)
-                a, b = a[hit], b[hit]
-                blk = todo[:take]
-                kept[blk[_greedy(take, np.searchsorted(blk, np.minimum(a, b)),
-                                 np.searchsorted(blk, np.maximum(a, b)))]] = True
-                break
-            take //= 2
-        nxt = todo[take] if take < len(todo) else hi
-        lo, size = nxt, 2 * (nxt - lo)
-    return ids[kept]
+            if pairs is None:
+                continue
+            a, b = pairs
+            hit = _conflicts(xyz, a, b, thr2)
+            a, b = a[hit], b[hit]
+            kept[blk[_greedy(len(blk), np.searchsorted(blk, np.minimum(a, b)),
+                             np.searchsorted(blk, np.maximum(a, b)))]] = True
+        lo, size = hi, 2 * (hi - lo)
+    return np.flatnonzero(kept)
 
 
 def _cloud(points, what):

@@ -495,6 +495,11 @@ class TestChamfer:
         root = ET.parse(plot).getroot()
         assert root.tag.endswith("svg")
 
+    def test_svg_plot_escapes_markup_in_frame_ids(self):
+        root = ET.fromstring(cli_mod.chamfer_scatter_svg([("a&b<c>", 1.0)]))
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}title")]
+        assert titles == ["a&b<c>: 1"]
+
 
 class TestGradcheck:
     def test_default_seed_passes_and_reports(self, tmp_path, capsys, monkeypatch,

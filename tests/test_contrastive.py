@@ -713,6 +713,9 @@ def feature_map(modality="radar", view="bev", shape=(2, 3, 4), value=0.0):
     pytest.param(lambda: toy_pretrain(gen_feature_batch(0, 2, 2, 3, 4).scenes,
                                       ContrastiveConfig(), steps=0, learning_rate=0.05),
                  "^steps must be >= 1, got 0$", id="pretrain-steps"),
+    *(pytest.param(lambda tau=tau: info_nce(Tensor(np.eye(2)), Tensor(np.eye(2)), tau),
+                   rf"^tau must be finite and > 0, got {tau}$", id=f"info-nce-tau-{tau}")
+      for tau in (0.0, -1.0, math.nan)),
 ])
 def test_bad_input_is_refused_naming_the_cause(call, match):
     with pytest.raises(ValueError, match=match):

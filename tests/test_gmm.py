@@ -76,6 +76,12 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em([5, 0, 7], 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_count_rejected_by_name_before_seeding(self, monkeypatch, bad):
+        monkeypatch.setattr("pseudoradar.gmm._seed_centers", None)
+        with pytest.raises(ValueError, match="^counts must be finite and positive$"):
+            fit_em([5, bad, 7], 1)
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"max_iter": -3}, "max_iter must be >= 1, got -3"),

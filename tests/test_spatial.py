@@ -371,14 +371,25 @@ def test_underflowing_threshold_keeps_every_point():
     assert scalar_thinning.thin_redundant(pts, 1e-200).tolist() == list(range(5))
 
 
-@pytest.mark.parametrize("case", ["tight_cluster", "duplicate_sites", "index_chain"])
+def _every_third_repeats(rng, n):
+    """A cloud whose every third point repeats a random earlier one."""
+    pts = rng.uniform(-10, 10, (n, 3))
+    later = np.arange(2, n, 3)
+    pts[later] = pts[rng.integers(0, later)]
+    return pts
+
+
+@pytest.mark.parametrize("case", ["tight_cluster", "duplicate_sites", "index_chain",
+                                  "every_third_repeats"])
 def test_worst_cases_are_exact_and_bounded(case):
+    # exact duplicates are conflicts at distance 0, resolved inside the blocks
     rng = np.random.default_rng(11)
     n = 20_000
     pts = {
         "tight_cluster": rng.normal(0.0, 0.02, (n, 3)),
         "duplicate_sites": rng.uniform(-5, 5, (100, 3))[rng.permutation(n) % 100],
         "index_chain": np.c_[np.arange(n) * 0.27, np.zeros(n), np.zeros(n)],
+        "every_third_repeats": _every_third_repeats(rng, n),
     }[case]
     start = time.perf_counter()
     got = thin_redundant(pts, 0.3)
@@ -395,7 +406,7 @@ def test_nuscenes_scale_frame_matches_the_loop_in_less_memory():
     finally:
         tracemalloc.stop()
     assert got.tolist() == scalar_thinning.thin_redundant(pts, 0.3).tolist()
-    assert peak < 13.3e6  # the per-point loop peaks at about 14 MB here
+    assert peak < 7.3e6  # measured 6.86 MB; the per-point loop peaks at about 14 MB here
 
 
 # the distances-only grid k-NN behind the sparsity weight, against the
