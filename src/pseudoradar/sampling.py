@@ -27,8 +27,9 @@ from .spatial import _cloud, _knn_sqdist, _nearest, thin_redundant
 from .spatial import KdTree  # noqa: F401  perfbench times kd-tree builds under this name
 
 # The sparsity k-NN holds an (n, k) distance array, and k is clamped only to
-# n - 1, so an unbounded k fills an (n, n - 1) array. The paper's k is small;
-# this is 8x the default.
+# n - 1, so an unbounded k fills an (n, n - 1) array: SamplingConfig and
+# sparsity_weights both refuse a larger k. The paper's k is small; this is 8x
+# the default.
 MAX_NEIGHBOR_COUNT = 64
 
 
@@ -127,12 +128,13 @@ def intensity_weights(intensities: np.ndarray) -> tuple[np.ndarray, bool]:
 def sparsity_weights(xyz: np.ndarray, j_max: int) -> np.ndarray:
     """Sum of squared distances to the j_max nearest neighbors, normalized.
 
-    Points in thin regions score high and get sampled preferentially. A
-    single point gets weight 1 by convention.
+    ``j_max`` is an integer in [1, ``MAX_NEIGHBOR_COUNT``]. Points in thin
+    regions score high and get sampled preferentially. A single point gets
+    weight 1 by convention.
     """
+    if not (isinstance(j_max, (int, np.integer)) and 1 <= j_max <= MAX_NEIGHBOR_COUNT):
+        raise ValueError(f"j_max must be an integer in [1, {MAX_NEIGHBOR_COUNT}], got {j_max!r}")
     pts = _cloud(xyz, "sparsity_weights input")
-    if not j_max >= 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max!r}")
     n = len(pts)
     if n == 0:
         raise ValueError("sparsity_weights needs at least one point")
@@ -224,6 +226,8 @@ def two_stage_sample(xyz: np.ndarray, weights: np.ndarray, n_target: int,
         raise ValueError(f"{len(w)} weights for {len(pts)} points")
     if n_target < 2:
         raise ValueError(f"target count must be >= 2, got {n_target}")
+    if not (math.isfinite(center_radius) and center_radius > 0):
+        raise ValueError(f"center_radius must be finite and > 0, got {center_radius!r}")
     n1_target = n_target // 2
     dist = np.sqrt((pts**2).sum(axis=1))
     outside = np.flatnonzero(dist > center_radius)

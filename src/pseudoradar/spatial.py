@@ -1,7 +1,8 @@
 """Exact nearest neighbors and redundancy thinning for 3-D point clouds.
 
-The kd-tree indexes the distinct coordinates of its input, each keeping its
-point indices in ascending order, as a complete binary tree in heap layout:
+The kd-tree indexes the distinct coordinates of its input, found by a
+lexicographic sort of the rows (no hash) and each keeping its point indices
+in ascending order, as a complete binary tree in heap layout:
 node i has children 2i and 2i + 1, and leaves are padded rows of coordinates.
 One batched query answers any k; it is the fallback of both grid queries
 below and the tests' reference. Per block of queries, each query scans its
@@ -41,8 +42,6 @@ import numpy as np
 _LEAF = 16  # most distinct coordinates per leaf
 _BLOCK = 1024  # queries per block, and (query, node) pairs per frontier piece
 _PAIR_BUDGET = 1 << 18  # candidate pairs per block of thinning
-# the multipliers of the splitmix64 finaliser, which hashes coordinate bits
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _KNN_AREA = 1 << 14  # padded (row, candidate) slots per block of the grid k-NN
 _KNN_FILL = 0.8  # mean points in a point's own cell, per neighbor, at the k-NN pitch
 _NEAREST_K = 4  # the neighbor count whose k-NN pitch the nearest query starts at
@@ -210,45 +209,15 @@ class KdTree:
         best_d[u] = old_d
 
 
-def _row_hashes(pts):
-    """A uint64 hash of each row's coordinate bits, with -0.0 read as 0.0 so
-    that equal rows hash equal: the splitmix64 finaliser folds in one
-    coordinate at a time. Its xor-shifts carry high bits down, so
-    coordinates that differ only in their high bits (integers and other
-    short mantissas) still spread over the whole hash."""
-    col = np.empty(len(pts))  # one coordinate at a time, reused
-    h = np.zeros(len(pts), dtype=np.uint64)
-    for axis in range(3):
-        np.add(pts[:, axis], 0.0, out=col)  # -0.0 + 0.0 is 0.0
-        h ^= col.view(np.uint64)
-        h ^= h >> 30
-        h *= _MIX[0]
-        h ^= h >> 27
-        h *= _MIX[1]
-        h ^= h >> 31
-    return h
-
-
 def _equal_rows(pts):
     """Group the equal rows of a finite (N, 3) array: returns ``(order,
     first)``, the row indices with equal rows adjacent and each group's
     indices ascending, and the position in ``order`` where each group starts.
 
-    ``order`` is the stable sort of the rows by :func:`_row_hashes`. It is
-    formed by the default (unstable) sort, which on uint64 keys takes about
-    half the time of the stable one (timsort); then only the runs of equal
-    hashes, nearly all of length 1, are put back in ascending index order. A
-    hash collision can split a group; :class:`KdTree`, the one caller, stays
-    exact when one is split.
+    ``order`` is the stable lexicographic sort of the rows, so the groups are
+    exact: -0.0 and 0.0 compare equal and share a group.
     """
-    h = _row_hashes(pts)
-    order = np.argsort(h)
-    h = h[order]
-    tie = h[1:] == h[:-1]
-    if tie.any():
-        at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])  # in a run
-        run = np.cumsum(np.r_[True, ~tie])[at]
-        order[at] = order[at][np.lexsort((order[at], run))]
+    order = np.lexsort(pts.T[::-1])
     srt = pts[order]
     ne = srt[1:] != srt[:-1]
     return order, np.flatnonzero(np.r_[True, ne[:, 0] | ne[:, 1] | ne[:, 2]])

@@ -39,6 +39,8 @@ MAX_SCENE_POINTS = 10_000_000
 # sampled column), and the values of all its scenes' four maps together
 MAX_FEATURE_SIZE = 256
 MAX_FEATURE_VALUES = 10_000_000
+# the column offsets a feature batch plants, one drawn per scene
+OFFSET_CHOICES = (-1, 0, 1)
 
 
 def _check_noise(sigma: float) -> None:
@@ -234,10 +236,10 @@ def gen_feature_batch(
     height: int,
     width: int,
     noise_sigma: float = 0.05,
-    offset_choices: tuple[int, ...] = (-1, 0, 1),
 ) -> FeatureBatch:
     """Per scene: draw an independent latent map, add per-map Gaussian noise,
-    and shift the radar maps' columns by a planted per-scene offset.
+    and shift the radar maps' columns by a planted per-scene offset, drawn
+    from ``OFFSET_CHOICES`` (-1, 0 or 1).
 
     ``offsets[s][j]`` records where radar column j of scene s truly matches
     in the image map (clipped at the borders), so matcher recovery can be
@@ -257,7 +259,7 @@ def gen_feature_batch(
     for s in range(batch):
         rng = philox(seed, 2_000_000 + s)
         latent = rng.normal(0.0, 1.0, (channels, height, width))
-        delta = int(rng.choice(np.asarray(offset_choices)))
+        delta = int(rng.choice(np.asarray(OFFSET_CHOICES)))
         src = np.clip(np.arange(width) + delta, 0, width - 1)
         shifted = latent[:, :, src]
 

@@ -39,6 +39,10 @@ import numpy as np
 
 # added to every L2 norm by normalize and cosine_sim
 NORM_EPS = 1e-12
+# finite_diff_check's difference step, and the floor of its relative error's
+# denominator
+FINITE_DIFF_STEP = 1e-3
+FINITE_DIFF_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -538,20 +542,16 @@ def zero_grad(*tensors: Tensor) -> None:
         t.grad = None
 
 
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-3,
-    eps: float = 1e-12,
-) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be a pure scalar function of ``x``; it is re-evaluated four
     times per coordinate for the fourth-order central difference
-    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h``. The wider step
-    keeps the rounding error of f's own evaluation small next to a gradient
-    component near zero. Error per coordinate is
-    ``|analytic - numeric| / (|analytic| + |numeric| + eps)``.
+    ``(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h`` with
+    h = ``FINITE_DIFF_STEP`` (1e-3). The wider step keeps the rounding error
+    of f's own evaluation small next to a gradient component near zero.
+    Error per coordinate is ``|analytic - numeric| / (|analytic| + |numeric|
+    + eps)`` with eps = ``FINITE_DIFF_EPS`` (1e-12).
     """
     if not x.requires_grad:
         raise ValueError("finite_diff_check needs requires_grad=True on x")
@@ -562,6 +562,7 @@ def finite_diff_check(
     backward(out)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
+    h = FINITE_DIFF_STEP
     flat = x.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
@@ -573,6 +574,6 @@ def finite_diff_check(
         flat[i] = orig
         numeric[i] = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * h)
     a = analytic.reshape(-1)
-    rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + eps)
+    rel = np.abs(a - numeric) / (np.abs(a) + np.abs(numeric) + FINITE_DIFF_EPS)
     x.grad = None
     return float(rel.max()) if rel.size else 0.0

@@ -174,7 +174,7 @@ def test_similarity_stats_equal_a_loop_over_pairs():
 
 def test_matcher_on_every_column_of_the_recovery_batch():
     batch = gen_feature_batch(seed=909, batch=4, channels=6, height=6, width=24,
-                              noise_sigma=0.05, offset_choices=(-1, 0, 1))
+                              noise_sigma=0.05)
     for scene in batch.scenes:
         for j in range(scene.shape[2]):
             anchor = Tensor(scene.rad_bev.tensor.data[:, :, j])

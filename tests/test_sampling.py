@@ -9,11 +9,11 @@ from pseudoradar import sampling
 from pseudoradar.gmm import VAR_FLOOR, Gmm1D, fit_em
 from pseudoradar.pointcloud import PointCloudFrame
 from pseudoradar.rng import philox
-from pseudoradar.sampling import (PipelineError, SamplingConfig, combine_weights,
-                                  distance_weights, intensity_weights, lidar_to_radar,
-                                  map_to_plane, nn_flow_estimate, sparsity_weights,
-                                  two_stage_sample, weighted_sample_without_replacement,
-                                  with_velocity)
+from pseudoradar.sampling import (MAX_NEIGHBOR_COUNT, PipelineError, SamplingConfig,
+                                  combine_weights, distance_weights, intensity_weights,
+                                  lidar_to_radar, map_to_plane, nn_flow_estimate,
+                                  sparsity_weights, two_stage_sample,
+                                  weighted_sample_without_replacement, with_velocity)
 from pseudoradar.spatial import brute_force_k_nearest, thin_redundant
 from pseudoradar.synth import SceneSpec, gen_scene
 
@@ -110,7 +110,7 @@ class TestSparsityWeights:
             raw[i] = d2.sum()
         assert np.allclose(w, raw / raw.sum(), atol=1e-12)
 
-    @pytest.mark.parametrize("j", [1, 8, 500])
+    @pytest.mark.parametrize("j", [1, 8, MAX_NEIGHBOR_COUNT])
     def test_bit_identical_to_per_point_oracle_sum(self, j):
         # per point, sum d * d over the oracle's neighbors in (distance, index)
         # order, as a running Python sum: the weights must match exactly
@@ -119,6 +119,12 @@ class TestSparsityWeights:
         raw = np.array([sum(d * d for _, d in brute_force_k_nearest(pts, p, j, exclude_self=True))
                         for p in pts])
         assert sparsity_weights(pts, j).tolist() == (raw / raw.sum()).tolist()
+
+    def test_j_max_past_the_other_points_takes_them_all(self):
+        pts = np.random.default_rng(3).uniform(-5, 5, (5, 3))
+        raw = np.array([sum(d * d for _, d in brute_force_k_nearest(pts, p, 4, exclude_self=True))
+                        for p in pts])
+        assert sparsity_weights(pts, MAX_NEIGHBOR_COUNT).tolist() == (raw / raw.sum()).tolist()
 
 
     def test_non_finite_points_rejected(self):
@@ -505,6 +511,10 @@ def flow_raising_pipeline_error(frame_t, frame_next, dt):
                  "^intensities must be finite and >= 0$", id="negative-intensity"),
     pytest.param(lambda: sparsity_weights(np.zeros((0, 3)), 2), ValueError,
                  "^sparsity_weights needs at least one point$", id="sparsity-no-points"),
+    pytest.param(lambda: sparsity_weights(np.eye(5, 3), 65), ValueError,
+                 r"^j_max must be an integer in \[1, 64\], got 65$", id="sparsity-j-max-65"),
+    pytest.param(lambda: sparsity_weights(np.eye(5, 3), 2.5), ValueError,
+                 r"^j_max must be an integer in \[1, 64\], got 2.5$", id="sparsity-j-max-2.5"),
     pytest.param(lambda: distance_weights(np.zeros((0, 3)), 1e-6), ValueError,
                  "^distance_weights needs at least one point$", id="distance-no-points"),
     pytest.param(lambda: distance_weights([[0, 0, 0], [2, 0, 0]], -0.5), ValueError,
@@ -516,6 +526,10 @@ def flow_raising_pipeline_error(frame_t, frame_next, dt):
     pytest.param(lambda: two_stage_sample(np.ones((3, 3)), np.full(2, 0.5), 2, 15.0,
                                           philox(0, 0)), ValueError,
                  "^2 weights for 3 points$", id="draw-weight-count"),
+    *(pytest.param(lambda r=r: two_stage_sample(np.eye(3), np.full(3, 1 / 3), 2, r,
+                                                philox(0, 0)), ValueError,
+                   f"^center_radius must be finite and > 0, got {r}$",
+                   id=f"draw-center-radius-{r}") for r in (NAN, INF, -1.0, 0.0)),
     pytest.param(lambda: with_velocity(frame_of(np.ones((2, 3))), np.ones((3, 2))),
                  ValueError, r"^velocities shape \(3, 2\) does not fit 2 points$",
                  id="velocity-shape"),

@@ -208,9 +208,9 @@ def test_equal_rows_group_count_on_integer_lattices(seed, n, side, step, shift):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 600), st.integers(1, 4),
        st.sampled_from(["duplicate rows", "integer grid", "signed zeros"]))
 @settings(max_examples=80, deadline=None)
-def test_equal_rows_order_is_the_stable_sort_of_the_hashes(seed, n, side, kind):
-    # equal rows give equal hashes, which the default sort leaves in any
-    # order; each run of them must come back in ascending index order
+def test_equal_rows_groups_are_the_distinct_rows_in_index_order(seed, n, side, kind):
+    # each group holds every copy of one row, -0.0 and 0.0 alike, in
+    # ascending index order
     rng = np.random.default_rng(seed)
     if kind == "duplicate rows":
         pts = rng.normal(size=(side, 3))[rng.integers(0, side, n)]
@@ -218,8 +218,6 @@ def test_equal_rows_order_is_the_stable_sort_of_the_hashes(seed, n, side, kind):
         pts = rng.integers(-side, side + 1, size=(n, 3)).astype(np.float64)
     else:  # 0.0 and -0.0: equal rows with different bits
         pts = rng.choice([0.0, -0.0, 1.0], size=(n, 3))
-    order, _ = spatial._equal_rows(pts)
-    assert np.array_equal(order, np.argsort(spatial._row_hashes(pts), kind="stable"))
     assert_groups_are_distinct_rows(pts)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoradar import synth
 from pseudoradar.contrastive import sliding_window_match
 from pseudoradar.synth import (MAX_FEATURE_SIZE, MAX_FRAMES, MAX_MAGNITUDE, SceneSpec,
                               gen_feature_batch, gen_scene)
@@ -124,9 +125,10 @@ class TestGenFeatureBatch:
         batch = gen_feature_batch(0, 2, 1, 1, MAX_FEATURE_SIZE)
         assert batch.scenes[0].shape == (1, 1, MAX_FEATURE_SIZE)
 
-    def test_zero_noise_zero_offset_maps_identical(self):
+    def test_zero_noise_zero_offset_maps_identical(self, monkeypatch):
+        monkeypatch.setattr(synth, "OFFSET_CHOICES", (0,))
         batch = gen_feature_batch(seed=0, batch=2, channels=3, height=4, width=8,
-                                  noise_sigma=0.0, offset_choices=(0,))
+                                  noise_sigma=0.0)
         for scene in batch.scenes:
             base = scene.img_bev.tensor.data
             for name in ("img_fv", "rad_bev", "rad_fv"):
@@ -139,9 +141,10 @@ class TestGenFeatureBatch:
             assert np.array_equal(sa.rad_bev.tensor.data, sb.rad_bev.tensor.data)
         assert all(np.array_equal(x, y) for x, y in zip(a.offsets, b.offsets))
 
-    def test_noiseless_planted_offset_recovered_everywhere(self):
+    def test_noiseless_planted_offset_recovered_everywhere(self, monkeypatch):
+        monkeypatch.setattr(synth, "OFFSET_CHOICES", (1,))
         batch = gen_feature_batch(seed=9, batch=3, channels=4, height=4, width=16,
-                                  noise_sigma=0.0, offset_choices=(1,))
+                                  noise_sigma=0.0)
         hits = total = 0
         for scene, truth in zip(batch.scenes, batch.offsets):
             for j in range(16):
@@ -162,8 +165,9 @@ class TestGenFeatureBatch:
                             / (np.linalg.norm(flats[i]) * np.linalg.norm(flats[k])))
         assert np.abs(sims).mean() < 0.1
 
-    def test_offsets_clipped_at_borders(self):
+    def test_offsets_clipped_at_borders(self, monkeypatch):
+        monkeypatch.setattr(synth, "OFFSET_CHOICES", (1,))
         batch = gen_feature_batch(seed=13, batch=1, channels=2, height=2, width=6,
-                                  noise_sigma=0.0, offset_choices=(1,))
+                                  noise_sigma=0.0)
         truth = batch.offsets[0]
         assert truth[-1] == 0 and truth[0] == 1

@@ -805,6 +805,43 @@ def test_every_public_op_has_a_caller_in_the_package():
     assert [name for name in ops if name not in called] == []
 
 
+def private_helpers(source: str) -> tuple[set[str], set[str]]:
+    """The private functions, methods and classes that ``source`` defines
+    (a leading underscore, not a dunder), and the names it reads: every
+    ``Name`` or ``Attribute`` load of its syntax tree. A name in a docstring
+    or a comment is not read."""
+    defined, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return defined, read
+
+
+def test_private_helpers_counts_loads_not_mentions():
+    source = ('def _used():\n    """_unused()."""\n    # _unused()\n    return "_unused"\n'
+              'def _unused():\n    pass\n'
+              'class _Box:\n    def _get(self):\n        pass\n'
+              'def f():\n    return _used(), _Box()._get()\n')
+    defined, read = private_helpers(source)
+    assert defined == {"_used", "_unused", "_Box", "_get"}
+    assert sorted(defined - read) == ["_unused"]
+
+
+def test_every_private_helper_has_a_reader_in_the_package():
+    # a helper whose last caller went belongs in the tests or nowhere
+    package = Path(T.__file__).parent
+    found = [private_helpers(p.read_text()) for p in sorted(package.glob("*.py"))]
+    defined = set().union(*(d for d, _ in found))
+    read = set().union(*(r for _, r in found))
+    assert len(defined) >= 40
+    assert sorted(defined - read) == []
+
+
 def test_repr_names_the_shape_and_the_gradient_flag():
     assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
     assert repr(Tensor(1.0, requires_grad=True)) == "Tensor(shape=(), requires_grad=True)"
