@@ -19,7 +19,9 @@ with each side's quartiles per workload, so that a throughput reading can be
 split into compute and page-fault cost. With train-c64, the ``tracemalloc``
 peak of each ``toy_pretrain`` step on the C64 batch that the step-peak test
 pins is recorded for each side too, by ``scripts/step_peaks.py`` in one
-fresh process on that side's package.
+fresh process on that side's package. The tier-1 and step-peak processes
+run with BLAS pinned to one thread, as perfbench pins its own, and the
+header records the pinned variables.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr N --seed 83 --pairs 10 \\
         --workload pipeline-10k --workload cli-36k --workload train-c64 --tier1
@@ -53,6 +55,9 @@ TRACED_PAIRS = 5  # per workload, after the untraced pairs
 TIER1_RUNS = 3  # a side, alternating which side goes first
 RUSAGE = ("user_s", "sys_s", "minflt")  # per run, from RUSAGE_CHILDREN
 STEP_PEAKS = ROOT / "scripts" / "step_peaks.py"
+# BLAS on one thread in the tier-1 and step-peak processes, as perfbench/run.py
+# pins it: unpinned, some processes ran the backward pass about twice as slowly
+BLAS_ENV = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def parse_args(argv=None):
@@ -117,22 +122,26 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "result": result, "stderr": proc.stderr[-2000:]}
 
 
+def child_env(tree: Path) -> dict:
+    """The environment of a process that runs ``tree``'s package: its
+    ``src`` on ``PYTHONPATH``, and BLAS on one thread."""
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), **BLAS_ENV}
+
+
 def step_peaks(tree: Path, batch: dict | None = None) -> dict:
     """``scripts/step_peaks.py`` on the tree's package, in one fresh process:
     the ``tracemalloc`` peak of each ``toy_pretrain`` step and of the whole
     call, on ``batch`` or on the C64 batch the step-peak test pins."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     args = [] if batch is None else [json.dumps(batch)]
-    proc = subprocess.run([sys.executable, str(STEP_PEAKS), *args], cwd=tree, env=env,
-                          check=True, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(STEP_PEAKS), *args], cwd=tree,
+                          env=child_env(tree), check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
 
 def tier1(tree: Path) -> dict:
     """Run the tier-1 suite in ``tree``; its summary line, counts and wall time."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=tree, env=child_env(tree), capture_output=True, text=True)
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed|skipped|errors?)",
@@ -212,7 +221,7 @@ def main(argv=None) -> int:
     traced_better = {m["name"]: m["better"] for m in spec["per_layer"]}
     start = time.perf_counter()
     doc = {"machine": machine(), "parent_rev": args.parent, "seed": args.seed,
-           "seconds": spec["run_seconds"], "workloads": {}}
+           "seconds": spec["run_seconds"], "blas_env": BLAS_ENV, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         doc["parent_commit"] = export(args.parent, trees["parent"])

@@ -17,7 +17,7 @@ on N x C x H stacks, each direction as two scaled dot-product attention
 nodes and one node that layer-norms, transforms and gates both branches,
 each keeping only what its closed-form backward needs; InfoNCE is one
 matmul of row-normalized N x D matrices, and the global path aggregates
-all six pairings of all scenes in one call on one stack of the maps,
+all six pairings of all scenes in one tape node on one stack of the maps,
 pooling each map once for all its pairings. The tape size therefore does
 not depend on the number of sampled columns.
 
@@ -280,11 +280,10 @@ def _columns(fmap: Tensor, index: np.ndarray) -> Tensor:
     return T.reshape(flat, (*index.shape, c * h))
 
 
-def _masked_softmax(sims: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """``T.softmax``'s forward over the last axis of ``sims``, with the
-    slots outside the map (``inside`` False) at -inf, so of weight 0."""
-    masked = sims + np.where(inside, 0.0, -np.inf)
-    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-shifted so no exponent overflows; a
+    score at -inf (a window slot outside the map) gets weight 0."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -307,7 +306,7 @@ def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> T
     na, nb = T._norm(query)[..., 0], T._norm(x)[..., 0]  # (..., 1), (..., r)
     den = (na + T.NORM_EPS) * (nb + T.NORM_EPS)
     sims = (query * x).sum(axis=-1) / den
-    attn = _masked_softmax(sims, inside)
+    attn = _softmax(sims + np.where(inside, 0.0, -np.inf))
     data = np.einsum("...k,...kr->...r", attn, x)
 
     def bw(g, grads):
@@ -363,9 +362,9 @@ def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
     norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))  # N x R
     row = np.arange(len(columns))[:, None, None]
     query = np.take_along_axis(slot, label[..., None], axis=-1)  # N x K x 1
-    attn = _masked_softmax(gram[row, query, slot] / ((norms[row, query] + T.NORM_EPS)
-                                                     * (norms[row, slot] + T.NORM_EPS)),
-                           inside)  # N x K x r
+    attn = _softmax(gram[row, query, slot] / ((norms[row, query] + T.NORM_EPS)
+                                              * (norms[row, slot] + T.NORM_EPS))
+                    + np.where(inside, 0.0, -np.inf))  # N x K x r
     sq_norm = np.einsum("...s,...st,...t->...", attn,
                         gram[row[..., None], slot[..., :, None], slot[..., None, :]], attn)
     # rounding can take a near-zero squared norm below 0
@@ -433,9 +432,7 @@ def _attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
     gradients, handed out in the chain's order (v, q, k_t).
     """
     scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = (q.data @ k_t.data) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = _softmax((q.data @ k_t.data) * scale)
 
     def bw(g, grads):
         if v.requires_grad:
@@ -584,10 +581,18 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
     (the first half of ``row_proj`` for map a, the second for map b) and
     softmax over H; the weighted row sum gives each map a C x W slab. Column
     scores repeat the trick over W on the slabs. Both weight vectors sum to
-    1, so a constant map aggregates to its cell value. Each map's width means
-    and projections are computed once, and each map is pooled against the row
-    weights of all its pairings in one ``weighted_sum_at`` node, however many
-    pairings use it.
+    1, so a constant map aggregates to its cell value.
+
+    One tape node computes both results as one 2 x P x S x C stack, which
+    two ``take`` nodes split. Each map's width means and row scores are
+    computed once, and one batched matmul pools each map against a block
+    that packs the row weights of all its pairings. The forward takes the
+    numpy steps of the op chain (``tmean``, ``weighted_sum``, ``take``,
+    ``add``, softmax, the packed pooling, ``weighted_sum``, ``tsum``,
+    softmax, ``weighted_sum``) in order and the backward takes them in
+    reverse, so both are bit-equal to it; the map stack's gradient is one
+    owned buffer. The node keeps the slabs and the weights, not the pooled
+    block.
     """
     _check_form("a K x S x C x H x W stack", lambda rank: rank == 5, maps)
     pairs = np.asarray(pairs, dtype=np.intp)
@@ -598,24 +603,54 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
                          f"got {pairs.tolist()}")
     _check_sizes(params, 2, c, "maps have")
     p, a, b = len(pairs), pairs[:, 0], pairs[:, 1]
+    x = maps.data
+    # the a and b halves of each projection as 2 x 1 x 1 x C weights
+    row_proj, col_proj = (t.data.reshape(2, 1, 1, c) for t in params.tensors())
+    means = (x.sum(axis=-1) * (1.0 / w))[None]  # 1 x K x S x C x H
+    scores = np.einsum("...k,...kr->...r", row_proj, means).reshape(2 * k, s, h)
+    row_w = _softmax(scores[a] + scores[k + b])  # P x S x H
+    # the row weights of every pair once for map a, once for map b, each in
+    # its map's block at the slot after those of the map's earlier rows
+    index = np.concatenate([a, b])
+    slot = np.tril(index[:, None] == index, -1).sum(axis=1)
+    rows = (index, Ellipsis, slot, slice(None))
+    blocks = np.zeros((k, s, 1, slot.max() + 1, h))
+    blocks[rows] = np.concatenate([row_w, row_w])[:, :, None]
+    cols = (blocks @ x)[rows].reshape(2, p, s, c, w)  # the a and b slabs of every pair
+    col_w = _softmax(np.einsum("...k,...kr->...r", col_proj, cols).sum(axis=0))  # P x S x W
+    data = np.einsum("...k,...kr->...r", col_w.reshape(1, p, s, 1, w),
+                     cols.reshape(2, p, s, c, w, 1)).reshape(2, p, s, c)
 
-    def halves(proj):  # the a and b halves as 2 x 1 x 1 x C weights
-        return T.reshape(proj, (2, 1, 1, c))
+    def bw(g, grads):
+        # the column pooling, the column softmax and the column scores
+        d_cols = col_w[:, :, None] * g[..., None]
+        d_col_w = (cols * g[..., None]).sum(axis=(0, 3))
+        d_col = col_w * (d_col_w - (d_col_w * col_w).sum(axis=-1, keepdims=True))
+        spread = np.broadcast_to(d_col, (2, p, s, w)).reshape(2, p, s, 1, w)
+        d_cols += col_proj[..., None] * spread
+        if params.col_proj.requires_grad:
+            T._accum(grads, params.col_proj, (cols @ spread.swapaxes(-1, -2))[..., 0]
+                     .sum(axis=(1, 2)).reshape(2 * c), owned=True)
+        # the packed pooling: both rows of a pair add into its row weights
+        pooled = np.zeros((k, s, c, blocks.shape[-2], w))
+        pooled[rows] = d_cols.reshape(2 * p, s, c, w)
+        del d_cols  # before the map gradient, whose allocation sets a step's peak
+        d_row_w = (pooled @ x.swapaxes(-1, -2)).sum(axis=2)[rows]  # 2P x S x H
+        d_row_w = d_row_w[:p] + d_row_w[p:]
+        d_row = row_w * (d_row_w - (d_row_w * row_w).sum(axis=-1, keepdims=True))
+        # the gather of each pair's row scores, as take's one-hot product
+        onehot = (np.stack([a, k + b])[..., None] == np.arange(2 * k)).astype(np.float64)
+        d_scores = (onehot.swapaxes(-1, -2) @ d_row.reshape(p, s * h)).sum(axis=0)
+        d_scores = d_scores.reshape(2, k, s, 1, h)
+        if params.row_proj.requires_grad:
+            T._accum(grads, params.row_proj, (means @ d_scores.swapaxes(-1, -2))[..., 0]
+                     .sum(axis=(1, 2)).reshape(2 * c), owned=True)
+        if maps.requires_grad:
+            d_maps = blocks.swapaxes(-1, -2) @ pooled
+            d_maps += ((row_proj[..., None] * d_scores).sum(axis=0) * (1.0 / w))[..., None]
+            T._accum(grads, maps, d_maps, owned=True)
 
-    means = T.tmean(maps, axis=-1)  # K x S x C x H
-    row_scores = T.weighted_sum(T.reshape(means, (1, *means.shape)), halves(params.row_proj),
-                                axis=-2)  # 2 x K x S x H
-    row_scores = T.reshape(row_scores, (2 * k, s, h))
-    row_w = T.softmax(T.add(T.take(row_scores, a, axis=0), T.take(row_scores, k + b, axis=0)),
-                      axis=-1)
-    row_w = T.reshape(row_w, (p, s, 1, h))  # one weight row for all C
-    # the rows of every pair once for map a, once for map b
-    cols = T.weighted_sum_at(maps, np.concatenate([a, b]),
-                             T.take(row_w, np.tile(np.arange(p), 2), axis=0), axis=-2)
-    cols = T.reshape(cols, (2, p, s, c, w))  # the a and b slabs of every pair
-    col_w = T.softmax(T.tsum(T.weighted_sum(cols, halves(params.col_proj), axis=-2), axis=0),
-                      axis=-1)
-    g = T.weighted_sum(cols, T.reshape(col_w, (1, p, s, 1, w)), axis=-1)
+    g = T._make(data, (maps, params.row_proj, params.col_proj), bw)
     return T.take(g, 0, axis=0), T.take(g, 1, axis=0)
 
 
@@ -670,9 +705,10 @@ def similarity_stats(scenes: Sequence[SceneMaps],
     global vectors, over the six pairings; no backward runs on the graph it
     builds."""
     g_a, g_b = aggregate_global(_map_stack(scenes), _GLOBAL_INDEX, params.global_agg)
-    p, s = g_a.shape[:2]
-    sims = T.cosine_sim(T.reshape(g_a, (p, s, 1, -1)), T.reshape(g_b, (p, 1, s, -1))).data
-    same = np.eye(s, dtype=bool)
+    a, b = g_a.data[:, :, None], g_b.data[:, None]  # P x S x 1 x C and P x 1 x S x C
+    # cosines with NORM_EPS added to both norms, as the matcher's
+    sims = (a * b).sum(axis=-1) / ((T._norm(a) + T.NORM_EPS) * (T._norm(b) + T.NORM_EPS))[..., 0]
+    same = np.eye(a.shape[1], dtype=bool)
     return float(np.mean(sims[:, same])), float(np.mean(sims[:, ~same]))
 
 

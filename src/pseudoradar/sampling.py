@@ -64,6 +64,8 @@ class SamplingConfig:
             raise ValueError(f"center_radius must be > 0, got {self.center_radius}")
         if self.d_threshold < 0:
             raise ValueError(f"d_threshold must be >= 0, got {self.d_threshold}")
+        if not isinstance(self.neighbor_count, (int, np.integer)):
+            raise ValueError(f"neighbor_count must be an integer, got {self.neighbor_count!r}")
         if not 1 <= self.neighbor_count <= MAX_NEIGHBOR_COUNT:
             raise ValueError(f"neighbor_count must be in [1, {MAX_NEIGHBOR_COUNT}], "
                              f"got {self.neighbor_count}")

@@ -1,16 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Covers the operations the loss stack runs and no more: add, sub and mul
-with numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis
-(also of rows gathered from a stack, read once per array), trailing-axis
-transposition, reshaping, stacking, gathering (whose backward is one product
-with a one-hot matrix, not a scatter), sums and means. The composite
-functions (softmax, logsumexp, and L2 normalization and batched cosine
-similarity over the last axis) are single tape nodes, each with a
-closed-form backward, as are the fused nodes that ``contrastive`` builds on
-:func:`_make` and :func:`_accum` (window attention, scaled dot-product
-attention and BCSA's gated layer-norm blend). Every gradient is verifiable
-against central finite differences via :func:`finite_diff_check`.
+with numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis,
+trailing-axis transposition, reshaping, stacking, gathering (whose backward
+is one product with a one-hot matrix, not a scatter), sums and means. The
+composite functions (logsumexp, and L2 normalization over the last axis)
+are single tape nodes, each with a closed-form backward, as are the fused
+nodes that ``contrastive`` builds on :func:`_make` and :func:`_accum`
+(window attention, scaled dot-product attention, BCSA's gated layer-norm
+blend and the global aggregation). Every gradient is verifiable against
+central finite differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -37,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-# added to every L2 norm by normalize and cosine_sim
+# added to every L2 norm by normalize and by the cosines of contrastive
 NORM_EPS = 1e-12
 # finite_diff_check's difference step, and the floor of its relative error's
 # denominator
@@ -251,56 +250,6 @@ def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
     return _make(data.reshape((*lead, *rest)), (x, w), bw)
 
 
-def weighted_sum_at(x: Tensor, index, w: Tensor, axis: int) -> Tensor:
-    """``out[q] = weighted_sum(x[index[q]], w[q], axis - 1)`` for every q.
-
-    ``x`` stacks K arrays along its first axis, and ``index`` (Q,) picks the
-    array that each of the Q weight rows pools. ``w`` has shape (Q, *b, n):
-    n is ``x.shape[axis]``, and each b_i is 1 or the matching axis of ``x``
-    between the first axis and ``axis``.
-
-    The rows of each array are packed into a K x .. x J x n block, J the
-    most rows any array has, so the forward reads each array once in one
-    batched matmul. The backward forms ``dx`` as one batched matmul that sums
-    each array's rows, and ``dw`` as one more; no per-row full-size gradient
-    is formed.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    if x.data.ndim < 2 or index.ndim != 1:
-        raise ShapeError(f"weighted_sum_at needs a rank >= 2 stack and a 1-D index, "
-                         f"got {x.shape} and {index.shape}")
-    axis %= x.data.ndim
-    k, n = x.shape[0], x.shape[axis]
-    lead, rest = x.shape[1:axis], x.shape[axis + 1:]
-    if (axis == 0 or w.data.ndim != axis + 1 or w.shape[0] != index.size
-            or w.shape[-1] != n or any(b not in (1, m) for b, m in zip(w.shape[1:-1], lead))):
-        raise ShapeError(f"weighted_sum_at weights {w.shape} do not fit {index.size} rows "
-                         f"of axis {axis} of {x.shape}")
-    if index.size and not (0 <= index.min() and index.max() < k):
-        raise ShapeError(f"weighted_sum_at index outside [0, {k})")
-    # slot of each row among the rows of its array
-    counts = np.bincount(index, minlength=k)
-    slot = np.empty_like(index)
-    slot[np.argsort(index, kind="stable")] = (np.arange(index.size)
-                                              - np.repeat(np.cumsum(counts) - counts, counts))
-    rows = (index, Ellipsis, slot, slice(None))
-    blocks = np.zeros((k, *w.shape[1:-1], int(counts.max(initial=0)), n))
-    blocks[rows] = w.data
-    xm = x.data.reshape(k, *lead, n, math.prod(rest))
-    pooled = blocks @ xm  # K x .. x J x R
-    pooled_shape = pooled.shape
-
-    def bw(g, grads):
-        gp = np.zeros(pooled_shape)
-        gp[rows] = g.reshape(index.size, *lead, -1)
-        if x.requires_grad:
-            _accum(grads, x, (blocks.swapaxes(-1, -2) @ gp).reshape(x.shape), owned=True)
-        if w.requires_grad:
-            _accum(grads, w, _unbroadcast(gp @ xm.swapaxes(-1, -2), blocks.shape)[rows])
-
-    return _make(pooled[rows].reshape(index.size, *lead, *rest), (x, w), bw)
-
-
 def transpose_last2(a: Tensor) -> Tensor:
     """Swap the trailing two axes. Self-inverse."""
     if a.data.ndim < 2:
@@ -430,45 +379,6 @@ def normalize(a: Tensor) -> Tensor:
     def bw(g, grads):
         radial = (g * data).sum(axis=-1, keepdims=True)
         _accum(grads, a, (g - radial * _unit(a.data, norm)) / den)
-
-    return _make(data, (a,), bw)
-
-
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of the vectors along the last axis, which is reduced.
-
-    The other axes broadcast, so one call scores many pairs. ``NORM_EPS``
-    is added to both norms, so a zero vector has similarity 0 to everything
-    and the value always lies strictly inside [-1, 1].
-    """
-    if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"cosine_sim needs equal last axes, got {a.shape} and {b.shape}")
-    na, nb = _norm(a.data), _norm(b.data)
-    den = (na + NORM_EPS) * (nb + NORM_EPS)
-    full = (a.data * b.data).sum(axis=-1, keepdims=True) / den
-
-    def bw(g, grads):
-        g = g[..., None]
-        if a.requires_grad:
-            _accum(grads, a, g * (b.data / den - full / (na + NORM_EPS) * _unit(a.data, na)))
-        if b.requires_grad:
-            _accum(grads, b, g * (a.data / den - full / (nb + NORM_EPS) * _unit(b.data, nb)))
-
-    return _make(full[..., 0], (a, b), bw)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, max-shifted so no exponent overflows.
-
-    Masked slots set to -inf get probability 0 and gradient 0.
-    """
-    if a.data.ndim == 0:
-        raise ShapeError("softmax needs at least rank 1")
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g, grads):
-        _accum(grads, a, data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
     return _make(data, (a,), bw)
 

@@ -6,9 +6,10 @@ This is the loss stack as it was before the matrix form, kept only so that
 tests can compare the batched code in ``pseudoradar.contrastive`` against
 it, together with the op chains that the package fuses into single nodes:
 the matcher's window attention and BCSA's attention and gated layer-norm
-blend. It is slow by design and is not part of the package. The four tape
-ops that only it needs (div, sqrt, concat and layer_norm) are defined here
-on the engine's node maker, not in ``pseudoradar.tensor``.
+blend. It is slow by design and is not part of the package. The tape ops
+that only it needs (div, sqrt, concat, layer_norm, softmax and the batched
+cosine similarity) are defined here on the engine's node maker, not in
+``pseudoradar.tensor``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,46 @@ def layer_norm(a: Tensor, axis: int = -1) -> Tensor:
     return T._make(data, (a,), bw)
 
 
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``, max-shifted so no exponent overflows.
+
+    Masked slots set to -inf get probability 0 and gradient 0.
+    """
+    if a.data.ndim == 0:
+        raise T.ShapeError("softmax needs at least rank 1")
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g, grads):
+        T._accum(grads, a, data * (g - (g * data).sum(axis=axis, keepdims=True)))
+
+    return T._make(data, (a,), bw)
+
+
+def batched_cosine_sim(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of the vectors along the last axis, which is reduced.
+
+    The other axes broadcast, so one call scores many pairs. ``NORM_EPS``
+    is added to both norms, so a zero vector has similarity 0 to everything
+    and the value always lies strictly inside [-1, 1].
+    """
+    if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise T.ShapeError(f"batched_cosine_sim needs equal last axes, "
+                           f"got {a.shape} and {b.shape}")
+    na, nb = T._norm(a.data), T._norm(b.data)
+    da, db = na + T.NORM_EPS, nb + T.NORM_EPS
+    full = (a.data * b.data).sum(axis=-1, keepdims=True) / (da * db)
+
+    def bw(g, grads):
+        g = g[..., None]
+        if a.requires_grad:
+            T._accum(grads, a, g * (b.data / (da * db) - full / da * T._unit(a.data, na)))
+        if b.requires_grad:
+            T._accum(grads, b, g * (a.data / (da * db) - full / db * T._unit(b.data, nb)))
+
+    return T._make(full[..., 0], (a, b), bw)
+
+
 def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
     return concat([T.reshape(s, (1,)) for s in scalars], axis=0)
 
@@ -119,8 +160,8 @@ def window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Te
     by softmax of their cosine to the label column, masked slots excluded."""
     select = np.arange(inside.shape[-1]) == label[..., None]
     query = T.weighted_sum(cols, Tensor(select), axis=-2)
-    sims = T.cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
-    attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
+    sims = batched_cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
+    attn = softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
     return T.weighted_sum(cols, attn, axis=-2)
 
 
@@ -140,7 +181,7 @@ def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
         query_col = min(cols, key=lambda col: (abs(col - center), col))
         query = col_tensors[cols.index(query_col)]
         sims = stack_scalars([cosine_sim(query, ct) for ct in col_tensors])
-        attn = T.softmax(sims, axis=0)
+        attn = softmax(sims, axis=0)
         agg = T.mul(T.take(attn, 0, axis=0), col_tensors[0])
         for t in range(1, len(cols)):
             agg = T.add(agg, T.mul(T.take(attn, t, axis=0), col_tensors[t]))
@@ -157,7 +198,7 @@ def attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
     """The op chain that ``contrastive._attend`` computes as one node:
     softmax(q k_t / sqrt(d)) v over the trailing two axes."""
     scores = T.mul(T.matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    return T.matmul(softmax(scores, axis=-1), v)
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -221,12 +262,12 @@ def aggregate_global(f_a: Tensor, f_b: Tensor,
     cat = concat([f_a, f_b], axis=0)
     row_desc = T.tmean(cat, axis=2)
     row_scores = T.reshape(T.matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
-    row_w = T.reshape(T.softmax(row_scores, axis=0), (1, h, 1))
+    row_w = T.reshape(softmax(row_scores, axis=0), (1, h, 1))
     a_cols = T.tsum(T.mul(f_a, row_w), axis=1)
     b_cols = T.tsum(T.mul(f_b, row_w), axis=1)
     cat_cols = concat([a_cols, b_cols], axis=0)
     col_scores = T.reshape(T.matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
-    col_w = T.reshape(T.softmax(col_scores, axis=0), (1, w))
+    col_w = T.reshape(softmax(col_scores, axis=0), (1, w))
     return T.tsum(T.mul(a_cols, col_w), axis=1), T.tsum(T.mul(b_cols, col_w), axis=1)
 
 

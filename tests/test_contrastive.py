@@ -1,6 +1,10 @@
 import importlib.util
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -341,6 +345,15 @@ class TestAggregateGlobal:
         for x in (maps, params.row_proj, params.col_proj):
             assert finite_diff_check(f, x) < 1e-5
 
+    def test_one_node_that_two_takes_split(self):
+        maps = Tensor(np.ones((3, 2, 2, 3, 4)), requires_grad=True)
+        params = GlobalAggParams.init(2, seed=0)
+        g_a, g_b = aggregate_global(maps, ((0, 1), (2, 2)), params)
+        # three nodes a call: the node on the leaves, and a take for each result
+        node = g_a._parents[0]
+        assert g_a._parents == g_b._parents == (node,)
+        assert node._parents == (maps, params.row_proj, params.col_proj)
+
 
 class TestLocalLoss:
     def test_copy_map_matches_at_zero_offset_and_is_small(self):
@@ -495,19 +508,38 @@ class TestTotalLoss:
 
 
 def test_total_loss_tape_node_count():
-    # each weighted pooling is one weighted_sum node, the global path pools
-    # all its pairings in one weighted_sum_at node and scores them in one
-    # info_nce call, the matcher's window attention is one node, and BCSA is
-    # 11 nodes: each transpose, the gate, 1 - gate and the affine stack once,
-    # then two attention nodes and one gated blend per direction; the same
-    # loss at the benchmark's C64 x H32 x W64 size holds 199
+    # each weighted pooling is one weighted_sum node, the global path
+    # aggregates all its pairings in one node, which two takes split, and
+    # scores them in one info_nce call, the matcher's window attention is one
+    # node, and BCSA is 11 nodes: each transpose, the gate, 1 - gate and the
+    # affine stack once, then two attention nodes and one gated blend per
+    # direction; the same loss at the benchmark's C64 x H32 x W64 size holds
+    # 180
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 161
+    assert len(T._topo_order(loss)) == 142
+
+
+# two toy_pretrain steps on a batch given as JSON, as step_peaks.C64_BATCH
+# gives it; prints the sha256 of the trace and of the trained maps
+TRAIN_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from pseudoradar import contrastive as C
+from pseudoradar.synth import gen_feature_batch
+b = json.loads(sys.argv[1])
+batch = gen_feature_batch(b["seed"], b["scenes"], b["channels"], b["height"], b["width"],
+                          noise_sigma=2.0)
+trace, _ = C.toy_pretrain(batch.scenes, C.ContrastiveConfig(batch_size=b["columns"]), steps=2,
+                          learning_rate=0.05, seed=b["pretrain_seed"])
+maps = np.stack([getattr(s, name).tensor.data for name in C.MAP_NAMES for s in batch.scenes])
+print(hashlib.sha256(json.dumps(trace.to_dict()).encode()).hexdigest(),
+      hashlib.sha256(maps.tobytes()).hexdigest())
+"""
 
 
 class TestToyPretrain:
@@ -642,6 +674,20 @@ class TestToyPretrain:
         got = step_peaks.step_peaks(**step_peaks.C64_BATCH)
         assert len(got["step_peak_mb"]) == 2 and max(got["step_peak_mb"]) < 56.0, got
         assert got["call_peak_mb"] < 56.0 + got["maps_mb"], got
+
+    def test_c64_bits_do_not_depend_on_the_blas_thread_count(self):
+        # the global path pools with a BLAS matmul: two steps on the C64
+        # batch, in one process at one BLAS thread and in one at two
+        package = str(Path(C.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        digests = [subprocess.run([sys.executable, "-c", TRAIN_DIGESTS,
+                                   json.dumps(step_peaks.C64_BATCH)],
+                                  env={**os.environ, "PYTHONPATH": path,
+                                       "OPENBLAS_NUM_THREADS": threads},
+                                  check=True, capture_output=True, text=True,
+                                  timeout=300).stdout.split()
+                   for threads in ("1", "2")]
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
     def test_trace_json_schema(self):
         batch = gen_feature_batch(2, 2, 3, 3, 8, noise_sigma=1.0)

@@ -505,6 +505,9 @@ def flow_raising_pipeline_error(frame_t, frame_next, dt):
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: SamplingConfig(d_threshold=-1.0), ValueError,
                  r"^d_threshold must be >= 0, got -1.0$", id="negative-d-threshold"),
+    *(pytest.param(lambda n=n: SamplingConfig(neighbor_count=n), ValueError,
+                   f"^neighbor_count must be an integer, got {n}$", id=f"neighbor-count-{n}")
+      for n in (2.5, 8.0)),
     pytest.param(lambda: intensity_weights(np.zeros(0)), ValueError,
                  "^intensity_weights needs at least one point$", id="no-intensities"),
     pytest.param(lambda: intensity_weights(np.array([1.0, -1.0])), ValueError,

@@ -187,8 +187,8 @@ def assert_groups_are_distinct_rows(pts):
 
 
 def test_equal_rows_groups_integer_cells_exactly():
-    # integer-valued cell coordinates differ only in their high bits, so the
-    # hash must carry those bits down or equal rows land in split groups
+    # integer-valued cell coordinates, many of them equal: every equal row
+    # must land in one group, and distinct rows in distinct groups
     pts = gen_scene(SceneSpec(seed=7)).lidar_frames[0].xyz
     cells = np.floor(pts[thin_redundant(pts, 0.3)] / 1.3)
     assert len(cells) == 7_580

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoradar import tensor as T
 from pseudoradar.tensor import ShapeError, Tensor, backward, finite_diff_check, zero_grad
-from scalar_losses import concat, div, layer_norm, sqrt
+from scalar_losses import batched_cosine_sim, concat, div, layer_norm, softmax, sqrt
 
 
 def rand(shape, seed=0, scale=2.0):
@@ -38,28 +38,29 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    # softmax is the scalar reference's op, defined in scalar_losses.py
     def test_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
+        out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
         assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
     def test_shift_invariance_no_overflow(self):
-        out = T.softmax(Tensor([1000.0, 1000.0]), axis=0)
+        out = softmax(Tensor([1000.0, 1000.0]), axis=0)
         assert np.isfinite(out.data).all()
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_hand_value(self):
-        out = T.softmax(Tensor([0.0, math.log(3.0)]), axis=0)
+        out = softmax(Tensor([0.0, math.log(3.0)]), axis=0)
         assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=16))
     def test_sums_to_one(self, values):
-        out = T.softmax(Tensor(values), axis=0)
+        out = softmax(Tensor(values), axis=0)
         assert abs(out.data.sum() - 1.0) < 1e-12
         assert (out.data > 0).all() and (out.data < 1.0 + 1e-15).all()
 
     def test_grads_sum_to_zero_across_axis(self):
         x = Tensor(rand(5, seed=3), requires_grad=True)
-        backward(T.take(T.softmax(x, axis=0), 2, axis=0))
+        backward(T.take(softmax(x, axis=0), 2, axis=0))
         assert abs(x.grad.sum()) < 1e-12
 
 
@@ -125,8 +126,9 @@ def _layer_norm_chain(x, axis, eps=1e-5):
 
 FUSED = {"softmax": _softmax_chain, "logsumexp": _logsumexp_chain,
          "layer_norm": _layer_norm_chain}
-# the fused ops: the engine's two, and the scalar reference's layer norm
-FUSED_OPS = {"softmax": T.softmax, "logsumexp": T.logsumexp, "layer_norm": layer_norm}
+# the fused ops: the engine's logsumexp, and the scalar reference's softmax
+# and layer norm
+FUSED_OPS = {"softmax": softmax, "logsumexp": T.logsumexp, "layer_norm": layer_norm}
 # the op-table input, and a BCSA-shaped N x C x H stack normalized over C
 FUSED_INPUTS = [
     (np.random.default_rng(30).uniform(-5, 5, size=(4, 6)), 1),
@@ -166,7 +168,7 @@ class TestFusedOps:
         inside = np.array([[True, True, False, True],
                            [False, True, True, False],
                            [True, True, True, True]])
-        attn = T.softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
+        attn = softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
         assert np.array_equal(attn.data[~inside], np.zeros((~inside).sum()))
         backward(T.tsum(T.mul(attn, Tensor(rand((3, 4), seed=34)))))
         assert np.array_equal(sims.grad[~inside], np.zeros((~inside).sum()))
@@ -234,68 +236,6 @@ class TestWeightedSum:
             T.weighted_sum(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), axis=1)
         with pytest.raises(ShapeError, match="rank >= 1"):
             T.weighted_sum(Tensor(np.ones(3)), Tensor(1.0), axis=0)
-
-
-# (x shape, index, w shape, axis): the global path's row pooling of a scene
-# stack with weights shared over C, weights per lead entry, a trailing
-# contracted axis, a map in no row, and one row
-WEIGHTED_SUM_AT_CASES = [
-    ((4, 3, 5, 6, 7), [0, 1, 1, 2, 2, 3, 3, 0, 1], (9, 3, 1, 6), -2),
-    ((3, 2, 4, 5), [2, 0, 2, 2], (4, 2, 4), 2),
-    ((2, 3, 5), [1, 1, 0], (3, 3, 5), -1),
-    ((3, 4, 2), [2, 0], (2, 4), 1),
-    ((2, 6), [1], (1, 6), 1),
-]
-
-
-def _weighted_sum_at_chain(x, index, w, axis):
-    """One take and weighted_sum per row, stacked: what weighted_sum_at fuses."""
-    axis %= x.data.ndim
-    rows = [T.weighted_sum(T.take(x, int(k), axis=0), T.take(w, q, axis=0), axis - 1)
-            for q, k in enumerate(index)]
-    return T.stack(rows)
-
-
-class TestWeightedSumAt:
-    @pytest.mark.parametrize("case", range(len(WEIGHTED_SUM_AT_CASES)))
-    def test_matches_one_weighted_sum_per_row(self, case):
-        x_shape, index, w_shape, axis = WEIGHTED_SUM_AT_CASES[case]
-        values, grads = [], []
-        for op in (T.weighted_sum_at, _weighted_sum_at_chain):
-            x = Tensor(rand(x_shape, seed=70), requires_grad=True)
-            w = Tensor(rand(w_shape, seed=71), requires_grad=True)
-            out = op(x, np.array(index), w, axis)
-            backward(T.tsum(T.mul(out, Tensor(rand(out.shape, seed=72)))))
-            values.append(out.data)
-            grads.append((x.grad, w.grad))
-        assert values[0].shape == values[1].shape
-        assert np.abs(values[0] - values[1]).max() <= 1e-12 * np.abs(values[1]).max()
-        for new, old in zip(grads[0], grads[1]):
-            assert new.shape == old.shape
-            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
-
-    def test_one_tape_node_and_no_gradient_for_constant_weights(self):
-        x = Tensor(rand((2, 3, 4), seed=73), requires_grad=True)
-        w = Tensor(rand((3, 3), seed=74))
-        out = T.weighted_sum_at(x, [1, 0, 1], w, axis=1)
-        assert T._topo_order(out) == [x, out]
-        backward(T.tsum(out))
-        assert w.grad is None
-        want = np.stack([w.data[1], w.data[0] + w.data[2]])[:, :, None]
-        assert np.allclose(x.grad, np.broadcast_to(want, (2, 3, 4)), rtol=1e-15, atol=0)
-
-    def test_shape_contract(self):
-        x = Tensor(np.ones((2, 3, 4)))
-        with pytest.raises(ShapeError, match="do not fit 2 rows"):
-            T.weighted_sum_at(x, [0, 1], Tensor(np.ones((2, 4))), axis=1)
-        with pytest.raises(ShapeError, match="do not fit"):
-            T.weighted_sum_at(x, [0, 1], Tensor(np.ones((2, 3))), axis=0)
-        with pytest.raises(ShapeError, match="do not fit 3 rows"):
-            T.weighted_sum_at(x, [0, 1, 1], Tensor(np.ones((2, 3))), axis=1)
-        with pytest.raises(ShapeError, match=r"outside \[0, 2\)"):
-            T.weighted_sum_at(x, [0, 2], Tensor(np.ones((2, 3))), axis=1)
-        with pytest.raises(ShapeError, match="1-D index"):
-            T.weighted_sum_at(x, [[0, 1]], Tensor(np.ones((2, 3))), axis=1)
 
 
 def _stack_cases():
@@ -424,38 +364,39 @@ class TestTransposeLast2:
 
 
 class TestCosineSim:
+    # batched_cosine_sim is the scalar reference's op, defined in scalar_losses.py
     def test_self_similarity(self):
         v = Tensor([1.0, -2.0, 0.5])
-        assert T.cosine_sim(v, v).item() == pytest.approx(1.0, abs=1e-9)
+        assert batched_cosine_sim(v, v).item() == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal(self):
-        assert T.cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+        assert batched_cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
 
     def test_hand_value(self):
-        got = T.cosine_sim(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item()
+        got = batched_cosine_sim(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item()
         assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
 
     def test_zero_vector_is_zero(self):
-        assert T.cosine_sim(Tensor([0.0, 0.0]), Tensor([3.0, 4.0])).item() == 0.0
+        assert batched_cosine_sim(Tensor([0.0, 0.0]), Tensor([3.0, 4.0])).item() == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            T.cosine_sim(Tensor([1.0]), Tensor([1.0, 2.0]))
+            batched_cosine_sim(Tensor([1.0]), Tensor([1.0, 2.0]))
         with pytest.raises(ShapeError):
-            T.cosine_sim(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            batched_cosine_sim(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     def test_batched_broadcast_equals_pairwise(self):
         a, b = rand((3, 5), seed=20), rand((4, 5), seed=21)
-        out = T.cosine_sim(Tensor(a[:, None, :]), Tensor(b[None, :, :])).data
+        out = batched_cosine_sim(Tensor(a[:, None, :]), Tensor(b[None, :, :])).data
         assert out.shape == (3, 4)
         for i in range(3):
             for k in range(4):
-                assert out[i, k] == T.cosine_sim(Tensor(a[i]), Tensor(b[k])).item()
+                assert out[i, k] == batched_cosine_sim(Tensor(a[i]), Tensor(b[k])).item()
 
     def test_zero_vector_gradient_is_finite(self):
         a = Tensor(np.zeros(3), requires_grad=True)
         b = Tensor([1.0, 2.0, -1.0], requires_grad=True)
-        backward(T.cosine_sim(a, b))
+        backward(batched_cosine_sim(a, b))
         assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()
         assert np.array_equal(b.grad, np.zeros(3))
 
@@ -479,7 +420,7 @@ class TestNormalize:
     def test_products_are_cosines(self):
         a, b = rand((3, 5), seed=25), rand((3, 5), seed=26)
         dots = (T.normalize(Tensor(a)).data * T.normalize(Tensor(b)).data).sum(axis=1)
-        cos = T.cosine_sim(Tensor(a), Tensor(b)).data
+        cos = batched_cosine_sim(Tensor(a), Tensor(b)).data
         assert np.allclose(dots, cos, rtol=1e-14, atol=0)
 
 
@@ -591,7 +532,7 @@ class TestBackward:
 
         def f(t):
             u = T.matmul(t, T.transpose_last2(t))
-            v = T.softmax(u, axis=1)
+            v = softmax(u, axis=1)
             return T.tsum(T.mul(v, Tensor(rand((4, 4), seed=9))))
 
         assert finite_diff_check(f, x) < 1e-6
@@ -671,7 +612,7 @@ class TestGradientAccumulation:
         b = T.matmul(consts[1], a)  # 4 x 4
         c = T.weighted_sum(T.matmul(a, consts[1]), consts[2], axis=-1)
         d = div(x, consts[3])
-        e = T.cosine_sim(consts[4], d)
+        e = batched_cosine_sim(consts[4], d)
         loss = T.add(T.add(T.tsum(b), T.tsum(c)), T.tsum(e))
         backward(loss)
         assert all(t.requires_grad for t in calls)
@@ -691,8 +632,8 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: T.tsum(T.mul(t, t)), x) < 1e-8
 
 
-# the ops of pseudoradar.tensor, and div, sqrt, concat and layer_norm of the
-# scalar reference
+# the ops of pseudoradar.tensor, and div, sqrt, concat, layer_norm, softmax
+# and batched_cosine_sim of the scalar reference
 OPS = {
     "add": lambda t, u: T.add(t, u),
     "sub": lambda t, u: T.sub(t, u),
@@ -701,7 +642,7 @@ OPS = {
     "sigmoid": lambda t, u: T.sigmoid(t),
     "matmul": lambda t, u: T.matmul(t, T.transpose_last2(u)),
     "transpose": lambda t, u: T.transpose_last2(t),
-    "softmax": lambda t, u: T.softmax(t, axis=1),
+    "softmax": lambda t, u: softmax(t, axis=1),
     "logsumexp": lambda t, u: T.logsumexp(t, axis=1),
     "layer_norm": lambda t, u: layer_norm(t, axis=1),
     "mean": lambda t, u: T.tmean(t, axis=0),
@@ -711,13 +652,10 @@ OPS = {
     # x and w both depend on t; w's leading axis broadcasts against x's
     "weighted_sum": lambda t, u: T.weighted_sum(
         T.reshape(t, (2, 3, 4)), T.reshape(T.take(t, 0, axis=0), (2, 1, 3)), axis=1),
-    # x and w both depend on t; map 1 is pooled by three rows, map 0 by one
-    "weighted_sum_at": lambda t, u: T.weighted_sum_at(
-        T.reshape(t, (2, 3, 4)), np.array([1, 0, 1, 1]),
-        T.take(t, np.array([0, 2, 5]), axis=1), axis=1),
     "stack": lambda t, u: T.stack([t, u, t]),
     "normalize": lambda t, u: T.normalize(t),
-    "cosine_sim": lambda t, u: T.cosine_sim(T.reshape(t, (4, 1, 6)), T.reshape(u, (1, 4, 6))),
+    "cosine_sim": lambda t, u: batched_cosine_sim(T.reshape(t, (4, 1, 6)),
+                                                  T.reshape(u, (1, 4, 6))),
 }
 
 
@@ -753,7 +691,7 @@ def test_no_forward_op_produces_non_finite(seed):
     x = Tensor(rng.uniform(-10, 10, size=(3, 5)))
     y = Tensor(rng.uniform(-10, 10, size=(3, 5)))
     outs = [
-        T.add(x, y), T.mul(x, y), T.softmax(x, axis=1), layer_norm(x, axis=0),
+        T.add(x, y), T.mul(x, y), softmax(x, axis=1), layer_norm(x, axis=0),
         T.sigmoid(x), T.logsumexp(x, axis=1), T.matmul(x, T.transpose_last2(y)),
         T.tsum(x), T.tmean(x, axis=1), concat([x, y], axis=1),
     ]
@@ -801,7 +739,7 @@ def test_every_public_op_has_a_caller_in_the_package():
                            if p.name != "tensor.py"))
     ops = [name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and name[0] != "_"]
-    assert len(ops) >= 20
+    assert len(ops) >= 17
     assert [name for name in ops if name not in called] == []
 
 
@@ -855,7 +793,7 @@ def test_repr_names_the_shape_and_the_gradient_flag():
                  id="matmul-rank"),
     pytest.param(lambda: T.normalize(Tensor(1.0)), ShapeError,
                  "^normalize needs at least rank 1$", id="normalize-rank"),
-    pytest.param(lambda: T.softmax(Tensor(1.0)), ShapeError,
+    pytest.param(lambda: softmax(Tensor(1.0)), ShapeError,
                  "^softmax needs at least rank 1$", id="softmax-rank"),
     pytest.param(lambda: finite_diff_check(T.tsum, Tensor([1.0, 2.0])), ValueError,
                  "^finite_diff_check needs requires_grad=True on x$", id="check-constant"),
