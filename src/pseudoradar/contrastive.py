@@ -15,11 +15,11 @@ tape, from the R x R Gram matrix of each column's search area, and gathers
 only the winners on it, whose window attention is one tape node; BCSA runs
 on N x C x H stacks, each direction as two scaled dot-product attention
 nodes and one node that layer-norms, transforms and gates both branches,
-each keeping only what its closed-form backward needs; InfoNCE is one
-matmul of row-normalized N x D matrices, and the global path aggregates
-all six pairings of all scenes in one tape node on one stack of the maps,
-pooling each map once for all its pairings. The tape size therefore does
-not depend on the number of sampled columns.
+each keeping only what its closed-form backward needs; InfoNCE is one tape
+node around one matmul of row-normalized N x D matrices, and the global
+path aggregates all six pairings of all scenes in one tape node on one
+stack of the maps, pooling each map once for all its pairings. The tape
+size therefore does not depend on the number of sampled columns.
 
 Everything here is differentiable end to end; the gradcheck command and the
 test suite verify every gradient against central finite differences.
@@ -65,6 +65,19 @@ MATCH_TIE_TOL = 1e-12
 
 # added to every variance by BCSA's layer norm
 LAYER_NORM_EPS = 1e-5
+# added to every L2 norm of a cosine or a row normalization
+NORM_EPS = 1e-12
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """L2 norms along the last axis, which is kept with length 1."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=True))
+
+
+def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """``x / norm`` for norms kept from ``x``, and 0 where the norm is 0 (a
+    subgradient of the norm)."""
+    return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
 
 
 @dataclass
@@ -238,33 +251,63 @@ def _form(x) -> str:
     return str(x.shape) if isinstance(x, Tensor) else f"a {type(x).__name__}"
 
 
-def _check_form(what: str, rank_ok, *xs) -> None:
+def _check_form(what: str, shape_ok, *xs) -> None:
     """ValueError naming the expected form ``what`` unless the inputs are
-    tensors of one shape whose rank passes ``rank_ok``."""
+    tensors of one shape that passes ``shape_ok``."""
     if not (all(isinstance(x, Tensor) for x in xs) and len({x.shape for x in xs}) == 1
-            and rank_ok(xs[0].data.ndim)):
+            and shape_ok(xs[0].shape)):
         raise ValueError(f"expected {what}, got {' and '.join(map(_form, xs))}")
 
 
 def info_nce(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
     """-(1/N) sum_i log( exp(sim(a_i, c_i)/tau) / sum_j exp(sim(a_i, c_j)/tau) ).
 
-    ``anchors`` and ``candidates`` are ... x N x D tensors, one loss per
-    leading index. sim is cosine similarity, so the loss is invariant to
-    positive rescaling of any single vector. Always >= 0; exactly ln N when
-    all similarities coincide; 0 for N = 1. Computed in matrix form:
-    S = A_n B_n^T / tau on the row-normalized inputs, then
+    ``anchors`` and ``candidates`` are ... x N x D tensors with N >= 1, one
+    loss per leading index. sim is cosine similarity, so the loss is
+    invariant to positive rescaling of any single vector. Always >= 0;
+    exactly ln N when all similarities coincide; 0 for N = 1. Computed in
+    matrix form: S = A_n B_n^T / tau on the row-normalized inputs, then
     mean(logsumexp(S) - diag(S)). Raises ValueError naming a ``tau`` that is
     not finite and > 0.
+
+    One tape node. Its forward takes the numpy steps of the op chain (two
+    row normalizations, the transpose, ``matmul``, the scale, the diagonal,
+    ``logsumexp``, ``sub``, ``tsum`` and the scale by -1/N) in order, so it
+    is bit-equal to it. Its backward is the closed form
+    ``(softmax(S) - I) / (N tau)`` times each loss's gradient, taken back
+    through the matmul and both row normalizations with the chain's
+    expressions.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
-    _check_form("matching ... x N x D tensors", lambda rank: rank >= 2, anchors, candidates)
+    _check_form("matching ... x N x D tensors with N >= 1",
+                lambda shape: len(shape) >= 2 and shape[-2] > 0, anchors, candidates)
     n = anchors.shape[-2]
-    sims = T.mul(T.matmul(T.normalize(anchors), T.transpose_last2(T.normalize(candidates))),
-                 Tensor(1.0 / tau))
-    pos = T.weighted_sum(sims, Tensor(np.eye(n)), axis=-1)
-    return T.mul(T.tsum(T.sub(pos, T.logsumexp(sims, axis=-1)), axis=-1), Tensor(-1.0 / n))
+    inv_tau = 1.0 / tau
+    norm_a, norm_b = _norm(anchors.data), _norm(candidates.data)
+    den_a, den_b = norm_a + NORM_EPS, norm_b + NORM_EPS
+    unit_a, unit_b = anchors.data / den_a, candidates.data / den_b
+    unit_b_t = unit_b.swapaxes(-1, -2).copy()
+    sims = (unit_a @ unit_b_t) * inv_tau
+    shift = sims.max(axis=-1, keepdims=True)
+    e = np.exp(sims - shift)
+    total = e.sum(axis=-1)
+    lse = np.log(total) + shift[..., 0]
+    data = (sims.diagonal(axis1=-2, axis2=-1) - lse).sum(axis=-1) * (-1.0 / n)
+
+    def bw(g, grads):
+        g_rows = np.broadcast_to((g * (-1.0 / n))[..., None], total.shape)
+        g_sims = (np.eye(n) * g_rows[..., None] + (-g_rows / total)[..., None] * e) * inv_tau
+        # through each side's row normalization: drop the radial part, divide by den
+        for t, g_unit, unit, norm, den in (
+                (anchors, g_sims @ unit_b_t.swapaxes(-1, -2), unit_a, norm_a, den_a),
+                (candidates, (unit_a.swapaxes(-1, -2) @ g_sims).swapaxes(-1, -2),
+                 unit_b, norm_b, den_b)):
+            if t.requires_grad:
+                radial = (g_unit * unit).sum(axis=-1, keepdims=True)
+                T._accum(grads, t, (g_unit - radial * _unit(t.data, norm)) / den, owned=True)
+
+    return T._make(data, (anchors, candidates), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +334,8 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cosine similarities of the vectors along the last axes of ``a`` and
     ``b``, broadcast against each other, with NORM_EPS added to both norms.
     Returns them with their denominators and the two norms."""
-    na, nb = T._norm(a)[..., 0], T._norm(b)[..., 0]
-    den = (na + T.NORM_EPS) * (nb + T.NORM_EPS)
+    na, nb = _norm(a)[..., 0], _norm(b)[..., 0]
+    den = (na + NORM_EPS) * (nb + NORM_EPS)
     return (a * b).sum(axis=-1) / den, den, na, nb
 
 
@@ -325,8 +368,8 @@ def _window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> T
         across = select[..., :, None] * (g_sims / den)[..., None, :]
         m = across + across.swapaxes(-1, -2)
         radial = g_sims * sims
-        diag = T._unit(radial / (nb + T.NORM_EPS), nb) + select * T._unit(
-            radial.sum(axis=-1, keepdims=True) / (na + T.NORM_EPS), na)
+        diag = _unit(radial / (nb + NORM_EPS), nb) + select * _unit(
+            radial.sum(axis=-1, keepdims=True) / (na + NORM_EPS), na)
         m[..., np.arange(x.shape[-2]), np.arange(x.shape[-2])] -= diag
         T._accum(grads, cols, m @ x + attn[..., None] * g[..., None, :], owned=True)
 
@@ -369,15 +412,15 @@ def _match_windows(anchors: Tensor, search_map: Tensor, columns: np.ndarray,
     norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))  # N x R
     row = np.arange(len(columns))[:, None, None]
     query = np.take_along_axis(slot, label[..., None], axis=-1)  # N x K x 1
-    attn = _softmax(gram[row, query, slot] / ((norms[row, query] + T.NORM_EPS)
-                                              * (norms[row, slot] + T.NORM_EPS))
+    attn = _softmax(gram[row, query, slot] / ((norms[row, query] + NORM_EPS)
+                                              * (norms[row, slot] + NORM_EPS))
                     + np.where(inside, 0.0, -np.inf))  # N x K x r
     sq_norm = np.einsum("...s,...st,...t->...", attn,
                         gram[row[..., None], slot[..., :, None], slot[..., None, :]], attn)
     # rounding can take a near-zero squared norm below 0
     score = ((attn * dots[row, slot]).sum(axis=-1)
-             / ((np.sqrt(np.maximum(sq_norm, 0.0)) + T.NORM_EPS)
-                * (T._norm(anchors.data) + T.NORM_EPS)))
+             / ((np.sqrt(np.maximum(sq_norm, 0.0)) + NORM_EPS)
+                * (_norm(anchors.data) + NORM_EPS)))
     tied = score >= score.max(axis=-1, keepdims=True) - MATCH_TIE_TOL
     # a score tied with the best, then smaller |offset|, then smaller offset,
     # then the earlier window (lexsort is stable)
@@ -526,7 +569,7 @@ def bcsa(f1: Tensor, f2: Tensor, params: BcsaParams) -> tuple[Tensor, Tensor]:
     share each input's transpose, the gate and ``1 - gate``. Each direction
     is three tape nodes: two ``_attend`` nodes and one ``_gated_blend``.
     """
-    _check_form("matching N x C x D tensors", lambda rank: rank == 3, f1, f2)
+    _check_form("matching N x C x D tensors", lambda shape: len(shape) == 3, f1, f2)
     _check_sizes(params, 1, f1.shape[1], "input has")
     gate = T.sigmoid(params.gate_logits)
     rest = T.sub(Tensor(1.0), gate)
@@ -601,7 +644,7 @@ def aggregate_global(maps: Tensor, pairs: Sequence[tuple[int, int]],
     owned buffer. The node keeps the slabs and the weights, not the pooled
     block.
     """
-    _check_form("a K x S x C x H x W stack", lambda rank: rank == 5, maps)
+    _check_form("a K x S x C x H x W stack", lambda shape: len(shape) == 5, maps)
     pairs = np.asarray(pairs, dtype=np.intp)
     k, s, c, h, w = maps.shape
     if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size or not (

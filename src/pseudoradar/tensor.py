@@ -1,15 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Covers the operations the loss stack runs and no more: add, sub and mul
-with numpy-style broadcasting, sigmoid, matmul, weighted sums along an axis,
-trailing-axis transposition, reshaping, stacking, gathering (whose backward
-is one product with a one-hot matrix, not a scatter), sums and means. The
-composite functions (logsumexp, and L2 normalization over the last axis)
-are single tape nodes, each with a closed-form backward, as are the fused
-nodes that ``contrastive`` builds on :func:`_make` and :func:`_accum`
-(window attention, scaled dot-product attention, BCSA's gated layer-norm
-blend and the global aggregation). Every gradient is verifiable against
-central finite differences via :func:`finite_diff_check`.
+with numpy-style broadcasting, sigmoid, trailing-axis transposition,
+reshaping, stacking, gathering (whose backward is one product with a
+one-hot matrix, not a scatter), sums and means. The fused nodes that
+``contrastive`` builds on :func:`_make` and :func:`_accum` (window
+attention, scaled dot-product attention, BCSA's gated layer-norm blend, the
+global aggregation and InfoNCE) are single tape nodes, each with a
+closed-form backward. Every gradient is verifiable against central finite
+differences via :func:`finite_diff_check`.
 
 Graphs are throwaway: build, call :func:`backward` once, read ``.grad`` off
 the leaves; intermediate nodes get none. Calling backward again on a fresh
@@ -36,8 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-# added to every L2 norm by normalize and by the cosines of contrastive
-NORM_EPS = 1e-12
 # finite_diff_check's difference step, and the floor of its relative error's
 # denominator
 FINITE_DIFF_STEP = 1e-3
@@ -196,60 +193,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
     return mul(tsum(a, axis=axis), Tensor(1.0 / n))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the trailing two axes; leading axes must agree."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul shapes do not align: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def bw(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accum(grads, b, a.data.swapaxes(-1, -2) @ g)
-
-    return _make(data, (a, b), bw)
-
-
-def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
-    """Contract ``axis`` of ``x`` with the weights ``w``.
-
-    ``w``'s last axis is the contracted one and has ``x.shape[axis]``
-    entries; its leading axes broadcast against the axes of ``x`` before
-    ``axis``, and each weight applies to the whole slice after it. The
-    result equals ``tsum(mul(x, w'), axis)`` for ``w`` reshaped to ``w'``
-    with trailing unit axes, but neither pass forms that product.
-
-    The forward is one einsum contraction. It adds the terms in the order
-    of the axis, as ``tsum`` does when the axes after ``axis`` hold more
-    than one element, so there the result is bit-equal to the chain; a
-    BLAS matmul would round differently and change the trained numbers in
-    their last bits. The backward forms ``dx`` as one broadcast product and
-    ``dw`` as a matmul plus a sum over broadcast axes.
-    """
-    if x.data.ndim == 0 or w.data.ndim == 0:
-        raise ShapeError(f"weighted_sum needs rank >= 1 operands, got {x.shape} and {w.shape}")
-    axis %= x.data.ndim
-    n = x.shape[axis]
-    if w.shape[-1] != n:
-        raise ShapeError(f"weighted_sum weights {w.shape} do not fit axis {axis} of {x.shape}")
-    rest = x.shape[axis + 1:]
-    xm = x.data.reshape(*x.shape[:axis], n, math.prod(rest))  # .. n x R
-    data = np.einsum("...k,...kr->...r", w.data, xm)  # .. R
-    lead = data.shape[:-1]
-
-    def bw(g, grads):
-        gm = g.reshape(*lead, 1, data.shape[-1])
-        if x.requires_grad:
-            _accum(grads, x, (w.data[..., None] * gm).reshape(*lead, n, *rest))
-        if w.requires_grad:
-            _accum(grads, w, (xm @ gm.swapaxes(-1, -2))[..., 0])
-
-    return _make(data.reshape((*lead, *rest)), (x, w), bw)
-
-
 def transpose_last2(a: Tensor) -> Tensor:
     """Swap the trailing two axes. Self-inverse."""
     if a.data.ndim < 2:
@@ -350,49 +293,6 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
         g3 = g.reshape(pre, idx.size, post)
         full = g3[..., 0] @ onehot if post == 1 else onehot.T @ g3
         _accum(grads, a, full.reshape(a.shape), owned=True)
-
-    return _make(data, (a,), bw)
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """L2 norms along the last axis, which is kept with length 1."""
-    return np.sqrt((x * x).sum(axis=-1, keepdims=True))
-
-
-def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """``x / norm`` for norms kept from ``x``, and 0 where the norm is 0 (a
-    subgradient of the norm)."""
-    return np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
-
-
-def normalize(a: Tensor) -> Tensor:
-    """``a / (||a|| + NORM_EPS)`` for every vector along the last axis.
-
-    A zero vector maps to zero, and its gradient stays finite.
-    """
-    if a.data.ndim == 0:
-        raise ShapeError("normalize needs at least rank 1")
-    norm = _norm(a.data)
-    den = norm + NORM_EPS
-    data = a.data / den
-
-    def bw(g, grads):
-        radial = (g * data).sum(axis=-1, keepdims=True)
-        _accum(grads, a, (g - radial * _unit(a.data, norm)) / den)
-
-    return _make(data, (a,), bw)
-
-
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """log(sum(exp(a))) along ``axis``, max-shifted; keeps the axis collapsed."""
-    shift = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - shift)
-    total = e.sum(axis=axis)
-    data = np.log(total) + np.squeeze(shift, axis=axis)
-
-    def bw(g, grads):
-        # d logsumexp / da is softmax(a), which is e / total
-        _accum(grads, a, np.expand_dims(g / total, axis) * e)
 
     return _make(data, (a,), bw)
 

@@ -5,11 +5,12 @@ column is matched on its own, and every scene is aggregated on its own.
 This is the loss stack as it was before the matrix form, kept only so that
 tests can compare the batched code in ``pseudoradar.contrastive`` against
 it, together with the op chains that the package fuses into single nodes:
-the matcher's window attention and BCSA's attention and gated layer-norm
-blend. It is slow by design and is not part of the package. The tape ops
-that only it needs (div, sqrt, concat, layer_norm, softmax and the batched
-cosine similarity) are defined here on the engine's node maker, not in
-``pseudoradar.tensor``.
+the matcher's window attention, BCSA's attention and gated layer-norm blend
+(``bcsa_chain``) and the matrix-form InfoNCE (``info_nce_chain``). It is
+slow by design and is not part of the package. The tape ops that only it
+needs (div, sqrt, concat, matmul, weighted_sum, normalize, logsumexp,
+layer_norm, softmax and the batched cosine similarity) are defined here on
+the engine's node maker, not in ``pseudoradar.tensor``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from pseudoradar import tensor as T
-from pseudoradar.contrastive import (GLOBAL_PAIRS, LAYER_NORM_EPS, MATCH_TIE_TOL,
+from pseudoradar.contrastive import (GLOBAL_PAIRS, LAYER_NORM_EPS, MATCH_TIE_TOL, NORM_EPS,
                                      BcsaParams, ContrastiveConfig, ContrastiveParams,
-                                     FeatureMap, GlobalAggParams, SceneMaps)
+                                     FeatureMap, GlobalAggParams, SceneMaps, _norm, _unit)
 from pseudoradar.tensor import Tensor
 
 
@@ -69,6 +70,92 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return T._make(data, ts, bw)
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the trailing two axes; leading axes must agree."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise T.ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+        raise T.ShapeError(f"matmul shapes do not align: {a.shape} x {b.shape}")
+    data = a.data @ b.data
+
+    def bw(g, grads):
+        if a.requires_grad:
+            T._accum(grads, a, g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            T._accum(grads, b, a.data.swapaxes(-1, -2) @ g)
+
+    return T._make(data, (a, b), bw)
+
+
+def weighted_sum(x: Tensor, w: Tensor, axis: int) -> Tensor:
+    """Contract ``axis`` of ``x`` with the weights ``w``.
+
+    ``w``'s last axis is the contracted one and has ``x.shape[axis]``
+    entries; its leading axes broadcast against the axes of ``x`` before
+    ``axis``, and each weight applies to the whole slice after it. The
+    result equals ``tsum(mul(x, w'), axis)`` for ``w`` reshaped to ``w'``
+    with trailing unit axes, but neither pass forms that product.
+
+    The forward is one einsum contraction. It adds the terms in the order
+    of the axis, as ``tsum`` does when the axes after ``axis`` hold more
+    than one element, so there the result is bit-equal to the chain; a
+    BLAS matmul would round differently and change the trained numbers in
+    their last bits. The backward forms ``dx`` as one broadcast product and
+    ``dw`` as a matmul plus a sum over broadcast axes.
+    """
+    if x.data.ndim == 0 or w.data.ndim == 0:
+        raise T.ShapeError(f"weighted_sum needs rank >= 1 operands, got {x.shape} and {w.shape}")
+    axis %= x.data.ndim
+    n = x.shape[axis]
+    if w.shape[-1] != n:
+        raise T.ShapeError(f"weighted_sum weights {w.shape} do not fit axis {axis} of {x.shape}")
+    rest = x.shape[axis + 1:]
+    xm = x.data.reshape(*x.shape[:axis], n, math.prod(rest))  # .. n x R
+    data = np.einsum("...k,...kr->...r", w.data, xm)  # .. R
+    lead = data.shape[:-1]
+
+    def bw(g, grads):
+        gm = g.reshape(*lead, 1, data.shape[-1])
+        if x.requires_grad:
+            T._accum(grads, x, (w.data[..., None] * gm).reshape(*lead, n, *rest))
+        if w.requires_grad:
+            T._accum(grads, w, (xm @ gm.swapaxes(-1, -2))[..., 0])
+
+    return T._make(data.reshape((*lead, *rest)), (x, w), bw)
+
+
+def normalize(a: Tensor) -> Tensor:
+    """``a / (||a|| + NORM_EPS)`` for every vector along the last axis.
+
+    A zero vector maps to zero, and its gradient stays finite.
+    """
+    if a.data.ndim == 0:
+        raise T.ShapeError("normalize needs at least rank 1")
+    norm = _norm(a.data)
+    den = norm + NORM_EPS
+    data = a.data / den
+
+    def bw(g, grads):
+        radial = (g * data).sum(axis=-1, keepdims=True)
+        T._accum(grads, a, (g - radial * _unit(a.data, norm)) / den)
+
+    return T._make(data, (a,), bw)
+
+
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
+    """log(sum(exp(a))) along ``axis``, max-shifted; keeps the axis collapsed."""
+    shift = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - shift)
+    total = e.sum(axis=axis)
+    data = np.log(total) + np.squeeze(shift, axis=axis)
+
+    def bw(g, grads):
+        # d logsumexp / da is softmax(a), which is e / total
+        T._accum(grads, a, np.expand_dims(g / total, axis) * e)
+
+    return T._make(data, (a,), bw)
+
+
 def layer_norm(a: Tensor, axis: int = -1) -> Tensor:
     """Zero-mean unit-variance normalization of each slice along ``axis``,
     with the biased variance plus ``LAYER_NORM_EPS``; the backward is the
@@ -113,16 +200,16 @@ def batched_cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim == 0 or b.data.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise T.ShapeError(f"batched_cosine_sim needs equal last axes, "
                            f"got {a.shape} and {b.shape}")
-    na, nb = T._norm(a.data), T._norm(b.data)
-    da, db = na + T.NORM_EPS, nb + T.NORM_EPS
+    na, nb = _norm(a.data), _norm(b.data)
+    da, db = na + NORM_EPS, nb + NORM_EPS
     full = (a.data * b.data).sum(axis=-1, keepdims=True) / (da * db)
 
     def bw(g, grads):
         g = g[..., None]
         if a.requires_grad:
-            T._accum(grads, a, g * (b.data / (da * db) - full / da * T._unit(a.data, na)))
+            T._accum(grads, a, g * (b.data / (da * db) - full / da * _unit(a.data, na)))
         if b.requires_grad:
-            T._accum(grads, b, g * (a.data / (da * db) - full / db * T._unit(b.data, nb)))
+            T._accum(grads, b, g * (a.data / (da * db) - full / db * _unit(b.data, nb)))
 
     return T._make(full[..., 0], (a, b), bw)
 
@@ -147,11 +234,24 @@ def info_nce(anchors: Sequence[Tensor], candidates: Sequence[Tensor], tau: float
             [T.mul(cosine_sim(anchors[i], candidates[j]), inv_tau) for j in range(n)]
         )
         pos = T.take(row, i, axis=0)
-        terms.append(T.sub(pos, T.logsumexp(row, axis=0)))
+        terms.append(T.sub(pos, logsumexp(row, axis=0)))
     total = terms[0]
     for t in terms[1:]:
         total = T.add(total, t)
     return T.mul(total, Tensor(-1.0 / n))
+
+
+def info_nce_chain(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
+    """InfoNCE on ... x N x D stacks as the op chain that
+    ``contrastive.info_nce`` fuses: the row normalizations, one matmul of the
+    normalized rows, the scale by 1/tau, the diagonal as a ``weighted_sum``
+    with the identity, ``logsumexp``, ``sub``, ``tsum`` and the scale by
+    -1/N, one op at a time."""
+    n = anchors.shape[-2]
+    sims = T.mul(matmul(normalize(anchors), T.transpose_last2(normalize(candidates))),
+                 Tensor(1.0 / tau))
+    pos = weighted_sum(sims, Tensor(np.eye(n)), axis=-1)
+    return T.mul(T.tsum(T.sub(pos, logsumexp(sims, axis=-1)), axis=-1), Tensor(-1.0 / n))
 
 
 def window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Tensor:
@@ -159,10 +259,10 @@ def window_aggregates(cols: Tensor, inside: np.ndarray, label: np.ndarray) -> Te
     node: each window of flat columns (..., r, D) attends over its columns
     by softmax of their cosine to the label column, masked slots excluded."""
     select = np.arange(inside.shape[-1]) == label[..., None]
-    query = T.weighted_sum(cols, Tensor(select), axis=-2)
+    query = weighted_sum(cols, Tensor(select), axis=-2)
     sims = batched_cosine_sim(T.reshape(query, (*query.shape[:-1], 1, query.shape[-1])), cols)
     attn = softmax(T.add(sims, Tensor(np.where(inside, 0.0, -np.inf))), axis=-1)
-    return T.weighted_sum(cols, attn, axis=-2)
+    return weighted_sum(cols, attn, axis=-2)
 
 
 def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
@@ -197,8 +297,8 @@ def sliding_window_match(anchor_col: Tensor, search_map: Tensor, j: int,
 def attend(q: Tensor, k_t: Tensor, v: Tensor) -> Tensor:
     """The op chain that ``contrastive._attend`` computes as one node:
     softmax(q k_t / sqrt(d)) v over the trailing two axes."""
-    scores = T.mul(T.matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
-    return T.matmul(softmax(scores, axis=-1), v)
+    scores = T.mul(matmul(q, k_t), Tensor(1.0 / math.sqrt(q.shape[-1])))
+    return matmul(softmax(scores, axis=-1), v)
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -261,12 +361,12 @@ def aggregate_global(f_a: Tensor, f_b: Tensor,
     c, h, w = f_a.shape
     cat = concat([f_a, f_b], axis=0)
     row_desc = T.tmean(cat, axis=2)
-    row_scores = T.reshape(T.matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
+    row_scores = T.reshape(matmul(T.reshape(params.row_proj, (1, 2 * c)), row_desc), (h,))
     row_w = T.reshape(softmax(row_scores, axis=0), (1, h, 1))
     a_cols = T.tsum(T.mul(f_a, row_w), axis=1)
     b_cols = T.tsum(T.mul(f_b, row_w), axis=1)
     cat_cols = concat([a_cols, b_cols], axis=0)
-    col_scores = T.reshape(T.matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
+    col_scores = T.reshape(matmul(T.reshape(params.col_proj, (1, 2 * c)), cat_cols), (w,))
     col_w = T.reshape(softmax(col_scores, axis=0), (1, w))
     return T.tsum(T.mul(a_cols, col_w), axis=1), T.tsum(T.mul(b_cols, col_w), axis=1)
 

@@ -102,12 +102,16 @@ class TestInfoNce:
 
 
 # (function, arguments after the inputs, the expected form, inputs in a form
-# it does not take): lists, unstacked pairs and maps without a scene axis
+# it does not take): lists, unstacked pairs, stacks with an empty N axis and
+# maps without a scene axis
 _V = Tensor(np.ones(3))
 _MAP = Tensor(np.ones((2, 3, 4)))
 OTHER_FORMS = [
     (info_nce, (0.07,), r"\.\.\. x N x D", ([_V, _V], [_V, _V])),
     (info_nce, (0.07,), r"\.\.\. x N x D", (_V, _V)),
+    (info_nce, (0.07,), r"\.\.\. x N x D tensors with N >= 1", (Tensor(np.ones((0, 3))),) * 2),
+    (info_nce, (0.07,), r"\.\.\. x N x D tensors with N >= 1",
+     (Tensor(np.ones((2, 0, 3))),) * 2),
     (bcsa, (BcsaParams.init(2),), "N x C x D", (Tensor(np.ones((2, 5))),) * 2),
     (bcsa, (BcsaParams.init(2),), "N x C x D", ([Tensor(np.ones((2, 5)))],) * 2),
     (aggregate_global, (((0, 1),), GlobalAggParams.init(2)), "K x S x C x H x W",
@@ -508,20 +512,19 @@ class TestTotalLoss:
 
 
 def test_total_loss_tape_node_count():
-    # each weighted pooling is one weighted_sum node, the global path
-    # aggregates all its pairings in one node, which two takes split, and
-    # scores them in one info_nce call, the matcher's window attention is one
-    # node, and BCSA is 11 nodes: each transpose, the gate, 1 - gate and the
-    # affine stack once, then two attention nodes and one gated blend per
-    # direction; the same loss at the benchmark's C64 x H32 x W64 size holds
-    # 180
+    # InfoNCE is one node a call, the global path aggregates all its
+    # pairings in one node, which two takes split, and scores them in one
+    # info_nce call, the matcher's window attention is one node, and BCSA is
+    # 11 nodes: each transpose, the gate, 1 - gate and the affine stack once,
+    # then two attention nodes and one gated blend per direction; the same
+    # loss at the benchmark's C64 x H32 x W64 size holds 135
     scenes = gen_feature_batch(3, 3, 4, 4, 16, noise_sigma=1.0).scenes
     for scene in scenes:
         for name in MAP_NAMES:
             getattr(scene, name).tensor.requires_grad = True
     loss = total_loss(scenes, ContrastiveConfig(), ContrastiveParams.init(4, seed=0),
                       philox(4, 0))
-    assert len(T._topo_order(loss)) == 142
+    assert len(T._topo_order(loss)) == 106
 
 
 # two toy_pretrain steps on a batch given as JSON, as step_peaks.C64_BATCH

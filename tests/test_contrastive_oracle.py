@@ -408,15 +408,56 @@ def test_fused_bcsa_equals_the_op_chain(case):
         assert np.abs(g_got - g_want).max() <= GRAD_TOL * max(np.abs(g_want).max(), 1e-300)
 
 
+@st.composite
+def info_nce_cases(draw):
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # each row at its own scale, and some rows zero
+    a, b = rng.normal(size=(2, *lead, n, d)) * 10.0 ** rng.uniform(-3.0, 2.0, (2, *lead, n, 1))
+    if draw(st.booleans()):
+        a[rng.random((*lead, n)) < 0.4] = 0.0
+        b[rng.random((*lead, n)) < 0.4] = 0.0
+    return a, b, draw(st.sampled_from([0.07, 0.5, 1.0])), draw(st.booleans())
+
+
+@given(info_nce_cases())
+@settings(max_examples=200, deadline=None)
+def test_fused_info_nce_equals_the_op_chain(case):
+    a, b, tau, same = case
+    x = Tensor(a, requires_grad=True)
+    y = x if same else Tensor(b, requires_grad=True)  # one tensor as both arguments
+    weights = Tensor(np.random.default_rng(0).normal(size=a.shape[:-2]))
+    runs = []
+    for info_nce in (C.info_nce, ref.info_nce_chain):
+        T.zero_grad(x, y)
+        loss = info_nce(x, y, tau)
+        T.backward(T.tsum(T.mul(loss, weights)))
+        runs.append([loss.data.tobytes(), x.grad.tobytes(), y.grad.tobytes()])
+    assert runs[0] == runs[1]
+
+
+def assert_total_loss_bit_equal_with(batch, monkeypatch, name, chain):
+    """The combined loss and every leaf gradient are the same bits with
+    ``C.<name>`` replaced by its op chain ``chain``."""
+    scenes, cfg, params, leaves = batch
+    fused = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
+    monkeypatch.setattr(C, name, chain)
+    chained = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
+    assert fused[0] == chained[0]
+    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chained[1]))
+
+
 def test_total_loss_gradients_are_bit_equal_to_the_bcsa_chain(batch, monkeypatch):
     # the fused nodes repeat the chain's numpy steps and hand every shared
     # node its gradients in the chain's order, so training keeps its bits
-    scenes, cfg, params, leaves = batch
-    fused = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
-    monkeypatch.setattr(C, "bcsa", ref.bcsa_chain)
-    chain = value_and_grads(lambda: C.total_loss(scenes, cfg, params, philox(8, 0)), leaves)
-    assert fused[0] == chain[0]
-    assert all(np.array_equal(a, b) for a, b in zip(fused[1], chain[1]))
+    assert_total_loss_bit_equal_with(batch, monkeypatch, "bcsa", ref.bcsa_chain)
+
+
+def test_total_loss_gradients_are_bit_equal_to_the_info_nce_chain(batch, monkeypatch):
+    # the local InfoNCE scores rows of D = C x H (15 to 36), wider than the
+    # property above draws: there a BLAS product rounds by operand layout
+    assert_total_loss_bit_equal_with(batch, monkeypatch, "info_nce", ref.info_nce_chain)
 
 
 # (q, k_t, v): a batch of two, and one query over one key (D = 1)
@@ -493,4 +534,4 @@ def test_tape_size_does_not_grow_with_sampled_columns():
     # BCSA transposes each input once, shares its gate and affine stack
     # between both directions and is three nodes a direction; the global
     # InfoNCE is one call for all pairings
-    assert counts[0] <= 142
+    assert counts[0] <= 106

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from pseudoradar import tensor as T
 from pseudoradar.tensor import ShapeError, Tensor, backward, finite_diff_check, zero_grad
-from scalar_losses import batched_cosine_sim, concat, div, layer_norm, softmax, sqrt
+from scalar_losses import (batched_cosine_sim, concat, div, layer_norm, logsumexp, matmul,
+                           normalize, softmax, sqrt, weighted_sum)
 
 
 def rand(shape, seed=0, scale=2.0):
@@ -21,20 +22,20 @@ def rand(shape, seed=0, scale=2.0):
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(Tensor(np.eye(2)), a)
+        out = matmul(Tensor(np.eye(2)), a)
         assert np.array_equal(out.data, a.data)
 
     def test_hand_value(self):
-        out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_zero_annihilates(self):
-        out = T.matmul(Tensor(np.zeros((3, 3))), Tensor(rand((3, 2))))
+        out = matmul(Tensor(np.zeros((3, 3))), Tensor(rand((3, 2))))
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
     def test_shape_mismatch_names_both(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 class TestSoftmax:
@@ -126,9 +127,8 @@ def _layer_norm_chain(x, axis, eps=1e-5):
 
 FUSED = {"softmax": _softmax_chain, "logsumexp": _logsumexp_chain,
          "layer_norm": _layer_norm_chain}
-# the fused ops: the engine's logsumexp, and the scalar reference's softmax
-# and layer norm
-FUSED_OPS = {"softmax": softmax, "logsumexp": T.logsumexp, "layer_norm": layer_norm}
+# the fused ops, all the scalar reference's: softmax, logsumexp and layer norm
+FUSED_OPS = {"softmax": softmax, "logsumexp": logsumexp, "layer_norm": layer_norm}
 # the op-table input, and a BCSA-shaped N x C x H stack normalized over C
 FUSED_INPUTS = [
     (np.random.default_rng(30).uniform(-5, 5, size=(4, 6)), 1),
@@ -205,7 +205,7 @@ class TestWeightedSum:
     def test_matches_mul_tsum_chain(self, case):
         x_shape, w_shape, axis = WEIGHTED_SUM_CASES[case]
         values, grads = [], []
-        for op in (T.weighted_sum, _weighted_sum_chain):
+        for op in (weighted_sum, _weighted_sum_chain):
             x = Tensor(rand(x_shape, seed=40), requires_grad=True)
             w = Tensor(rand(w_shape, seed=41), requires_grad=True)
             out = op(x, w, axis)
@@ -225,7 +225,7 @@ class TestWeightedSum:
     def test_one_tape_node_and_no_gradient_for_constant_weights(self):
         x = Tensor(rand((2, 3, 4), seed=43), requires_grad=True)
         w = Tensor(rand((2, 3), seed=44))
-        out = T.weighted_sum(x, w, axis=1)
+        out = weighted_sum(x, w, axis=1)
         assert T._topo_order(out) == [x, out]
         backward(T.tsum(out))
         assert w.grad is None
@@ -233,9 +233,9 @@ class TestWeightedSum:
 
     def test_weights_that_do_not_fit_the_axis(self):
         with pytest.raises(ShapeError, match="do not fit axis 1"):
-            T.weighted_sum(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), axis=1)
+            weighted_sum(Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4)), axis=1)
         with pytest.raises(ShapeError, match="rank >= 1"):
-            T.weighted_sum(Tensor(np.ones(3)), Tensor(1.0), axis=0)
+            weighted_sum(Tensor(np.ones(3)), Tensor(1.0), axis=0)
 
 
 def _stack_cases():
@@ -403,23 +403,23 @@ class TestCosineSim:
 
 class TestNormalize:
     def test_rows_have_unit_norm(self):
-        out = T.normalize(Tensor(rand((4, 6), seed=24))).data
+        out = normalize(Tensor(rand((4, 6), seed=24))).data
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_hand_value(self):
-        out = T.normalize(Tensor([[3.0, 4.0], [0.0, -2.0]])).data
+        out = normalize(Tensor([[3.0, 4.0], [0.0, -2.0]])).data
         assert np.allclose(out, [[0.6, 0.8], [0.0, -1.0]], atol=1e-12)
 
     def test_zero_row_stays_zero_with_finite_gradient(self):
         x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]), requires_grad=True)
-        out = T.normalize(x)
+        out = normalize(x)
         assert np.array_equal(out.data[0], [0.0, 0.0])
         backward(T.tsum(T.mul(out, Tensor([[1.0, -1.0], [2.0, 0.5]]))))
         assert np.isfinite(x.grad).all()
 
     def test_products_are_cosines(self):
         a, b = rand((3, 5), seed=25), rand((3, 5), seed=26)
-        dots = (T.normalize(Tensor(a)).data * T.normalize(Tensor(b)).data).sum(axis=1)
+        dots = (normalize(Tensor(a)).data * normalize(Tensor(b)).data).sum(axis=1)
         cos = batched_cosine_sim(Tensor(a), Tensor(b)).data
         assert np.allclose(dots, cos, rtol=1e-14, atol=0)
 
@@ -531,7 +531,7 @@ class TestBackward:
         x = Tensor(rand((4, 4), seed=8), requires_grad=True)
 
         def f(t):
-            u = T.matmul(t, T.transpose_last2(t))
+            u = matmul(t, T.transpose_last2(t))
             v = softmax(u, axis=1)
             return T.tsum(T.mul(v, Tensor(rand((4, 4), seed=9))))
 
@@ -567,8 +567,8 @@ class TestGradientAccumulation:
         y = T.reshape(x, (4, 3))  # its gradients arrive as views
         a, b = rand((4, 3), seed=58), rand((2, 4), seed=59)
         loss = T.add(T.add(T.tsum(T.mul(y, Tensor(a))),
-                           T.tsum(T.matmul(T.transpose_last2(y), T.mul(y, y)))),
-                     T.tsum(T.weighted_sum(y, Tensor(b), axis=-2)))
+                           T.tsum(matmul(T.transpose_last2(y), T.mul(y, y)))),
+                     T.tsum(weighted_sum(y, Tensor(b), axis=-2)))
         backward(loss)
         # sum(y^T (y * y)) = sum_k (sum_i y_ki)(sum_j y_kj^2)
         yd = x.data.reshape(4, 3)
@@ -584,7 +584,7 @@ class TestGradientAccumulation:
         doubled = T.add(stack, stack)
         w = Tensor(rand((3, 3), seed=61))
         loss = T.add(T.add(T.tsum(T.mul(doubled, Tensor(batch))),
-                           T.tsum(T.weighted_sum(stack, w, axis=0))),
+                           T.tsum(weighted_sum(stack, w, axis=0))),
                      T.tsum(T.mul(T.add(leaves[3], leaves[4]), Tensor(batch[0]))))
         backward(loss)
         grads = [t.grad for t in leaves]
@@ -609,8 +609,8 @@ class TestGradientAccumulation:
                   Tensor(np.eye(3)), Tensor(rand((3, 4), seed=65) ** 2 + 1.0),
                   Tensor(rand((3, 4), seed=66))]
         a = T.mul(x, consts[0])
-        b = T.matmul(consts[1], a)  # 4 x 4
-        c = T.weighted_sum(T.matmul(a, consts[1]), consts[2], axis=-1)
+        b = matmul(consts[1], a)  # 4 x 4
+        c = weighted_sum(matmul(a, consts[1]), consts[2], axis=-1)
         d = div(x, consts[3])
         e = batched_cosine_sim(consts[4], d)
         loss = T.add(T.add(T.tsum(b), T.tsum(c)), T.tsum(e))
@@ -632,28 +632,29 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: T.tsum(T.mul(t, t)), x) < 1e-8
 
 
-# the ops of pseudoradar.tensor, and div, sqrt, concat, layer_norm, softmax
-# and batched_cosine_sim of the scalar reference
+# the ops of pseudoradar.tensor, and div, sqrt, concat, matmul, weighted_sum,
+# normalize, logsumexp, layer_norm, softmax and batched_cosine_sim of the
+# scalar reference
 OPS = {
     "add": lambda t, u: T.add(t, u),
     "sub": lambda t, u: T.sub(t, u),
     "mul": lambda t, u: T.mul(t, u),
     "div": lambda t, u: div(t, T.add(T.mul(u, u), Tensor(1.0))),
     "sigmoid": lambda t, u: T.sigmoid(t),
-    "matmul": lambda t, u: T.matmul(t, T.transpose_last2(u)),
+    "matmul": lambda t, u: matmul(t, T.transpose_last2(u)),
     "transpose": lambda t, u: T.transpose_last2(t),
     "softmax": lambda t, u: softmax(t, axis=1),
-    "logsumexp": lambda t, u: T.logsumexp(t, axis=1),
+    "logsumexp": lambda t, u: logsumexp(t, axis=1),
     "layer_norm": lambda t, u: layer_norm(t, axis=1),
     "mean": lambda t, u: T.tmean(t, axis=0),
     "concat": lambda t, u: concat([t, u], axis=0),
     "sqrt": lambda t, u: sqrt(T.add(T.mul(t, t), Tensor(1.0))),
     "take": lambda t, u: T.take(t, np.array([1, 3, 1]), axis=1),
     # x and w both depend on t; w's leading axis broadcasts against x's
-    "weighted_sum": lambda t, u: T.weighted_sum(
+    "weighted_sum": lambda t, u: weighted_sum(
         T.reshape(t, (2, 3, 4)), T.reshape(T.take(t, 0, axis=0), (2, 1, 3)), axis=1),
     "stack": lambda t, u: T.stack([t, u, t]),
-    "normalize": lambda t, u: T.normalize(t),
+    "normalize": lambda t, u: normalize(t),
     "cosine_sim": lambda t, u: batched_cosine_sim(T.reshape(t, (4, 1, 6)),
                                                   T.reshape(u, (1, 4, 6))),
 }
@@ -692,7 +693,7 @@ def test_no_forward_op_produces_non_finite(seed):
     y = Tensor(rng.uniform(-10, 10, size=(3, 5)))
     outs = [
         T.add(x, y), T.mul(x, y), softmax(x, axis=1), layer_norm(x, axis=0),
-        T.sigmoid(x), T.logsumexp(x, axis=1), T.matmul(x, T.transpose_last2(y)),
+        T.sigmoid(x), logsumexp(x, axis=1), matmul(x, T.transpose_last2(y)),
         T.tsum(x), T.tmean(x, axis=1), concat([x, y], axis=1),
     ]
     for out in outs:
@@ -739,7 +740,7 @@ def test_every_public_op_has_a_caller_in_the_package():
                            if p.name != "tensor.py"))
     ops = [name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and name[0] != "_"]
-    assert len(ops) >= 17
+    assert len(ops) >= 13
     assert [name for name in ops if name not in called] == []
 
 
@@ -788,10 +789,10 @@ def test_repr_names_the_shape_and_the_gradient_flag():
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: Tensor([1.0, 2.0]).item(), ShapeError,
                  r"^item\(\) needs a single-element tensor, got shape \(2,\)$", id="item"),
-    pytest.param(lambda: T.matmul(Tensor(np.ones(2)), Tensor(np.ones((2, 2)))), ShapeError,
+    pytest.param(lambda: matmul(Tensor(np.ones(2)), Tensor(np.ones((2, 2)))), ShapeError,
                  r"^matmul needs rank >= 2 operands, got \(2,\) and \(2, 2\)$",
                  id="matmul-rank"),
-    pytest.param(lambda: T.normalize(Tensor(1.0)), ShapeError,
+    pytest.param(lambda: normalize(Tensor(1.0)), ShapeError,
                  "^normalize needs at least rank 1$", id="normalize-rank"),
     pytest.param(lambda: softmax(Tensor(1.0)), ShapeError,
                  "^softmax needs at least rank 1$", id="softmax-rank"),
